@@ -10,11 +10,21 @@ class TubularZoneError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A time stepper could not complete a step (guard exhaustion, etc.)."""
+    """A time stepper could not complete a step (guard exhaustion, etc.).
 
-    def __init__(self, message, node_index=None):
-        super().__init__(message)
+    Carries, where known, the grid node, the penalization parameter ``a``,
+    the batch row of the first failing path and that path's boundary
+    distance at the start of the failing (sub-)step; the message names them.
+    """
+
+    def __init__(self, message, node_index=None, a=None, path_index=None, boundary_distance=None):
         self.node_index = node_index
+        self.a = a
+        self.path_index = path_index
+        self.boundary_distance = boundary_distance
+        fields = (("node", node_index), ("a", a), ("path", path_index), ("R", boundary_distance))
+        context = ", ".join(f"{name}={value!r}" for name, value in fields if value is not None)
+        super().__init__(f"{message} ({context})" if context else message)
 
 
 class QuadratureError(ArithmeticError):

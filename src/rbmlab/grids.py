@@ -39,24 +39,53 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-def _philox(seed: int, w1: int, w2: int, w3: int) -> np.random.Generator:
-    counter = np.array([0, w1, w2, w3], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+class SeedStreams:
+    """The Philox streams of one master seed, drawn through one generator.
+
+    ``driver(i)``, ``bridge(i)`` and ``guard(node, attempt)`` re-key the
+    generator in place to the stream's counter and return it in the state a
+    freshly built generator for that stream starts in.  Re-keying costs a few
+    microseconds; building a generator costs several times more, as it also
+    fetches OS entropy for a seed sequence that the fixed key never uses.
+    ``Philox(key=seed)`` converts the seed (two little-endian 64-bit words)
+    and rejects keys outside ``[0, 2**128)`` with ``ValueError``.  Every call
+    returns the same generator, so draw from it before the next call.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.Philox(key=seed)
+        self._gen = np.random.Generator(self._bits)
+        self._state = self._bits.state
+        self._counter = self._state["state"]["counter"]
+
+    def _at(self, w1: int, w2: int, w3: int) -> np.random.Generator:
+        self._counter[1:] = (w1, w2, w3)
+        self._bits.state = self._state
+        return self._gen
+
+    def driver(self, path_index: int) -> np.random.Generator:
+        return self._at(0, path_index, _TAG_DRIVER)
+
+    def bridge(self, path_index: int) -> np.random.Generator:
+        return self._at(0, path_index, _TAG_BRIDGE)
+
+    def guard(self, node: int, attempt: int) -> np.random.Generator:
+        return self._at(attempt, node, _TAG_GUARD)
 
 
 def driver_stream(seed: int, path_index: int) -> np.random.Generator:
-    """Generator for the Gaussian increments of one path."""
-    return _philox(seed, 0, path_index, _TAG_DRIVER)
+    """Fresh generator for the Gaussian increments of one path."""
+    return SeedStreams(seed).driver(path_index)
 
 
 def bridge_stream(seed: int, path_index: int) -> np.random.Generator:
-    """Generator for within-step bridge-minimum uniforms of one path."""
-    return _philox(seed, 0, path_index, _TAG_BRIDGE)
+    """Fresh generator for within-step bridge-minimum uniforms of one path."""
+    return SeedStreams(seed).bridge(path_index)
 
 
 def guard_stream(seed: int, node: int, attempt: int) -> np.random.Generator:
-    """Generator for positivity-guard bridge draws, keyed by grid node."""
-    return _philox(seed, attempt, node, _TAG_GUARD)
+    """Fresh generator for positivity-guard bridge draws, keyed by grid node."""
+    return SeedStreams(seed).guard(node, attempt)
 
 
 @dataclass
@@ -90,8 +119,9 @@ def driver_block(grid: TimeGrid, m: int, seed: int, first_path: int, n_paths: in
     """Increments for paths [first_path, first_path + n_paths) as (P, N, m)."""
     out = np.empty((n_paths, grid.steps, m))
     root = np.sqrt(grid.dt)
+    streams = SeedStreams(seed)
     for j in range(n_paths):
-        out[j] = driver_stream(seed, first_path + j).standard_normal((grid.steps, m))
+        out[j] = streams.driver(first_path + j).standard_normal((grid.steps, m))
     out *= root
     return out
 
@@ -99,6 +129,7 @@ def driver_block(grid: TimeGrid, m: int, seed: int, first_path: int, n_paths: in
 def bridge_uniform_block(grid: TimeGrid, seed: int, first_path: int, n_paths: int) -> np.ndarray:
     """Per-step uniforms used to sample within-step bridge minima, (P, N)."""
     out = np.empty((n_paths, grid.steps))
+    streams = SeedStreams(seed)
     for j in range(n_paths):
-        out[j] = bridge_stream(seed, first_path + j).random(grid.steps)
+        out[j] = streams.bridge(first_path + j).random(grid.steps)
     return out

@@ -160,7 +160,8 @@ def sp_distance(paths_a, paths_b, p: float, model: ManifoldModel | None = None) 
 
 
 def local_time_tv(L, L_a):
-    """(sup gap, total variation of the difference, 2 * terminal local time).
+    """(sup gap, total variation of the difference, 2 * terminal local time),
+    per series along the last axis (scalars for one series).
 
     The variation is taken over grid nodes, sum_k |dL_k - dL^a_k|, so it is a
     lower bound on the path variation L_T + L^a_T: it equals L_T + L^a_T when
@@ -173,9 +174,9 @@ def local_time_tv(L, L_a):
     L_a = np.asarray(L_a, dtype=float)
     if L.shape != L_a.shape:
         raise ValueError("coupled local-time series must share a grid")
-    sup = float(np.abs(L - L_a).max())
-    tv = float(np.abs(np.diff(L) - np.diff(L_a)).sum())
-    return sup, tv, float(2.0 * L[-1])
+    sup = np.abs(L - L_a).max(axis=-1)
+    tv = np.abs(np.diff(L, axis=-1) - np.diff(L_a, axis=-1)).sum(axis=-1)
+    return sup, tv, 2.0 * L[..., -1]
 
 
 # -- experiment kernels -------------------------------------------------------
@@ -221,7 +222,7 @@ def _run_halfline_penalization(cfg: ExperimentConfig):
     return rows
 
 
-def _coupled_runs(cfg: ExperimentConfig, model: ManifoldModel, collect, ref_collect=None):
+def _coupled_runs(cfg: ExperimentConfig, model: ManifoldModel, collect):
     """Iterate chunks of coupled (reflected, penalized-per-a) runs.
 
     collect(first, c, a, ref, pen) is called once per (chunk, a); penalized
@@ -233,8 +234,6 @@ def _coupled_runs(cfg: ExperimentConfig, model: ManifoldModel, collect, ref_coll
     for first, c in _chunks(cfg.n_paths, 250):
         dB = driver_block(grid, m, cfg.master_seed, first, c)
         ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-        if ref_collect is not None:
-            ref_collect(first, c, ref)
         for a in cfg.a_grid:
             pen = stepping.integrate_penalized_batch(
                 model, a, x0, dB, grid, aux_seed=cfg.master_seed + 1
@@ -270,14 +269,11 @@ def _run_local_time(cfg: ExperimentConfig):
     tv = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
     twice = np.empty(cfg.n_paths)
 
-    def ref_collect(first, c, ref):
-        twice[first : first + c] = 2.0 * ref["L"][:, -1]
-
     def collect(first, c, a, ref, pen):
-        sup[a][first : first + c] = np.abs(pen["L"] - ref["L"]).max(axis=1)
-        tv[a][first : first + c] = np.abs(np.diff(pen["L"], axis=1) - np.diff(ref["L"], axis=1)).sum(axis=1)
+        chunk = slice(first, first + c)
+        sup[a][chunk], tv[a][chunk], twice[chunk] = local_time_tv(ref["L"], pen["L"])
 
-    _coupled_runs(cfg, model, collect, ref_collect)
+    _coupled_runs(cfg, model, collect)
     rows = []
     for a in cfg.a_grid:
         m, e = _mean_stderr(sup[a])

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import IntegrationError
-from .grids import guard_stream
+from .grids import SeedStreams
+from .grids import guard_stream  # noqa: F401  (bound for perfbench/spans.py, which wraps it by name)
+from .stepping import guarded_walk
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -200,11 +201,6 @@ class EulerScheme:
     aux_seed: int = 0
 
 
-def _bridge_split(w, rem, theta, z):
-    """Increment over the first theta-fraction of a step, Brownian bridge."""
-    return theta * w + np.sqrt(theta * (1.0 - theta) * rem) * z
-
-
 def penalized_paths_1d(
     a: float,
     x: float,
@@ -215,8 +211,9 @@ def penalized_paths_1d(
     """Batched Euler integration of the softened half-line SDE.
 
     dW has shape (P, N).  Returns node values (P, N+1), all strictly positive.
-    A step that would cross zero is bisected (up to ``max_bisections`` times)
-    with Brownian-bridge interpolation of its increment; stiff drift steps are
+    Each step is :func:`stepping.guarded_walk` with this drift: a step that
+    would cross zero is bisected (up to ``max_bisections`` times) with
+    Brownian-bridge interpolation of its increment, and stiff drift steps are
     shortened so drift * h <= x/2.
     """
     if x <= 0:
@@ -227,60 +224,14 @@ def penalized_paths_1d(
     out = np.empty((n_paths, n_steps + 1))
     out[:, 0] = x
     state = np.full(n_paths, float(x))
+    streams = SeedStreams(scheme.aux_seed)
     for i in range(n_steps):
-        state = _guarded_step_1d(
-            state, dW[:, i], dt, a, penalized_drift_1d, scheme, node=i
+        state, _ = guarded_walk(
+            state, dW[:, i], dt, a, lambda a, r: (penalized_drift_1d(a, r),), streams, i,
+            max_substeps=scheme.max_substeps, max_bisect=scheme.max_bisections,
         )
         out[:, i + 1] = state
     return out
-
-
-def _guarded_step_1d(state, w_total, h_total, a, drift_fn, scheme, node):
-    """Advance positive scalar states by h_total with positivity guard."""
-    r = state.copy()
-    rem = np.full_like(r, h_total)
-    w = w_total.copy()
-    attempt = 0
-    for _ in range(scheme.max_substeps):
-        active = rem > 0
-        if not active.any():
-            return r
-        drift = np.zeros_like(r)
-        drift[active] = drift_fn(a, r[active])
-        # shorten stiff steps: drift * h <= r/2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_cap = np.where(drift > 0, 0.5 * r / drift, np.inf)
-        h = np.minimum(rem, h_cap)
-        h = np.maximum(h, rem * 2.0**-scheme.max_bisections)
-        theta = np.where(active, h / np.where(rem > 0, rem, 1.0), 0.0)
-        z = guard_stream(scheme.aux_seed, node, attempt).standard_normal(r.size)
-        attempt += 1
-        full = theta >= 1.0
-        delta = np.where(full, w, _bridge_split(w, rem, np.minimum(theta, 1.0), z))
-        prop = r + drift * h + delta
-        bad = (prop <= 0) & active
-        level = 0
-        while bad.any():
-            if level >= scheme.max_bisections:
-                raise IntegrationError(
-                    "positivity guard exhausted", node_index=node
-                )
-            h = np.where(bad, 0.5 * h, h)
-            theta = np.where(active, h / np.where(rem > 0, rem, 1.0), 0.0)
-            z = guard_stream(scheme.aux_seed, node, attempt).standard_normal(r.size)
-            attempt += 1
-            full = theta >= 1.0
-            delta_new = np.where(
-                full, w, _bridge_split(w, rem, np.minimum(theta, 1.0), z)
-            )
-            delta = np.where(bad, delta_new, delta)
-            prop = np.where(bad, r + drift * h + delta, prop)
-            bad = (prop <= 0) & active
-            level += 1
-        r = np.where(active, prop, r)
-        w = np.where(active, w - delta, w)
-        rem = np.where(active, np.maximum(rem - h, 0.0), rem)
-    raise IntegrationError("substep budget exhausted", node_index=node)
 
 
 def penalized_path_1d(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -53,6 +54,10 @@ def test_local_time_tv_cases():
     _, tv, _ = local_time_tv(L, L_a)
     assert tv == pytest.approx(0.3)
     assert tv < L[-1] + L_a[-1]
+    # one series per row, as the local-time sweep passes its (paths, nodes) arrays
+    rows = local_time_tv(np.stack([L, L, L]), np.stack([L, np.zeros(4), L_a]))
+    for k, series in enumerate([(L, L), (L, np.zeros(4)), (L, L_a)]):
+        assert tuple(stat[k] for stat in rows) == local_time_tv(*series)
 
 
 def test_config_validation():
@@ -162,6 +167,11 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
     r = _run_cli("report", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv"))
     assert r.returncode == 4
+    # a << sqrt(dt): the guarded walk runs out of sub-steps, and the numeric
+    # error names the node, a, the path and its boundary distance
+    r = _run_cli("simulate", "--model", "half-line", "--a", "0.0015", "--steps", "1000", "--x0", "0.01")
+    assert r.returncode == 3
+    assert re.search(r"substep budget exhausted \(node=\d+, a=0\.0015, path=0, R=[0-9.e-]+\)", r.stderr), r.stderr
 
 
 def test_cli_sweep_report_roundtrip(tmp_path):

@@ -300,4 +300,13 @@ def test_guard_exhaustion_raises():
     dW = np.array([[-50.0]])
     with pytest.raises(IntegrationError) as exc:
         sk.penalized_paths_1d(0.01, 0.1, dW, 1e-4, EulerScheme(max_bisections=3, max_substeps=5))
-    assert exc.value.node_index == 0
+    err = exc.value
+    assert (err.node_index, err.a, err.path_index, err.boundary_distance) == (0, 0.01, 0, 0.1)
+    # the failing row of a batch, and its state at the failing node
+    dW = np.array([[0.0, 0.0], [0.0, -50.0], [0.0, -50.0]])
+    with pytest.raises(IntegrationError) as exc:
+        sk.penalized_paths_1d(0.01, 0.1, dW, 1e-4, EulerScheme(max_bisections=3, max_substeps=5))
+    err = exc.value
+    assert (err.node_index, err.a, err.path_index) == (1, 0.01, 1)
+    assert err.boundary_distance == sk.penalized_paths_1d(0.01, 0.1, dW[1:2, :1], 1e-4)[0, 1]
+    assert "node=1, a=0.01, path=1, R=" in str(err)
