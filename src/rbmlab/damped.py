@@ -72,20 +72,13 @@ def _safe_unit(vecs):
 
 def _node_geometry(model, points, frames):
     """Transported normal n, level tangent q, curvature kappa per node."""
-    P, n, d = points.shape
     nu = _safe_unit(geo._normal_components(model, points))
-    if model.id in (geo.HALF_LINE, geo.HALF_SPACE):
-        kappa = np.zeros((P, n))
-    elif model.id == geo.FLAT_DISK:
-        kappa = 1.0 / np.maximum(np.linalg.norm(points, axis=-1), 1e-300)
-    else:
-        kappa = 1.0 / np.tan(np.clip(points[..., 0], 1e-12, None))
-    if d == 1:
+    kappa = geo._level_curvature(model, points)
+    if points.shape[-1] == 1:
         q = np.zeros_like(nu)
     elif model.id == geo.SPHERICAL_CAP:
-        q_chart = np.zeros_like(nu)
-        q_chart[..., 1] = 1.0
-        q = q_chart
+        q = np.zeros_like(nu)
+        q[..., 1] = 1.0
     else:
         q = np.stack([-nu[..., 1], nu[..., 0]], axis=-1)
     if frames is not None:
@@ -324,7 +317,7 @@ def normal_part_formula_check(
     if state.variant != VARIANT_LIMIT:
         raise ValueError("check requires the limit-variant state")
     pts = path.points
-    n_nodes, d = pts.shape
+    n_nodes = pts.shape[0]
     dt = path.grid.dt
     eta = path.eta if eta is None else eta
     frames = None if model.is_flat_chart else _require_frames(model, path, frame)
@@ -341,14 +334,7 @@ def normal_part_formula_check(
     # q-direction component of the frame noise at the left nodes
     F = geo.frame_matrix(model, pts[:-1])  # (N, m, d)
     noise = np.einsum("nmd,nm->nd", F, driver.increments)  # (N, d) chart comps
-    if model.id == geo.SPHERICAL_CAP:
-        q_chart = np.zeros((n_nodes, d))
-        q_chart[:, 1] = 1.0
-    elif d > 1:
-        nu_chart = _safe_unit(geo._normal_components(model, pts))
-        q_chart = np.stack([-nu_chart[:, 1], nu_chart[:, 0]], axis=-1)
-    else:
-        q_chart = np.zeros((n_nodes, d))
+    q_chart = _node_geometry(model, pts[None], None)[1][0]
     noise_q = np.einsum("nd,nd->n", noise, q_chart[:-1])
 
     qw = np.einsum("ni,ni->n", q_t, w_v)

@@ -193,13 +193,14 @@ def _normal_components(model: ManifoldModel, x) -> np.ndarray:
 
 
 def _level_curvature(model: ManifoldModel, x) -> np.ndarray:
-    """Principal curvature of the boundary-distance level set through x."""
+    """Principal curvature of the boundary-distance level set through x,
+    finite at the disk centre and the cap pole."""
     x = _points(model, x)
     if model.id in (HALF_LINE, HALF_SPACE):
         return np.zeros(x.shape[:-1])
     if model.id == FLAT_DISK:
-        return 1.0 / np.linalg.norm(x, axis=-1)
-    return 1.0 / np.tan(x[..., 0])
+        return 1.0 / np.maximum(np.linalg.norm(x, axis=-1), 1e-300)
+    return 1.0 / np.tan(np.clip(x[..., 0], 1e-12, None))
 
 
 def shape_operator(model: ManifoldModel, x, w) -> TangentVector:
@@ -239,13 +240,6 @@ def normal_hessian_trace(model: ManifoldModel, x) -> np.ndarray:
     """
     x = _points(model, x)
     return -(_level_curvature(model, x) ** 2)[..., None] * _normal_components(model, x)
-
-
-def laplacian_boundary_distance(model: ManifoldModel, x) -> np.ndarray:
-    x = _points(model, x)
-    if model.id in (HALF_LINE, HALF_SPACE):
-        return np.zeros(x.shape[:-1])
-    return -_level_curvature(model, x)
 
 
 def laplacian_R_of_R(model: ManifoldModel, R) -> np.ndarray:
@@ -310,21 +304,6 @@ def cap_basis(x) -> np.ndarray:
     return np.stack([e_theta, e_phi], axis=-1)
 
 
-def _cap_gradient_frame(x) -> np.ndarray:
-    """Projected-ambient frame on the sphere in chart orthonormal components.
-
-    Returns (..., 3, 2): row k holds the (e_theta, e_phi_hat) components of the
-    projection of the k-th ambient axis onto the tangent plane.
-    """
-    x = np.asarray(x, dtype=float)
-    theta, phi = x[..., 0], x[..., 1]
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    comp_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    comp_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return np.stack([comp_theta, comp_phi], axis=-1)
-
-
 def frame(model: ManifoldModel, x):
     """Frame fields sigma_1..sigma_m and drift sigma_0 at x.
 
@@ -380,7 +359,7 @@ def frame(model: ManifoldModel, x):
     e_theta[..., 0] = 1.0
     e_phi = np.zeros_like(x)
     e_phi[..., 1] = 1.0
-    grad = _cap_gradient_frame(x)
+    grad = cap_basis(x)  # row k: the tangent projection of ambient axis k
     sigmas = [
         TangentVector(base, -rb * e_theta),
         TangentVector(base, rb * e_phi),

@@ -143,18 +143,17 @@ def _chunks(n: int, size: int):
 
 
 def sp_distance(paths_a, paths_b, p: float, model: ManifoldModel | None = None) -> MCEstimate:
-    """Mean over paths of the sup-node chart distance to the power p."""
+    """Mean over paths of the sup-node chart distance to the power p
+    (Euclidean when no model is given)."""
     A = np.asarray(paths_a, dtype=float)
     B = np.asarray(paths_b, dtype=float)
     if A.ndim == 2:
         A, B = A[None], B[None]
     if A.shape != B.shape:
         raise ValueError("coupled path arrays must share one grid and shape")
-    if model is None or model.is_flat_chart:
-        dist = np.linalg.norm(A - B, axis=-1)
-    else:
-        dist = np.linalg.norm(geo.cap_to_ambient(A) - geo.cap_to_ambient(B), axis=-1)
-    sup = dist.max(axis=-1) ** p
+    if model is None:
+        model = geo.half_space(A.shape[-1])
+    sup = geo.chart_distance(model, A, B).max(axis=-1) ** p
     mean, err = _mean_stderr(sup)
     return MCEstimate(mean, err if not math.isnan(err) else 0.0, sup.size, "")
 
@@ -247,12 +246,7 @@ def _run_sp_convergence(cfg: ExperimentConfig):
     sup_p = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
 
     def collect(first, c, a, ref, pen):
-        if model.is_flat_chart:
-            dist = np.linalg.norm(pen["points"] - ref["points"], axis=-1)
-        else:
-            dist = np.linalg.norm(
-                geo.cap_to_ambient(pen["points"]) - geo.cap_to_ambient(ref["points"]), axis=-1
-            )
+        dist = geo.chart_distance(model, pen["points"], ref["points"])
         sup_p[a][first : first + c] = dist.max(axis=1) ** cfg.p
 
     _coupled_runs(cfg, model, collect)
@@ -444,29 +438,6 @@ def _run_projection(cfg: ExperimentConfig):
         m, e = _mean_stderr(vals)
         rows.append(ResultRow(cfg.kind, {"a": a}, "sup_projection_gap", m, e, *_quantiles(vals)))
     return rows
-
-
-def projection_convergence(
-    model_name: str,
-    a_grid,
-    grid: TimeGrid,
-    n_paths: int,
-    master_seed: int = 0,
-    x0=None,
-) -> list[ResultRow]:
-    """Sup gap of nearest-boundary projections on coupled runs, one row per a,
-    restricted to time windows where both paths sit in the tubular zone."""
-    cfg = ExperimentConfig(
-        kind="projection",
-        model=model_name,
-        horizon=grid.horizon,
-        steps=grid.steps,
-        a_grid=tuple(a_grid),
-        n_paths=n_paths,
-        master_seed=master_seed,
-        x0=None if x0 is None else tuple(np.atleast_1d(x0)),
-    )
-    return run_experiment(cfg)
 
 
 _RUNNERS = {

@@ -85,9 +85,3 @@ def integrate_penalized(
         damping=stepping.damping_rate(a, R),
         damping_integral=out["C"][0],
     )
-
-
-def damping_rate_series(model: ManifoldModel, a: float, path: PenalizedPath) -> np.ndarray:
-    """Normal damping rate (4/a^2) cosh/sinh^2(2R/a) at the path nodes."""
-    del model
-    return stepping.damping_rate(a, path.boundary_dist)

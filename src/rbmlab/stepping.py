@@ -1,12 +1,19 @@
 """Batched time stepping for the built-in models (internal).
 
-State layout: chart points, paths along the first axis.  Inside the collar
-(R < delta_0) the boundary-distance coordinate is advanced by a guarded scalar
-walk driven by increment component 1 only, so coupled runs on a shared driver
-see bit-identical Brownian input in the normal direction.  The remaining
-regions use plain Euler steps with the blended frame (flat charts) or an
-ambient step on the embedded sphere (cap interior, where the polar chart
-degenerates).
+State layout: chart points, paths along the first axis.  On a shared driver
+the penalized and reflected flows differ only in how the boundary-distance
+coordinate R moves.  Flat-boundary models move R by a guarded scalar walk
+(penalized) or as the running infimum of the driver (reflected), and the
+tangential coordinates by the driver itself.  The curved
+charts share one region-split step, ``_chart_step``.  Its edge rows, the
+collar R < delta_0 (on the cap only where the polar chart is near the
+boundary), move to the boundary distance the flow computed from increment
+component 1 only -- the guarded walk, or an Euler step followed by projection
+onto the domain -- so coupled runs see bit-identical Brownian input in the
+normal direction.  The other rows take plain Euler steps with the blended
+frame (disk, cap mid region) or an ambient step on the embedded sphere (cap
+far region, where the polar chart degenerates), moved inward by the drift
+displacement in the penalized flow.
 """
 from __future__ import annotations
 
@@ -133,10 +140,9 @@ def _collar_rates(model, a, R):
     return mag + 0.5 * geo.laplacian_R_of_R(model, np.maximum(R, 0.0)), mag, damp
 
 
-def _disk_noise(x, dB, beta_sqrt, comp_sqrt):
-    """Blended-frame noise displacement for the disk, Cartesian components."""
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    e_r = np.where(r > 0, x / np.maximum(r, 1e-300), 0.0)
+def _disk_noise(e_r, dB, beta_sqrt, comp_sqrt):
+    """Blended-frame noise displacement for the disk, Cartesian components,
+    at points with radial unit vectors e_r."""
     e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
     collar_part = -e_r * dB[:, 0:1] + e_t * dB[:, 1:2]
     return beta_sqrt[:, None] * collar_part + comp_sqrt[:, None] * dB[:, 2:4]
@@ -144,76 +150,92 @@ def _disk_noise(x, dB, beta_sqrt, comp_sqrt):
 
 def _cap_chart_noise(x, dB, beta_sqrt, comp_sqrt):
     """Blended-frame noise in (theta, phi-hat) orthonormal components."""
-    grad = geo._cap_gradient_frame(x)  # (..., 3, 2)
+    grad = geo.cap_basis(x)  # (..., 3, 2)
     interior = np.einsum("pkc,pk->pc", grad, dB[:, 2:5])
     collar_part = np.stack([-dB[:, 0], dB[:, 1]], axis=-1)
     return beta_sqrt[:, None] * collar_part + comp_sqrt[:, None] * interior
+
+
+def _regions(model, x, R):
+    """Row masks (edge, mid, far) of a curved chart step: the collar rows whose
+    boundary distance the flow's radial update sets, the rows stepped in the
+    blended frame, and the rows stepped on the embedded sphere (cap only,
+    where the polar chart degenerates)."""
+    collar = R < model.tubular_radius
+    if model.id == geo.FLAT_DISK:
+        return collar, ~collar, np.zeros_like(collar)
+    near = x[:, 0] >= model.theta0 - 2.0 * model.tubular_radius
+    return collar & near, near & ~collar, ~near
+
+
+def _chart_step(model, x, R, dB, dt, regions, R_edge, inward=None):
+    """New chart points after one step of a curved-chart model.
+
+    Edge rows move to boundary distance ``R_edge`` and along the boundary by
+    dB[:, 1]; mid rows take an Euler step in the blended frame, far rows one
+    on the embedded sphere.  ``inward`` (one entry per row, read off the edge
+    only) moves mid and far rows that much further along grad R.
+    """
+    edge, mid, far = regions
+    new = np.empty_like(x)
+    if edge.any():
+        if model.id == geo.FLAT_DISK:
+            ang = np.arctan2(x[edge, 1], x[edge, 0]) + dB[edge, 1] / (1.0 - R[edge])
+            new[edge, 0] = (1.0 - R_edge) * np.cos(ang)
+            new[edge, 1] = (1.0 - R_edge) * np.sin(ang)
+        else:
+            new[edge, 0] = model.theta0 - R_edge
+            new[edge, 1] = x[edge, 1] + dB[edge, 1] / np.sin(x[edge, 0])
+    if mid.any():
+        xm, beta = x[mid], geo.blend(model, R[mid])
+        bs, ci = np.sqrt(beta), np.sqrt(1.0 - beta)
+        if model.id == geo.FLAT_DISK:
+            r = np.linalg.norm(xm, axis=-1, keepdims=True)
+            e_r = np.where(r > 0, xm / np.maximum(r, 1e-300), 0.0)
+            step = xm + _disk_noise(e_r, dB[mid], bs, ci)
+            new[mid] = step if inward is None else step - inward[mid][:, None] * e_r
+        else:
+            theta = xm[:, 0]
+            noise = _cap_chart_noise(xm, dB[mid], bs, ci)
+            cot = 1.0 / np.tan(theta)
+            step = theta + noise[:, 0] + 0.5 * cot * dt
+            new[mid, 0] = step if inward is None else step - inward[mid]
+            new[mid, 1] = xm[:, 1] + noise[:, 1] / np.sin(theta)
+    if far.any():
+        p = geo.cap_to_ambient(x[far])
+        dBv = dB[far, 2:5]
+        prop = p + (dBv - p * np.sum(p * dBv, axis=-1, keepdims=True)) - p * dt
+        if inward is not None:
+            prop = prop - inward[far][:, None] * geo.cap_basis(x[far])[..., 0]
+        prop /= np.linalg.norm(prop, axis=-1, keepdims=True)
+        new[far] = geo.cap_from_ambient(prop)
+    return new
+
+
+def _step_flat_penalized(model, a, x, dB_i, dt, streams, node, rows):
+    """One penalized step for a flat-boundary model; returns (x_new, dL, dC).
+    The last coordinate is the boundary distance, the others move with the
+    driver."""
+    rates = partial(_collar_rates, model)
+    R, (dL, dC) = guarded_walk(x[:, -1], dB_i[:, 0], dt, a, rates, streams, node, rows)
+    return np.column_stack([x[:, :-1] + dB_i[:, 1:], R]), dL, dC
 
 
 def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, depth=0):
     """One penalized step for a curved-chart model; returns (x_new, dL, dC).
     ``rows`` are the paths' batch rows, which an ``IntegrationError`` names."""
     R = geo.raw_boundary_distance(model, x)
-    delta0 = model.tubular_radius
-    collar = R < delta0
-    beta = geo.blend(model, R)
-    bs, ci = np.sqrt(beta), np.sqrt(1.0 - beta)
+    regions = _regions(model, x, R)
+    edge = regions[0]
+    rest = ~edge
+    dL = np.empty(x.shape[0])
+    dC = np.empty(x.shape[0])
     rates = partial(_collar_rates, model)
-    new = np.empty_like(x)
-    dL = np.zeros(x.shape[0])
-    dC = np.zeros(x.shape[0])
-
-    if model.id == geo.FLAT_DISK:
-        if collar.any():
-            idx = collar
-            r = 1.0 - R[idx]
-            ang = np.arctan2(x[idx, 1], x[idx, 0]) + dB_i[idx, 1] / r
-            R_new, (dl, dc) = guarded_walk(R[idx], dB_i[idx, 0], dt, a, rates, streams, node, rows[idx])
-            new[idx, 0] = (1.0 - R_new) * np.cos(ang)
-            new[idx, 1] = (1.0 - R_new) * np.sin(ang)
-            dL[idx] = dl
-            dC[idx] = dc
-        out = ~collar
-        if out.any():
-            mag, damp = _tanh_rates(a, R[out])
-            noise = _disk_noise(x[out], dB_i[out], bs[out], ci[out])
-            r = np.linalg.norm(x[out], axis=-1, keepdims=True)
-            e_r = np.where(r > 0, x[out] / np.maximum(r, 1e-300), 0.0)
-            new[out] = x[out] + noise - (mag * dt)[:, None] * e_r
-            dL[out] = mag * dt
-            dC[out] = damp * dt
-    else:  # spherical cap
-        theta = x[:, 0]
-        near = theta >= model.theta0 - 2.0 * delta0
-        both = collar & near
-        if both.any():
-            idx = both
-            R_new, (dl, dc) = guarded_walk(R[idx], dB_i[idx, 0], dt, a, rates, streams, node, rows[idx])
-            new[idx, 0] = model.theta0 - R_new
-            new[idx, 1] = x[idx, 1] + dB_i[idx, 1] / np.sin(theta[idx])
-            dL[idx] = dl
-            dC[idx] = dc
-        mid = near & ~collar
-        if mid.any():
-            mag, damp = _tanh_rates(a, R[mid])
-            noise = _cap_chart_noise(x[mid], dB_i[mid], bs[mid], ci[mid])
-            cot = 1.0 / np.tan(theta[mid])
-            new[mid, 0] = theta[mid] + noise[:, 0] + 0.5 * cot * dt - mag * dt
-            new[mid, 1] = x[mid, 1] + noise[:, 1] / np.sin(theta[mid])
-            dL[mid] = mag * dt
-            dC[mid] = damp * dt
-        far = ~near
-        if far.any():
-            p = geo.cap_to_ambient(x[far])
-            dBv = dB_i[far, 2:5]
-            noise = dBv - p * np.sum(p * dBv, axis=-1, keepdims=True)
-            mag, damp = _tanh_rates(a, R[far])
-            e_theta = geo.cap_basis(x[far])[..., 0]
-            prop = p + noise - p * dt - (mag * dt)[:, None] * e_theta
-            prop /= np.linalg.norm(prop, axis=-1, keepdims=True)
-            new[far] = geo.cap_from_ambient(prop)
-            dL[far] = mag * dt
-            dC[far] = damp * dt
+    R_edge, (dL[edge], dC[edge]) = guarded_walk(R[edge], dB_i[edge, 0], dt, a, rates, streams, node, rows[edge])
+    mag, damp = _tanh_rates(a, R[rest])
+    dL[rest] = mag * dt
+    dC[rest] = damp * dt
+    new = _chart_step(model, x, R, dB_i, dt, regions, R_edge, inward=dL)
 
     bad = geo.raw_boundary_distance(model, new) <= 0
     if bad.any():
@@ -234,6 +256,19 @@ def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, depth=0):
     return new, dL, dC
 
 
+def _checked_inputs(model, x0, dB, grid):
+    """The driver as a float array (P, N, m), the start point and its boundary
+    distance, checked against the model and the grid."""
+    dB = np.asarray(dB, dtype=float)
+    _, N, m = dB.shape
+    if m != model.frame_count:
+        raise ValueError("driver component count does not match model frame count")
+    if N != grid.steps:
+        raise ValueError("driver length does not match grid")
+    x0 = np.asarray(x0, dtype=float).reshape(model.dim)
+    return dB, x0, float(geo.boundary_distance(model, x0))
+
+
 def integrate_penalized_batch(
     model: geo.ManifoldModel,
     a: float,
@@ -245,20 +280,15 @@ def integrate_penalized_batch(
     """Euler-Maruyama with boundary-repelling drift; returns dict of arrays.
 
     dB has shape (P, N, m).  Output: points (P, N+1, d), R (P, N+1),
-    L (P, N+1) (left-endpoint accumulation of the drift magnitude).
+    L (P, N+1) (left-endpoint accumulation of the drift magnitude) and
+    C (P, N+1) (the same for the damping rate).
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    dB = np.asarray(dB, dtype=float)
-    P, N, m = dB.shape
-    if m != model.frame_count:
-        raise ValueError("driver component count does not match model frame count")
-    if N != grid.steps:
-        raise ValueError("driver length does not match grid")
-    x0 = np.asarray(x0, dtype=float).reshape(model.dim)
-    R0 = float(geo.boundary_distance(model, x0))
+    dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
     if not R0 > 0:
         raise ValueError("start point must lie in the interior")
+    P, N, _ = dB.shape
     dt = grid.dt
     d = model.dim
 
@@ -272,31 +302,14 @@ def integrate_penalized_batch(
     C_out[:, 0] = 0.0
 
     streams = SeedStreams(aux_seed)
-    if model.id in (geo.HALF_LINE, geo.HALF_SPACE):
-        rates = partial(_collar_rates, model)
-        R = np.full(P, R0)
-        L = np.zeros(P)
-        C = np.zeros(P)
-        tang = np.tile(x0[: d - 1], (P, 1))
-        for i in range(N):
-            R, (dL, dC) = guarded_walk(R, dB[:, i, 0], dt, a, rates, streams, i)
-            L += dL
-            C += dC
-            if d > 1:
-                tang = tang + dB[:, i, 1:]
-                points[:, i + 1, : d - 1] = tang
-            points[:, i + 1, d - 1] = R
-            R_out[:, i + 1] = R
-            L_out[:, i + 1] = L
-            C_out[:, i + 1] = C
-        return {"points": points, "R": R_out, "L": L_out, "C": C_out}
-
+    flat = model.id in (geo.HALF_LINE, geo.HALF_SPACE)
+    step = _step_flat_penalized if flat else _step_curved_penalized
     x = np.tile(x0, (P, 1))
     L = np.zeros(P)
     C = np.zeros(P)
     rows = np.arange(P)
     for i in range(N):
-        x, dL, dC = _step_curved_penalized(model, a, x, dB[:, i], dt, streams, i, rows)
+        x, dL, dC = step(model, a, x, dB[:, i], dt, streams, i, rows)
         L += dL
         C += dC
         points[:, i + 1] = x
@@ -335,14 +348,8 @@ def integrate_reflected_batch(
     infimum of the discretized driver; curved models take an Euler step and
     project back into the domain, the push distance feeding the local time.
     """
-    dB = np.asarray(dB, dtype=float)
-    P, N, m = dB.shape
-    if m != model.frame_count:
-        raise ValueError("driver component count does not match model frame count")
-    if N != grid.steps:
-        raise ValueError("driver length does not match grid")
-    x0 = np.asarray(x0, dtype=float).reshape(model.dim)
-    R0 = float(geo.boundary_distance(model, x0))
+    dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
+    P, N, _ = dB.shape
     dt = grid.dt
     d = model.dim
 
@@ -358,7 +365,6 @@ def integrate_reflected_batch(
             points[:, 1:, : d - 1] = x0[: d - 1] + np.cumsum(dB[:, :, 1:], axis=1)
         return {"points": points, "R": g, "L": h}
 
-    delta0 = model.tubular_radius
     x = np.tile(x0, (P, 1))
     L = np.zeros(P)
     points = np.empty((P, N + 1, d))
@@ -370,50 +376,12 @@ def integrate_reflected_batch(
 
     for i in range(N):
         R = geo.raw_boundary_distance(model, x)
-        collar = R < delta0
-        beta = geo.blend(model, R)
-        bs, ci = np.sqrt(beta), np.sqrt(1.0 - beta)
-        new = np.empty_like(x)
-
-        if model.id == geo.FLAT_DISK:
-            if collar.any():
-                idx = collar
-                r = 1.0 - R[idx]
-                ang = np.arctan2(x[idx, 1], x[idx, 0]) + dB[idx, i, 1] / r
-                R_prop = R[idx] + dB[idx, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[idx]) * dt
-                new[idx, 0] = (1.0 - R_prop) * np.cos(ang)
-                new[idx, 1] = (1.0 - R_prop) * np.sin(ang)
-            out = ~collar
-            if out.any():
-                new[out] = x[out] + _disk_noise(x[out], dB[out, i], bs[out], ci[out])
-        else:
-            theta = x[:, 0]
-            near = theta >= model.theta0 - 2.0 * delta0
-            both = collar & near
-            if both.any():
-                idx = both
-                R_prop = R[idx] + dB[idx, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[idx]) * dt
-                new[idx, 0] = model.theta0 - R_prop
-                new[idx, 1] = x[idx, 1] + dB[idx, i, 1] / np.sin(theta[idx])
-            mid = near & ~collar
-            if mid.any():
-                noise = _cap_chart_noise(x[mid], dB[mid, i], bs[mid], ci[mid])
-                cot = 1.0 / np.tan(theta[mid])
-                new[mid, 0] = theta[mid] + noise[:, 0] + 0.5 * cot * dt
-                new[mid, 1] = x[mid, 1] + noise[:, 1] / np.sin(theta[mid])
-            far = ~near
-            if far.any():
-                p = geo.cap_to_ambient(x[far])
-                dBv = dB[far, i, 2:5]
-                noise = dBv - p * np.sum(p * dBv, axis=-1, keepdims=True)
-                prop = p + noise - p * dt
-                prop /= np.linalg.norm(prop, axis=-1, keepdims=True)
-                new[far] = geo.cap_from_ambient(prop)
-
-        R_new = geo.raw_boundary_distance(model, new)
-        new, R_new, push = _project_to_domain(model, new, R_new)
+        regions = _regions(model, x, R)
+        edge = regions[0]
+        R_edge = R[edge] + dB[edge, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[edge]) * dt
+        x = _chart_step(model, x, R, dB[:, i], dt, regions, R_edge)
+        x, R_new, push = _project_to_domain(model, x, geo.raw_boundary_distance(model, x))
         L += push
-        x = new
         points[:, i + 1] = x
         R_out[:, i + 1] = R_new
         L_out[:, i + 1] = L

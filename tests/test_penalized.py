@@ -9,7 +9,7 @@ import pytest
 from rbmlab import geometry as geo
 from rbmlab import skorohod1d as sk
 from rbmlab.grids import DriverPath, TimeGrid
-from rbmlab.penalized import damping_rate_series, drift_field, integrate_penalized
+from rbmlab.penalized import drift_field, integrate_penalized
 from rbmlab.stepping import damping_rate, tanh_drift_magnitude
 
 
@@ -126,10 +126,8 @@ def test_damping_series_matches_stored():
     grid = TimeGrid(0.5, 500)
     driver = DriverPath.generate(grid, 1, seed=6)
     path = integrate_penalized(model, 0.05, [0.2], driver, grid)
-    series = damping_rate_series(model, 0.05, path)
-    assert np.array_equal(series, path.damping)
-    assert np.all(series >= 0)
-    assert np.array_equal(series, damping_rate(0.05, path.boundary_dist))
+    assert np.all(path.damping >= 0)
+    assert np.array_equal(path.damping, damping_rate(0.05, path.boundary_dist))
 
 
 def test_integrator_validates_inputs():

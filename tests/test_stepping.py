@@ -1,10 +1,13 @@
-"""The guarded collar walk, pinned bit for bit against the two walks it replaced.
+"""The guarded collar walk and the curved chart step, pinned bit for bit
+against the code they replaced.
 
 ``_frozen_collar_walk`` and ``_frozen_survival_walk`` are the full-array
 walks that ``stepping`` and ``skorohod1d`` each carried before they were
 merged into ``stepping.guarded_walk``, kept verbatim (fresh ``guard_stream``
 generator per attempt, every path stepped until the slowest finishes) as the
-reference the merged walk must reproduce.
+reference the merged walk must reproduce.  ``_frozen_penalized_curved`` and
+``_frozen_reflected_curved`` are the two curved-chart integrators, each with
+its own disk and cap region split, that ``stepping._chart_step`` replaced.
 """
 from __future__ import annotations
 
@@ -134,6 +137,178 @@ def _frozen_survival_walk(state, w_total, h_total, a, scheme, node):
     raise IntegrationError("substep budget exhausted", node_index=node)
 
 
+def _frozen_disk_noise(x, dB, beta_sqrt, comp_sqrt):
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    e_r = np.where(r > 0, x / np.maximum(r, 1e-300), 0.0)
+    e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
+    collar_part = -e_r * dB[:, 0:1] + e_t * dB[:, 1:2]
+    return beta_sqrt[:, None] * collar_part + comp_sqrt[:, None] * dB[:, 2:4]
+
+
+def _frozen_cap_chart_noise(x, dB, beta_sqrt, comp_sqrt):
+    grad = geo.cap_basis(x)  # line for line the removed geometry._cap_gradient_frame
+    interior = np.einsum("pkc,pk->pc", grad, dB[:, 2:5])
+    collar_part = np.stack([-dB[:, 0], dB[:, 1]], axis=-1)
+    return beta_sqrt[:, None] * collar_part + comp_sqrt[:, None] * interior
+
+
+def _frozen_step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, depth=0, calls=None):
+    if calls is not None and depth > 0:
+        calls.append(depth)
+    R = geo.raw_boundary_distance(model, x)
+    delta0 = model.tubular_radius
+    collar = R < delta0
+    beta = geo.blend(model, R)
+    bs, ci = np.sqrt(beta), np.sqrt(1.0 - beta)
+    rates = partial(stepping._collar_rates, model)
+    new = np.empty_like(x)
+    dL = np.zeros(x.shape[0])
+    dC = np.zeros(x.shape[0])
+
+    if model.id == geo.FLAT_DISK:
+        if collar.any():
+            idx = collar
+            r = 1.0 - R[idx]
+            ang = np.arctan2(x[idx, 1], x[idx, 0]) + dB_i[idx, 1] / r
+            R_new, (dl, dc) = stepping.guarded_walk(R[idx], dB_i[idx, 0], dt, a, rates, streams, node, rows[idx])
+            new[idx, 0] = (1.0 - R_new) * np.cos(ang)
+            new[idx, 1] = (1.0 - R_new) * np.sin(ang)
+            dL[idx] = dl
+            dC[idx] = dc
+        out = ~collar
+        if out.any():
+            mag, damp = stepping._tanh_rates(a, R[out])
+            noise = _frozen_disk_noise(x[out], dB_i[out], bs[out], ci[out])
+            r = np.linalg.norm(x[out], axis=-1, keepdims=True)
+            e_r = np.where(r > 0, x[out] / np.maximum(r, 1e-300), 0.0)
+            new[out] = x[out] + noise - (mag * dt)[:, None] * e_r
+            dL[out] = mag * dt
+            dC[out] = damp * dt
+    else:
+        theta = x[:, 0]
+        near = theta >= model.theta0 - 2.0 * delta0
+        both = collar & near
+        if both.any():
+            idx = both
+            R_new, (dl, dc) = stepping.guarded_walk(R[idx], dB_i[idx, 0], dt, a, rates, streams, node, rows[idx])
+            new[idx, 0] = model.theta0 - R_new
+            new[idx, 1] = x[idx, 1] + dB_i[idx, 1] / np.sin(theta[idx])
+            dL[idx] = dl
+            dC[idx] = dc
+        mid = near & ~collar
+        if mid.any():
+            mag, damp = stepping._tanh_rates(a, R[mid])
+            noise = _frozen_cap_chart_noise(x[mid], dB_i[mid], bs[mid], ci[mid])
+            cot = 1.0 / np.tan(theta[mid])
+            new[mid, 0] = theta[mid] + noise[:, 0] + 0.5 * cot * dt - mag * dt
+            new[mid, 1] = x[mid, 1] + noise[:, 1] / np.sin(theta[mid])
+            dL[mid] = mag * dt
+            dC[mid] = damp * dt
+        far = ~near
+        if far.any():
+            p = geo.cap_to_ambient(x[far])
+            dBv = dB_i[far, 2:5]
+            noise = dBv - p * np.sum(p * dBv, axis=-1, keepdims=True)
+            mag, damp = stepping._tanh_rates(a, R[far])
+            e_theta = geo.cap_basis(x[far])[..., 0]
+            prop = p + noise - p * dt - (mag * dt)[:, None] * e_theta
+            prop /= np.linalg.norm(prop, axis=-1, keepdims=True)
+            new[far] = geo.cap_from_ambient(prop)
+            dL[far] = mag * dt
+            dC[far] = damp * dt
+
+    bad = geo.raw_boundary_distance(model, new) <= 0
+    if bad.any():
+        idx = np.nonzero(bad)[0]
+        if depth >= 20:
+            raise IntegrationError("positivity guard exhausted", node_index=node, a=a,
+                                   path_index=int(rows[idx[0]]), boundary_distance=float(R[idx[0]]))
+        z = streams.guard(node, 4096 + depth).standard_normal(dB_i.shape)[idx]
+        half1 = 0.5 * dB_i[idx] + 0.5 * np.sqrt(dt) * z
+        half2 = dB_i[idx] - half1
+        x1, dl1, dc1 = _frozen_step_curved_penalized(
+            model, a, x[idx], half1, dt / 2, streams, node, rows[idx], depth + 1, calls)
+        x2, dl2, dc2 = _frozen_step_curved_penalized(
+            model, a, x1, half2, dt / 2, streams, node, rows[idx], depth + 1, calls)
+        new[idx] = x2
+        dL[idx] = dl1 + dl2
+        dC[idx] = dc1 + dc2
+    return new, dL, dC
+
+
+def _frozen_penalized_curved(model, a, x0, dB, grid, aux_seed, calls):
+    P, N, _ = dB.shape
+    x = np.tile(np.asarray(x0, dtype=float), (P, 1))
+    out = {key: np.zeros((P, N + 1)) for key in ("R", "L", "C")}
+    out["points"] = np.empty((P, N + 1, 2))
+    out["points"][:, 0] = x
+    out["R"][:, 0] = geo.boundary_distance(model, x[0])
+    streams, rows = SeedStreams(aux_seed), np.arange(P)
+    for i in range(N):
+        x, dL, dC = _frozen_step_curved_penalized(model, a, x, dB[:, i], grid.dt, streams, i, rows, calls=calls)
+        out["points"][:, i + 1] = x
+        out["R"][:, i + 1] = geo.raw_boundary_distance(model, x)
+        out["L"][:, i + 1] = out["L"][:, i] + dL
+        out["C"][:, i + 1] = out["C"][:, i] + dC
+    return out
+
+
+def _frozen_reflected_curved(model, x0, dB, grid):
+    P, N, _ = dB.shape
+    dt, delta0 = grid.dt, model.tubular_radius
+    x = np.tile(np.asarray(x0, dtype=float), (P, 1))
+    res = {"points": np.empty((P, N + 1, 2)), "R": np.empty((P, N + 1)), "L": np.zeros((P, N + 1))}
+    res["points"][:, 0] = x
+    res["R"][:, 0] = geo.boundary_distance(model, x[0])
+    for i in range(N):
+        R = geo.raw_boundary_distance(model, x)
+        collar = R < delta0
+        beta = geo.blend(model, R)
+        bs, ci = np.sqrt(beta), np.sqrt(1.0 - beta)
+        new = np.empty_like(x)
+        if model.id == geo.FLAT_DISK:
+            if collar.any():
+                idx = collar
+                r = 1.0 - R[idx]
+                ang = np.arctan2(x[idx, 1], x[idx, 0]) + dB[idx, i, 1] / r
+                R_prop = R[idx] + dB[idx, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[idx]) * dt
+                new[idx, 0] = (1.0 - R_prop) * np.cos(ang)
+                new[idx, 1] = (1.0 - R_prop) * np.sin(ang)
+            out = ~collar
+            if out.any():
+                new[out] = x[out] + _frozen_disk_noise(x[out], dB[out, i], bs[out], ci[out])
+        else:
+            theta = x[:, 0]
+            near = theta >= model.theta0 - 2.0 * delta0
+            both = collar & near
+            if both.any():
+                idx = both
+                R_prop = R[idx] + dB[idx, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[idx]) * dt
+                new[idx, 0] = model.theta0 - R_prop
+                new[idx, 1] = x[idx, 1] + dB[idx, i, 1] / np.sin(theta[idx])
+            mid = near & ~collar
+            if mid.any():
+                noise = _frozen_cap_chart_noise(x[mid], dB[mid, i], bs[mid], ci[mid])
+                cot = 1.0 / np.tan(theta[mid])
+                new[mid, 0] = theta[mid] + noise[:, 0] + 0.5 * cot * dt
+                new[mid, 1] = x[mid, 1] + noise[:, 1] / np.sin(theta[mid])
+            far = ~near
+            if far.any():
+                p = geo.cap_to_ambient(x[far])
+                dBv = dB[far, i, 2:5]
+                noise = dBv - p * np.sum(p * dBv, axis=-1, keepdims=True)
+                prop = p + noise - p * dt
+                prop /= np.linalg.norm(prop, axis=-1, keepdims=True)
+                new[far] = geo.cap_from_ambient(prop)
+        R_new = geo.raw_boundary_distance(model, new)
+        new, R_new, push = stepping._project_to_domain(model, new, R_new)
+        x = new
+        res["points"][:, i + 1] = x
+        res["R"][:, i + 1] = R_new
+        res["L"][:, i + 1] = res["L"][:, i] + push
+    return res
+
+
 def _collar_walk(model, a, R0, w, dt, seed, node, **budgets):
     rates = partial(stepping._collar_rates, model)
     R, (dL, dC) = stepping.guarded_walk(R0, w, dt, a, rates, SeedStreams(seed), node, **budgets)
@@ -225,6 +400,55 @@ def test_budget_raise_matches_frozen():
         _collar_walk(model, a, R, w, dt, 1, 0, max_substeps=used + 1),
         _frozen_collar_walk(model, a, R, w, dt, 1, 0, max_substeps=used + 1),
     )
+
+
+_CAP = geo.spherical_cap(np.pi / 3)
+
+
+@pytest.mark.parametrize(
+    "model,grid,x0,a_grid,coarse",
+    [
+        (geo.flat_disk(), TimeGrid(0.1, 200), (0.5, 0.0), (0.1, 0.0125), False),
+        (_CAP, TimeGrid(0.1, 200), (np.pi / 3 - 0.15, 0.0), (0.05, 0.0125), False),
+        (geo.flat_disk(), TimeGrid(1.0, 40), (0.2, 0.1), (0.2, 0.05), True),
+        (_CAP, TimeGrid(1.0, 40), (0.3, 0.0), (0.2, 0.05), True),
+    ],
+    ids=["disk", "cap", "disk-coarse", "cap-coarse"],
+)
+def test_curved_integrators_match_frozen_region_splits(model, grid, x0, a_grid, coarse):
+    # the coarse grids push off-collar steps out of the domain, so the
+    # penalized step bisects, and on the cap they reach the far region
+    dB = driver_block(grid, model.frame_count, seed=6, first_path=0, n_paths=60)
+    new = stepping.integrate_reflected_batch(model, x0, dB, grid)
+    old = _frozen_reflected_curved(model, x0, dB, grid)
+    assert new.keys() == old.keys()
+    _assert_same([new[k] for k in old], [old[k] for k in old])
+    assert old["L"][:, -1].max() > 0
+    calls = []
+    for a in a_grid:
+        new = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=8)
+        old = _frozen_penalized_curved(model, a, x0, dB, grid, 8, calls)
+        assert new.keys() == old.keys()
+        _assert_same([new[k] for k in old], [old[k] for k in old])
+        if model.id == geo.SPHERICAL_CAP:
+            pts = old["points"][:, :-1].reshape(-1, 2)
+            edge, mid, far = stepping._regions(model, pts, geo.raw_boundary_distance(model, pts))
+            assert edge.any() and mid.any()
+            assert far.any() or not coarse
+    assert (len(calls) > 0) == coarse
+
+
+@pytest.mark.parametrize(
+    "model,x0", [(geo.flat_disk(), (0.5, 0.0)), (_CAP, (np.pi / 3 - 0.15, 0.0))], ids=["disk", "cap"]
+)
+def test_reflected_curved_paths_do_not_depend_on_their_chunk(model, x0):
+    grid, m = TimeGrid(0.5, 250), model.frame_count
+    batch = stepping.integrate_reflected_batch(model, x0, driver_block(grid, m, 12, 0, 60), grid)
+    assert (batch["L"][:, -1] > 0).any()
+    for row in (0, 17, 59):
+        alone = stepping.integrate_reflected_batch(model, x0, driver_block(grid, m, 12, row, 1), grid)
+        for key in batch:
+            assert np.array_equal(alone[key][0], batch[key][row])
 
 
 # -- behaviour the frozen walks did not have ----------------------------------
