@@ -139,6 +139,29 @@ def _chunks(n: int, size: int):
         done += c
 
 
+# Row-nodes one penalized integrator call may hold: the largest one-a call of
+# the acceptance sweeps (a 250-path chunk on 10,000 steps).  The a-grid is
+# stepped in groups of as many values of a as fit.
+_MAX_ROW_NODES = 250 * 10_001
+
+
+def _a_groups(cfg: ExperimentConfig, paths: int):
+    """The a-grid in the slices that one integrator call each steps: as many
+    values of a as keep a call of ``paths`` paths within _MAX_ROW_NODES."""
+    per_call = max(1, _MAX_ROW_NODES // (paths * (cfg.steps + 1)))
+    return [cfg.a_grid[k : k + per_call] for k in range(0, len(cfg.a_grid), per_call)]
+
+
+def _penalized_runs(cfg: ExperimentConfig, model: ManifoldModel, x0, dB):
+    """(a, penalized run on the chunk's driver dB) for each a of the grid, in
+    grid order.  Penalized paths depend on their chunk, but not on how the
+    a-grid is split into calls."""
+    for group in _a_groups(cfg, dB.shape[0]):
+        runs = stepping.integrate_penalized_grid(model, group, x0, dB, cfg.grid, aux_seed=cfg.master_seed + 1)
+        for j, a in enumerate(group):
+            yield a, {key: v[j] for key, v in runs.items()}
+
+
 # -- elementary statistics ----------------------------------------------------
 
 
@@ -200,16 +223,17 @@ def _run_halfline_penalization(cfg: ExperimentConfig):
         h = np.maximum.accumulate(np.maximum(0.0, -(x0 + f)), axis=1)
         g = x0 + f + h
         alive = np.minimum.accumulate(x0 + f, axis=1) > 0.0  # node-level t < tau
-        for a in cfg.a_grid:
-            X = sk1d.penalized_paths_1d(a, x0, dB, dt, sk1d.EulerScheme(aux_seed=cfg.master_seed + 1))
-            sup_gap[a][first : first + c] = np.abs(X - g).max(axis=1)
-            V = np.exp(
-                np.concatenate(
-                    [np.zeros((c, 1)), np.cumsum(sk1d.penalized_drift_second_log(a, X[:, :-1]) * dt, axis=1)],
-                    axis=1,
+        scheme = sk1d.EulerScheme(aux_seed=cfg.master_seed + 1)
+        for group in _a_groups(cfg, c):
+            for a, X in zip(group, sk1d.penalized_paths_1d_grid(group, x0, dB, dt, scheme)):
+                sup_gap[a][first : first + c] = np.abs(X - g).max(axis=1)
+                V = np.exp(
+                    np.concatenate(
+                        [np.zeros((c, 1)), np.cumsum(sk1d.penalized_drift_second_log(a, X[:, :-1]) * dt, axis=1)],
+                        axis=1,
+                    )
                 )
-            )
-            dflow_gap[a][first : first + c] = np.abs(V[:, :-1] - alive[:, :-1]).sum(axis=1) * dt
+                dflow_gap[a][first : first + c] = np.abs(V[:, :-1] - alive[:, :-1]).sum(axis=1) * dt
     rows = []
     for a in cfg.a_grid:
         q = _quantiles(sup_gap[a])
@@ -225,7 +249,7 @@ def _coupled_runs(cfg: ExperimentConfig, model: ManifoldModel, collect):
     """Iterate chunks of coupled (reflected, penalized-per-a) runs.
 
     collect(first, c, a, ref, pen) is called once per (chunk, a); penalized
-    outputs are discarded between calls to bound memory.
+    outputs are discarded after each call of the integrator.
     """
     grid = cfg.grid
     x0 = _start_point(cfg, model)
@@ -233,12 +257,8 @@ def _coupled_runs(cfg: ExperimentConfig, model: ManifoldModel, collect):
     for first, c in _chunks(cfg.n_paths, 250):
         dB = driver_block(grid, m, cfg.master_seed, first, c)
         ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-        for a in cfg.a_grid:
-            pen = stepping.integrate_penalized_batch(
-                model, a, x0, dB, grid, aux_seed=cfg.master_seed + 1
-            )
+        for a, pen in _penalized_runs(cfg, model, x0, dB):
             collect(first, c, a, ref, pen)
-            del pen
 
 
 def _run_sp_convergence(cfg: ExperimentConfig):
@@ -291,8 +311,7 @@ def _run_norm_bound(cfg: ExperimentConfig):
     worst = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
     for first, c in _chunks(cfg.n_paths, 200):
         dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
-        for a in cfg.a_grid:
-            pen = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=cfg.master_seed + 1)
+        for a, pen in _penalized_runs(cfg, model, x0, dB):
             frames = transport_batch(model, pen["points"])
             out = _damped_engine(
                 model,
@@ -303,14 +322,12 @@ def _run_norm_bound(cfg: ExperimentConfig):
                 c_increments=np.diff(pen["C"], axis=1),
                 collect="norm2",
             )
-            theta = pen["points"][:, :-1, 0]
-            kappa_floor = 1.0 / np.tan(theta)  # level curvature lower bound along the path
+            kappa_floor = geo._level_curvature(model, pen["points"][:, :-1])  # lower bound along the path
             expo = -1.0 * grid.dt - 2.0 * kappa_floor * np.diff(pen["L"], axis=1)
             bound = 2.0 * np.exp(np.concatenate([np.zeros((c, 1)), np.cumsum(expo, axis=1)], axis=1))
             worst[a][first : first + c] = (out["norm2"] - bound).max(axis=1)
     rows = []
     for a in cfg.a_grid:
-        m, _ = _mean_stderr(worst[a])
         rows.append(
             ResultRow(cfg.kind, {"a": a}, "max_bound_violation", float(worst[a].max()), math.nan, *_quantiles(worst[a]))
         )
@@ -374,8 +391,7 @@ def _run_f_normal(cfg: ExperimentConfig):
             jump_flags=closes & (dur >= 0.5 * grid.dt), collect="normal",
         )
         f_lim = np.einsum("pni,pni->pn", lim["normal"], lim["carrier"])
-        for a in cfg.a_grid:
-            pen = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=cfg.master_seed + 1)
+        for a, pen in _penalized_runs(cfg, model, x0, dB):
             pfr = None if model.is_flat_chart else transport_batch(model, pen["points"])
             sm = _damped_engine(
                 model, pen["points"], pfr, grid.dt, np.diff(pen["L"], axis=1),
@@ -401,8 +417,7 @@ def _run_transport(cfg: ExperimentConfig):
         dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
         ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
         ref_v = transport_batch(model, ref["points"]) @ v
-        for a in cfg.a_grid:
-            pen = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=cfg.master_seed + 1)
+        for a, pen in _penalized_runs(cfg, model, x0, dB):
             pen_v = transport_batch(model, pen["points"]) @ v
             gaps[a][first : first + c] = np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=1)
     rows = []

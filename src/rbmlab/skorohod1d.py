@@ -17,7 +17,7 @@ from scipy.special import erf
 
 from .grids import SeedStreams
 from .grids import guard_stream  # noqa: F401  (bound for perfbench/spans.py, which wraps it by name)
-from .stepping import guarded_walk
+from .stepping import _grid_rows, guarded_walk
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -166,21 +166,23 @@ def _phi(y):
     return SQRT_HALF_PI * erf(np.asarray(y) / math.sqrt(2.0))
 
 
-def penalized_drift_1d(a: float, x):
+def penalized_drift_1d(a, x):
     """Drift of the softened half-line SDE: positive, decreasing in x.
 
     Value (1/sqrt(a)) exp(-x^2/2a) / phi(x/sqrt(a)); for large x/sqrt(a) the
     denominator is evaluated by its constant limit to avoid 0/0 underflow.
+    ``a`` is one value or one per entry of x.
     """
-    if a <= 0:
+    if np.any(np.asarray(a) <= 0):
         raise ValueError("a must be positive")
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("drift is defined for x > 0 only")
-    y = x_arr / math.sqrt(a)
+    root = np.sqrt(a)
+    y = x_arr / root
     num = np.exp(-0.5 * y * y)
     den = np.where(y > 6.0, SQRT_HALF_PI, _phi(np.minimum(y, 6.0)))
-    out = num / den / math.sqrt(a)
+    out = num / den / root
     return float(out) if out.ndim == 0 else out
 
 
@@ -201,6 +203,44 @@ class EulerScheme:
     aux_seed: int = 0
 
 
+def penalized_paths_1d_grid(
+    a_grid,
+    x: float,
+    dW: np.ndarray,
+    dt: float,
+    scheme: EulerScheme | None = None,
+) -> np.ndarray:
+    """Batched Euler integration of the softened half-line SDE for every a of
+    ``a_grid`` on one shared driver.
+
+    dW has shape (P, N).  Returns node values (G, P, N+1), G = len(a_grid),
+    all strictly positive.  Each step is one :func:`stepping.guarded_walk`
+    over all G * P rows with this drift: a step that would cross zero is
+    bisected (up to ``max_bisections`` times) with Brownian-bridge
+    interpolation of its increment, and stiff drift steps are shortened so
+    drift * h <= x/2.  The rows of one a form one group of the walk, so entry
+    k equals the one-a run at ``a_grid[k]`` bit for bit.
+    """
+    if x <= 0:
+        raise ValueError("start point must be strictly positive")
+    scheme = scheme or EulerScheme()
+    dW = np.atleast_2d(np.asarray(dW, dtype=float))
+    n_paths, n_steps = dW.shape
+    a_rows, group, paths = _grid_rows(a_grid, n_paths)
+    G = np.size(a_grid)
+    out = np.empty((G * n_paths, n_steps + 1))
+    out[:, 0] = x
+    state = np.full(G * n_paths, float(x))
+    streams = SeedStreams(scheme.aux_seed)
+    for i in range(n_steps):
+        state, _ = guarded_walk(
+            state, dW[paths, i], dt, a_rows, lambda a, r: (penalized_drift_1d(a, r),), streams, i,
+            paths, group, max_substeps=scheme.max_substeps, max_bisect=scheme.max_bisections,
+        )
+        out[:, i + 1] = state
+    return out.reshape(G, n_paths, n_steps + 1)
+
+
 def penalized_paths_1d(
     a: float,
     x: float,
@@ -210,28 +250,10 @@ def penalized_paths_1d(
 ) -> np.ndarray:
     """Batched Euler integration of the softened half-line SDE.
 
-    dW has shape (P, N).  Returns node values (P, N+1), all strictly positive.
-    Each step is :func:`stepping.guarded_walk` with this drift: a step that
-    would cross zero is bisected (up to ``max_bisections`` times) with
-    Brownian-bridge interpolation of its increment, and stiff drift steps are
-    shortened so drift * h <= x/2.
+    dW has shape (P, N).  Returns node values (P, N+1), all strictly
+    positive: the one-a case of :func:`penalized_paths_1d_grid`.
     """
-    if x <= 0:
-        raise ValueError("start point must be strictly positive")
-    scheme = scheme or EulerScheme()
-    dW = np.atleast_2d(np.asarray(dW, dtype=float))
-    n_paths, n_steps = dW.shape
-    out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = x
-    state = np.full(n_paths, float(x))
-    streams = SeedStreams(scheme.aux_seed)
-    for i in range(n_steps):
-        state, _ = guarded_walk(
-            state, dW[:, i], dt, a, lambda a, r: (penalized_drift_1d(a, r),), streams, i,
-            max_substeps=scheme.max_substeps, max_bisect=scheme.max_bisections,
-        )
-        out[:, i + 1] = state
-    return out
+    return penalized_paths_1d_grid((a,), x, dW, dt, scheme)[0]
 
 
 def penalized_path_1d(

@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
+Every test here is marked ``slow``: `pytest -m "not slow"` leaves them out.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from rbmlab.grids import TimeGrid
 from rbmlab.harness import ExperimentConfig
 from rbmlab.skorohod1d import RealPath
 from rbmlab.transport import parallel_transport
+
+pytestmark = pytest.mark.slow
 
 THETA0 = np.pi / 3
 

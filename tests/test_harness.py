@@ -1,6 +1,7 @@
 """Experiment harness: statistics, configs, rendering, CLI."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -230,3 +231,53 @@ def test_smoke_config_is_fast():
     rows = harness.run_experiment(cfg)
     assert time.perf_counter() - t0 < 1.0
     assert rows
+
+
+# The CSV sha256 of every kind that loops over an a-grid, at small configs
+# whose a/sqrt(dt) reaches into the stiff regime, recorded before the
+# penalized integrators stepped the a-grid as one batch.
+_A_KIND_CASES = {
+    "halfline-penalization": (
+        dict(model="half-line", horizon=0.2, steps=400, a_grid=(0.05, 0.0125, 0.00625), n_paths=24, x0=(0.05,)),
+        "a804e9be6600880635d57ecb6dff29fb06426a753fbaa3fc03b0b3524c3f035d",
+    ),
+    "sp-convergence": (
+        dict(model="disk", horizon=0.2, steps=200, a_grid=(0.1, 0.025, 0.0125), n_paths=24, x0=(0.9, 0.0)),
+        "2c0834fb9fb451c70b0fc44be44bd0347c87efe6ec810e836e872aa27dfb413c",
+    ),
+    "local-time": (
+        dict(model="half-line", horizon=0.2, steps=400, a_grid=(0.05, 0.0125, 0.00625), n_paths=24, x0=(0.05,)),
+        "007132471c131ebd669f70874abff5cc948931adba796b1d96e1dbe226a0d717",
+    ),
+    "norm-bound": (
+        dict(model=f"cap:theta0={np.pi / 3}", horizon=0.1, steps=100, a_grid=(0.05, 0.025, 0.0125), n_paths=16,
+             x0=(np.pi / 3 - 0.1, 0.0)),
+        "d26c24b9170779d547e3e66b701d0723b4681216587d647637dae41955fb20b0",
+    ),
+    "f-normal": (
+        dict(model="half-line", horizon=0.2, steps=200, a_grid=(0.05, 0.025, 0.0125), n_paths=16, x0=(0.05,)),
+        "4be295930b544a856a28d18271ad8d79a5fac5441df53b08c3ae2853421f94f9",
+    ),
+    "transport": (
+        dict(model=f"cap:theta0={np.pi / 3}", horizon=0.1, steps=100, a_grid=(0.05, 0.025, 0.0125), n_paths=16,
+             x0=(np.pi / 3 - 0.1, 0.0)),
+        "f33721f1ca85dc2188320a3d53a5aa953d206c9aabfd08b758c1563e575566d9",
+    ),
+    "projection": (
+        dict(model="disk", horizon=0.2, steps=200, a_grid=(0.1, 0.025, 0.0125), n_paths=24, x0=(0.9, 0.0)),
+        "5c1b07aebdb35b7eda0026e978a3871d887b8ec27c6c59a1192f3e763e18a33f",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_A_KIND_CASES))
+def test_a_grid_kinds_keep_their_bytes_however_the_grid_is_split(kind, monkeypatch):
+    fields, digest = _A_KIND_CASES[kind]
+    cfg = ExperimentConfig(kind=kind, master_seed=5, **fields)
+    one_call = cfg.n_paths * (cfg.steps + 1)
+    # the three values of a in one call, then two values a call, then one
+    for limit, calls in ((harness._MAX_ROW_NODES, 1), (2 * one_call, 2), (one_call, 3)):
+        monkeypatch.setattr(harness, "_MAX_ROW_NODES", limit)
+        assert len(harness._a_groups(cfg, cfg.n_paths)) == calls
+        text = harness.render_csv(harness.run_experiment(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

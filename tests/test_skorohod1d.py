@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from rbmlab import skorohod1d as sk
 from rbmlab.errors import IntegrationError
+from rbmlab.grids import TimeGrid, driver_block
 from rbmlab.skorohod1d import EulerScheme, RealPath
 
 
@@ -310,3 +311,31 @@ def test_guard_exhaustion_raises():
     assert (err.node_index, err.a, err.path_index) == (1, 0.01, 1)
     assert err.boundary_distance == sk.penalized_paths_1d(0.01, 0.1, dW[1:2, :1], 1e-4)[0, 1]
     assert "node=1, a=0.01, path=1, R=" in str(err)
+
+
+@pytest.mark.parametrize("aux_seed", [0, 2**64 + 5])
+def test_penalized_grid_matches_one_a_runs(aux_seed):
+    # a/sqrt(dt) from 2.2 down to 0.28: each a sub-steps and bisects on its own nodes
+    dt, a_grid = 5e-4, (0.05, 0.025, 0.0125, 0.00625)
+    dW = driver_block(TimeGrid(0.1, 200), 1, seed=42, first_path=0, n_paths=16)[:, :, 0]
+    scheme = EulerScheme(aux_seed=aux_seed)
+    stacked = sk.penalized_paths_1d_grid(a_grid, 0.05, dW, dt, scheme)
+    assert stacked.shape == (4, 16, 201)
+    for k, a in enumerate(a_grid):
+        assert np.array_equal(stacked[k], sk.penalized_paths_1d(a, 0.05, dW, dt, scheme))
+    assert sk.penalized_paths_1d_grid(a_grid, 0.5, np.zeros((0, 10)), 0.1).shape == (4, 0, 11)
+
+
+def test_penalized_grid_error_names_the_rows_own_a_and_path():
+    # with 16 sub-steps a step, a = 0.01 runs out at node 74 while 0.1 and
+    # 0.003 finish: the error is the one-a run's
+    dW = driver_block(TimeGrid(0.2, 200), 1, seed=8, first_path=0, n_paths=6)[:, :, 0]
+    scheme = EulerScheme(max_substeps=16)
+    with pytest.raises(IntegrationError) as alone:
+        sk.penalized_paths_1d(0.01, 0.3, dW, 1e-3, scheme)
+    with pytest.raises(IntegrationError) as stacked:
+        sk.penalized_paths_1d_grid((0.1, 0.01, 0.003), 0.3, dW, 1e-3, scheme)
+    err = stacked.value
+    assert (err.node_index, err.a, err.path_index) == (74, 0.01, 3)
+    assert str(err) == str(alone.value)
+    sk.penalized_paths_1d_grid((0.1, 0.003), 0.3, dW, 1e-3, scheme)

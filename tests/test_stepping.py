@@ -483,6 +483,14 @@ def test_tanh_rates_share_one_evaluation_with_the_public_functions():
     assert stepping.damping_rate(a, 0.01) == damp[1]
 
 
+def test_squares_of_a_grid_match_python_squares():
+    # a grid call squares a per row, a one-a call a Python float (libm pow,
+    # which the array square a*a misses in the last bit for a few floats)
+    a = np.concatenate([np.random.default_rng(5).uniform(1e-4, 1.0, 20_000), [0.05, 0.0125, 0.00625]])
+    assert np.array_equal(stepping._squares(a), [v**2 for v in a.tolist()])
+    assert stepping._squares(0.0125) == 0.0125**2
+
+
 def test_empty_batch():
     grid = TimeGrid(1.0, 10)
     for model, x0 in ((geo.half_line(), [0.5]), (geo.flat_disk(), [0.5, 0.0])):
@@ -524,3 +532,125 @@ def test_curved_error_maps_collar_subset_to_batch_row(model, theta):
         stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, SeedStreams(9), 0, np.arange(3))
     assert exc.value.path_index == 2
     assert exc.value.boundary_distance == geo.raw_boundary_distance(model, x)[2]
+
+
+# -- the a-grid stepped as one batch ------------------------------------------
+
+
+class _RecordedStreams(SeedStreams):
+    """Seed streams that log the (node, attempt) key of every guard draw."""
+
+    def __init__(self, seed, log):
+        super().__init__(seed)
+        self.log = log
+
+    def guard(self, node, attempt):
+        self.log.append((node, attempt))
+        return super().guard(node, attempt)
+
+
+def _recording(monkeypatch, log):
+    monkeypatch.setattr(stepping, "SeedStreams", lambda seed: _RecordedStreams(seed, log))
+
+
+def _assert_grid_matches_one_a(model, a_grid, x0, dB, grid, aux_seed):
+    stacked = stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid, aux_seed)
+    for k, a in enumerate(a_grid):
+        alone = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed)
+        assert stacked.keys() == alone.keys()
+        for key in alone:
+            assert stacked[key].shape == (len(a_grid), *alone[key].shape)
+            assert np.array_equal(stacked[key][k], alone[key])
+    return stacked
+
+
+def test_halfline_grid_matches_one_a_runs(monkeypatch):
+    # a/sqrt(dt) from 2.2 down to 0.28: every a sub-steps and bisects near the
+    # boundary, each at its own nodes and attempts
+    a_grid, grid = (0.05, 0.025, 0.0125, 0.00625), TimeGrid(0.1, 200)
+    dB = driver_block(grid, 1, seed=44, first_path=0, n_paths=16)
+    keys = {}
+    for a in a_grid:
+        keys[a] = []
+        _recording(monkeypatch, keys[a])
+        stepping.integrate_penalized_batch(geo.half_line(), a, [0.02], dB, grid, aux_seed=45)
+    drawing = [{node for node, _ in keys[a]} for a in a_grid]
+    assert set.union(*drawing) - set.intersection(*drawing)  # some a draw where others do not
+    stacked_keys = []
+    _recording(monkeypatch, stacked_keys)
+    _assert_grid_matches_one_a(geo.half_line(), a_grid, [0.02], dB, grid, 45)
+    # the grid call asks for the streams the one-a calls ask for, and no others
+    assert set(stacked_keys) == set().union(*(set(k) for k in keys.values()))
+
+
+def test_walk_groups_keep_their_own_attempt_counts():
+    # group 0 bisects (the rows of test_forced_bisection_matches_frozen); group
+    # 1 sub-steps with bridge splits on after group 0 has finished bisecting
+    model, dt = geo.half_line(), 5e-4
+    R0 = np.array([0.5, 0.004, 0.3, 0.002, 0.003, 0.001, 0.002])
+    w = np.array([0.01, -0.02, -0.35, -0.015, 0.01, -0.004, 0.006])
+    a = np.array([0.05] * 4 + [0.00625] * 3)
+    group = np.array([0] * 4 + [1] * 3)
+    rates = partial(stepping._collar_rates, model)
+    R, incs = stepping.guarded_walk(R0, w, dt, a, rates, SeedStreams(5), 3, rows=np.arange(7) % 4, group=group)
+    for g in (0, 1):
+        rows = group == g
+        alone = _collar_walk(model, float(a[rows][0]), R0[rows], w[rows], dt, 5, 3)
+        _assert_same([R[rows], incs[0][rows], incs[1][rows]], alone)
+    with pytest.raises(IntegrationError, match="positivity guard exhausted") as exc:
+        stepping.guarded_walk(R0, w, dt, a, rates, SeedStreams(5), 3, rows=np.arange(7) % 4, group=group,
+                              max_bisect=0)
+    assert (exc.value.a, exc.value.path_index, exc.value.boundary_distance) == (0.05, 2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "model,grid,x0,a_grid,coarse",
+    [
+        (geo.flat_disk(), TimeGrid(0.1, 200), (0.98, 0.0), (0.1, 0.05, 0.025, 0.0125), False),
+        (_CAP, TimeGrid(0.1, 200), (np.pi / 3 - 0.02, 0.0), (0.1, 0.05, 0.025, 0.0125), False),
+        (geo.flat_disk(), TimeGrid(1.0, 40), (0.2, 0.1), (0.2, 0.1, 0.05), True),
+        (_CAP, TimeGrid(1.0, 40), (0.3, 0.0), (0.2, 0.1, 0.05), True),
+    ],
+    ids=["disk", "cap", "disk-coarse", "cap-coarse"],
+)
+def test_curved_grid_matches_one_a_runs(monkeypatch, model, grid, x0, a_grid, coarse):
+    dB = driver_block(grid, model.frame_count, seed=6, first_path=0, n_paths=60)
+    step_dts = []
+    step = stepping._step_curved_penalized
+
+    def spy(model, a, x, dB_i, dt, *args, **kw):
+        step_dts.append(dt)
+        return step(model, a, x, dB_i, dt, *args, **kw)
+
+    monkeypatch.setattr(stepping, "_step_curved_penalized", spy)
+    stacked = _assert_grid_matches_one_a(model, a_grid, x0, dB, grid, 8)
+    pts = stacked["points"][:, :, :-1].reshape(-1, 2)
+    edge, mid, far = stepping._regions(model, pts, geo.raw_boundary_distance(model, pts))
+    assert edge.any() and mid.any()
+    if coarse:  # the bridge-halving recursion runs, and the cap reaches its far region
+        assert min(step_dts) < grid.dt
+        assert far.any() or model.id == geo.FLAT_DISK
+
+
+def test_grid_error_names_the_rows_own_a_and_path():
+    # only the smallest a runs out of sub-steps (a << sqrt(dt)), in the middle
+    # of the grid, so the failing row is neither the first row nor of the first a
+    grid = TimeGrid(1.0, 1000)
+    for model, x0 in ((geo.half_line(), [0.01]), (geo.flat_disk(), [0.99, 0.0])):
+        dB = driver_block(grid, model.frame_count, seed=8, first_path=0, n_paths=6)
+        with pytest.raises(IntegrationError) as alone:
+            stepping.integrate_penalized_batch(model, 0.0015, x0, dB, grid, aux_seed=9)
+        with pytest.raises(IntegrationError) as stacked:
+            stepping.integrate_penalized_grid(model, (0.1, 0.0015, 0.05), x0, dB, grid, aux_seed=9)
+        assert stacked.value.a == 0.0015
+        assert str(stacked.value) == str(alone.value)
+        assert 0 <= stacked.value.path_index < 6
+
+
+def test_grid_rejects_bad_a():
+    grid, dB = TimeGrid(1.0, 10), np.zeros((2, 10, 1))
+    for a_grid in ((), (0.1, 0.0)):
+        with pytest.raises(ValueError):
+            stepping.integrate_penalized_grid(geo.half_line(), a_grid, [0.5], dB, grid)
+    with pytest.raises(ValueError):
+        sk.penalized_paths_1d_grid((0.1, -0.1), 0.5, dB[..., 0], 0.1)
