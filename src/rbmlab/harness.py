@@ -2,8 +2,7 @@
 
 Every experiment is a deterministic function of its configuration digest:
 drivers come from counter-based per-path substreams, rows are assembled in a
-canonical order, and the CSV rendering is reproducible byte for byte (timing
-is reported in the JSON rendering only).
+canonical order, and the CSV rendering is reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import csv
 import io
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +109,6 @@ class ResultRow:
     q25: float = math.nan
     q50: float = math.nan
     q75: float = math.nan
-    runtime_ms: float = 0.0
     schema_version: str = SCHEMA_VERSION
     digest: str = ""
 
@@ -348,16 +345,16 @@ def _run_eps_cauchy(cfg: ExperimentConfig):
         frames = None if model.is_flat_chart else transport_batch(model, ref["points"])
         closes, dur = close_events(ref["R"], grid.times, eta)
         dL = np.diff(ref["L"], axis=1)
-        series = []
-        for eps in cfg.eps_grid:
-            out = _damped_engine(
+        prev = None  # only the previous level's series is held
+        for k, eps in enumerate(cfg.eps_grid):
+            series = _damped_engine(
                 model, ref["points"], frames, grid.dt, dL,
                 jump_flags=closes & (dur >= eps), collect="series",
-            )
-            series.append(out["series"])
-        for k in range(n_pairs):
-            diff = series[k] - series[k + 1]
-            gaps[k][first : first + c] = np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1)
+            )["series"]
+            if prev is not None:
+                diff = prev - series
+                gaps[k - 1][first : first + c] = np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1)
+            prev = series
     rows = []
     for k in range(n_pairs):
         m, e = _mean_stderr(gaps[k])
@@ -470,14 +467,10 @@ _RUNNERS = {
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run one experiment kind; rows carry the schema version and digest."""
     config = config.validate()
-    start = time.perf_counter()
     rows = _RUNNERS[config.kind](config)
-    elapsed = (time.perf_counter() - start) * 1000.0
     digest = config.digest
-    per_row = elapsed / max(len(rows), 1)
     for row in rows:
         row.digest = digest
-        row.runtime_ms = per_row
     rows.sort(key=lambda r: (r.kind, r.params_text(), r.statistic))
     return rows
 
@@ -540,7 +533,6 @@ def rows_to_dicts(rows: list[ResultRow]) -> list[dict]:
             q25=None if math.isnan(r.q25) else r.q25,
             q50=None if math.isnan(r.q50) else r.q50,
             q75=None if math.isnan(r.q75) else r.q75,
-            runtime_ms=r.runtime_ms,
         )
         out.append(d)
     return out
@@ -559,7 +551,6 @@ def rows_from_dicts(data: list[dict]) -> list[ResultRow]:
                 q25=math.nan if d.get("q25") is None else d["q25"],
                 q50=math.nan if d.get("q50") is None else d["q50"],
                 q75=math.nan if d.get("q75") is None else d["q75"],
-                runtime_ms=d.get("runtime_ms", 0.0),
                 schema_version=d.get("schema_version", SCHEMA_VERSION),
                 digest=d.get("digest", ""),
             )
@@ -568,7 +559,7 @@ def rows_from_dicts(data: list[dict]) -> list[ResultRow]:
 
 
 def report(rows: list[ResultRow], fmt: str, out_path: str) -> str:
-    """Write rows as CSV (deterministic bytes) or JSON (with runtimes)."""
+    """Write rows as CSV (deterministic bytes) or JSON."""
     if fmt == "csv":
         text = render_csv(rows)
     elif fmt == "json":

@@ -1,10 +1,20 @@
 """Discrete parallel transport frames along simulated paths.
 
 Flat-chart models carry the trivial connection, so transport is the identity.
-On the cap each step composes the rotation carrying one ambient position to
-the next (exact transport along the connecting geodesic); accumulated frames
-are re-orthonormalized periodically and expressed in the chart orthonormal
-bases of the endpoints.
+On the cap each step is exact transport along the geodesic joining
+consecutive nodes, written in the orthonormal chart frames (e_theta, e_phi)
+of its endpoints.  On a surface that matrix is a rotation in SO(2), and
+rotations of the plane commute, so the frame at node i is the rotation by the
+cumulative angle sum_{k<i} alpha_k.  Gauss-Bonnet on the geodesic triangle
+(pole, x_k, x_{k+1}) of curvature one gives
+
+    alpha_k = E_k - dphi_k,
+    E_k = 2 atan2(t t' sin dphi_k, 1 + t t' cos dphi_k),
+
+with t = tan(theta_k / 2), t' = tan(theta_{k+1} / 2); E_k is the triangle's
+signed area and -dphi_k takes out the turn of the chart frame between the
+meridians of the two nodes.  A 2 pi wrap of phi changes alpha_k by 2 pi and
+so no frame.  The frames are orthonormal by construction.
 """
 from __future__ import annotations
 
@@ -15,9 +25,6 @@ import numpy as np
 from . import geometry as geo
 from .geometry import ManifoldModel
 from .grids import DriverPath, TimeGrid
-
-REORTHONORMALIZE_EVERY = 64
-
 
 @dataclass
 class TransportFrame:
@@ -38,54 +45,22 @@ def transport_batch(model: ManifoldModel, points: np.ndarray) -> np.ndarray:
     """Transport matrices along batched paths, shape (P, N+1, d, d)."""
     points = np.asarray(points, dtype=float)
     P, n, d = points.shape
+    out = np.zeros((P, n, d, d))
     if model.is_flat_chart:
-        out = np.zeros((P, n, d, d))
         out[..., range(d), range(d)] = 1.0
         return out
 
-    amb = geo.cap_to_ambient(points)  # (P, n, 3)
-    frames = np.empty((P, n, 2, 2))
-    frames[:, 0] = np.eye(2)
-    basis0 = geo.cap_basis(points[:, 0])  # (P, 3, 2)
-    f = basis0.copy()  # transported images of the start basis, ambient (P, 3, 2)
-    for i in range(n - 1):
-        u = amb[:, i]
-        v = amb[:, i + 1]
-        f = _rotate_frame(u, v, f)
-        if (i + 1) % REORTHONORMALIZE_EVERY == 0:
-            f = _reorthonormalize(v, f)
-        basis = geo.cap_basis(points[:, i + 1])  # (P, 3, 2)
-        frames[:, i + 1] = np.einsum("pkc,pkj->pcj", basis, f)
-    return frames
-
-
-def _rotate_frame(u, v, f):
-    """Apply the rotation taking unit vector u to v to frame columns f."""
-    axis = np.cross(u, v)
-    s = np.linalg.norm(axis, axis=-1, keepdims=True)
-    c = np.sum(u * v, axis=-1, keepdims=True)
-    tiny = s < 1e-14
-    k = axis / np.where(tiny, 1.0, s)
-    out = np.empty_like(f)
-    for j in range(f.shape[-1]):
-        col = f[..., j]
-        kxc = np.cross(k, col)
-        kdc = np.sum(k * col, axis=-1, keepdims=True)
-        rot = c * col + s * kxc + (1.0 - c) * kdc * k
-        out[..., j] = np.where(tiny, col, rot)
-    return out
-
-
-def _reorthonormalize(base_point, f):
-    """Project columns onto the tangent plane at base_point and Gram-Schmidt."""
-    out = f.copy()
-    for j in range(f.shape[-1]):
-        col = out[..., j]
-        col = col - base_point * np.sum(base_point * col, axis=-1, keepdims=True)
-        for k in range(j):
-            prev = out[..., k]
-            col = col - prev * np.sum(prev * col, axis=-1, keepdims=True)
-        out[..., j] = col / np.linalg.norm(col, axis=-1, keepdims=True)
+    t = np.tan(0.5 * points[..., 0])
+    tt = t[:, :-1] * t[:, 1:]
+    dphi = np.diff(points[..., 1], axis=1)
+    alpha = 2.0 * np.arctan2(tt * np.sin(dphi), 1.0 + tt * np.cos(dphi)) - dphi
+    angle = np.zeros((P, n))
+    np.cumsum(alpha, axis=1, out=angle[:, 1:])
+    cos, sin = np.cos(angle), np.sin(angle)
+    out[..., 0, 0] = cos
+    out[..., 0, 1] = -sin
+    out[..., 1, 0] = sin
+    out[..., 1, 1] = cos
     return out
 
 
@@ -115,13 +90,10 @@ def transport_convergence_check(
     ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
     ref_frames = transport_batch(model, ref["points"])
     ref_v = ref_frames[0] @ v
-    rows = []
-    for a in a_list:
-        pen = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=aux_seed)
-        pen_v = transport_batch(model, pen["points"])[0] @ v
-        gap = float(np.linalg.norm(pen_v - ref_v, axis=-1).max())
-        rows.append({"a": float(a), "sup_gap": gap})
-    return rows
+    pen = stepping.integrate_penalized_grid(model, a_list, x0, dB, grid, aux_seed=aux_seed)
+    pen_v = transport_batch(model, pen["points"][:, 0]) @ v
+    gaps = np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=-1)
+    return [{"a": float(a), "sup_gap": float(gap)} for a, gap in zip(a_list, gaps)]
 
 
 def default_start(model: ManifoldModel) -> np.ndarray:

@@ -126,6 +126,29 @@ def test_limit_gaps_zero_without_contact():
         damped_limit(hl, ref, None, eps0=0.2, levels=1)
 
 
+def test_cauchy_report_flags_rising_gaps(monkeypatch):
+    """Gaps 0.1 then 0.15 rise, so the report is not non-increasing."""
+    from rbmlab import damped
+
+    hl = geo.half_line()
+    grid = TimeGrid(0.5, 2)
+    driver = DriverPath(seed=0, path_index=0, increments=np.zeros((2, 1)))
+    ref = integrate_reflected(hl, [1.0], driver, grid)
+    levels = {0.4: 0.0, 0.2: 0.1, 0.1: 0.25}  # normal entry of each level
+
+    def fake_eps(model, path, frame, eps, eta=None):
+        normal = np.full((3, 1), levels[eps])
+        return damped.DampedState("eps-jump", eps, grid.times, np.zeros((3, 1, 1)), normal, np.ones((3, 1)))
+
+    monkeypatch.setattr(damped, "damped_eps", fake_eps)
+    _, report = damped_limit(hl, ref, None, eps0=0.4, levels=3)
+    assert report.gaps == pytest.approx([0.1, 0.15])
+    assert not report.nonincreasing
+    levels[0.1] = 0.15  # gaps 0.1 then 0.05
+    _, report = damped_limit(hl, ref, None, eps0=0.4, levels=3)
+    assert report.nonincreasing
+
+
 def test_limit_state_matches_finest_eps():
     hl, grid, driver, pen, ref = _halfline_run(seed=11, x0=0.15)
     lim = limit_state(hl, ref)
@@ -257,3 +280,124 @@ def test_level_gap_tracks_small_excursion_time():
         budgets.append(float(np.sum(dur[0][short])))
     corr = np.corrcoef(gaps, budgets)[0, 1]
     assert corr > 0.1
+
+
+# -- the step-matrix engine against the node-by-node engine it replaced -------
+
+
+def _frozen_node_geometry(model, points, frames):
+    from rbmlab.damped import _safe_unit
+
+    nu = _safe_unit(geo._normal_components(model, points))
+    kappa = geo._level_curvature(model, points)
+    if points.shape[-1] == 1:
+        q = np.zeros_like(nu)
+    elif model.id == geo.SPHERICAL_CAP:
+        q = np.zeros_like(nu)
+        q[..., 1] = 1.0
+    else:
+        q = np.stack([-nu[..., 1], nu[..., 0]], axis=-1)
+    if frames is not None:
+        nu = np.einsum("pnij,pnj->pni", np.swapaxes(frames, -1, -2), nu)
+        q = np.einsum("pnij,pnj->pni", np.swapaxes(frames, -1, -2), q)
+    return nu, q, kappa
+
+
+def _frozen_engine(model, points, frames, dt, dL, *, c_increments=None, jump_flags=None, collect="series"):
+    """The engine as it was before step matrices: one update of every path
+    per node, Ricci, then local time, then damping, then jumps."""
+    P, n, d = points.shape
+    N = n - 1
+    rho = geo.ricci_factor(model)
+    nu, q, kappa = _frozen_node_geometry(model, points, frames)
+    w = np.broadcast_to(np.eye(d), (P, d, d)).copy()
+    series = np.empty((P, n, d, d)) if collect == "series" else None
+    norm2 = np.empty((P, n)) if collect == "norm2" else None
+    normal_rows = np.empty((P, n, d)) if collect in ("series", "normal") else None
+    if series is not None:
+        series[:, 0] = w
+    if norm2 is not None:
+        norm2[:, 0] = np.sum(w * w, axis=(1, 2))
+    if normal_rows is not None:
+        normal_rows[:, 0] = np.einsum("pi,pij->pj", nu[:, 0], w)
+    for i in range(N):
+        if rho != 0.0:
+            w = w - 0.5 * rho * dt * w
+        dl = dL[:, i]
+        active = dl > 0
+        if active.any():
+            qi = q[:, i]
+            qw = np.einsum("pi,pij->pj", qi, w)
+            fac = np.where(active, kappa[:, i] * dl, 0.0)
+            w = w - fac[:, None, None] * (qi[:, :, None] * qw[:, None, :])
+        if c_increments is not None:
+            shrink = -np.expm1(-c_increments[:, i])
+            hit = shrink > 0
+            if hit.any():
+                ni = nu[:, i]
+                fw = np.einsum("pi,pij->pj", ni, w)
+                w = w - np.where(hit, shrink, 0.0)[:, None, None] * (ni[:, :, None] * fw[:, None, :])
+        if jump_flags is not None:
+            flagged = jump_flags[:, i + 1]
+            if flagged.any():
+                ni = nu[:, i + 1]
+                fw = np.einsum("pi,pij->pj", ni, w)
+                w = w - flagged[:, None, None] * (ni[:, :, None] * fw[:, None, :])
+        if series is not None:
+            series[:, i + 1] = w
+        if norm2 is not None:
+            norm2[:, i + 1] = np.sum(w * w, axis=(1, 2))
+        if normal_rows is not None:
+            normal_rows[:, i + 1] = np.einsum("pi,pij->pj", nu[:, i + 1], w)
+    out = {"carrier": nu}
+    if series is not None:
+        out["series"] = series
+    if norm2 is not None:
+        out["norm2"] = norm2
+    if normal_rows is not None:
+        out["normal"] = normal_rows
+    return out
+
+
+_ENGINE_MODELS = [
+    (geo.spherical_cap(np.pi / 2), (np.pi / 2 - 0.15, 0.0), 2.0),
+    (geo.spherical_cap(np.pi / 3), (np.pi / 3 - 0.1, 0.0), 0.5),
+    (geo.flat_disk(), (0.9, 0.0), 0.5),
+    (geo.half_line(), (0.1,), 0.5),
+    (geo.half_space(2), (0.0, 0.1), 0.5),
+]
+
+
+@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=["hemisphere", "cap-pi3", "disk", "half-line", "half-space-d2"])
+def test_engine_matches_node_by_node_engine(model, x0, horizon):
+    from rbmlab import stepping
+    from rbmlab.damped import _damped_engine
+    from rbmlab.grids import driver_block
+    from rbmlab.reflected import close_events
+    from rbmlab.transport import transport_batch
+
+    grid = TimeGrid(horizon, 400)
+    dB = driver_block(grid, model.frame_count, 21, 0, 12)
+    x0 = np.array(x0)
+    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
+    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid, aux_seed=22)
+    closes, dur = close_events(ref["R"], grid.times, 0.01)
+    flags = closes & (dur >= 0.01)
+    assert flags.any() and np.any(np.diff(ref["L"], axis=1) > 0)
+    runs = [
+        (ref, dict(jump_flags=flags)),
+        (pen, dict(c_increments=np.diff(pen["C"], axis=1))),
+        (ref, dict(jump_flags=flags, c_increments=np.diff(pen["C"], axis=1))),
+    ]
+    for run, extra in runs:
+        frames = None if model.is_flat_chart else transport_batch(model, run["points"])
+        args = (model, run["points"], frames, grid.dt, np.diff(run["L"], axis=1))
+        for collect in ("series", "norm2", "normal"):
+            new = _damped_engine(*args, collect=collect, **extra)
+            old = _frozen_engine(*args, collect=collect, **extra)
+            if collect == "series":  # the normal rows a DampedState reads off the series
+                new["normal"] = np.einsum("pni,pnij->pnj", new["carrier"], new["series"])
+            assert sorted(new) == sorted(old)
+            for key in old:
+                assert new[key].shape == old[key].shape
+                assert np.max(np.abs(new[key] - old[key])) <= 1e-12, (collect, key)

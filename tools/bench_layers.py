@@ -1,0 +1,117 @@
+"""Per-layer timings of cap parallel transport and the damped engine.
+
+Times ``transport.transport_batch`` and ``damped._damped_engine`` in ns per
+path-step on the input of the ``eps-cauchy`` sweep of the ``sweeps``
+benchmark: reflected paths on ``cap:theta0=pi/2``, T=4, dt=2e-3 (2000 steps),
+one 200-path chunk at master seed 46, and the engine at each of the four
+excursion thresholds 0.2, 0.1, 0.05, 0.025.  Each layer is called once to
+warm up and then nine times; the record keeps the median and the
+quartiles over the repeats, with numpy, scipy and Python versions and
+``nproc``.  BLAS and OpenMP pools are pinned to one thread.
+
+Run from the root of a checkout, with the rbmlab to measure on the path:
+
+    PYTHONPATH=src python tools/bench_layers.py BENCH.json --label change
+
+The record is stored under its label; records already in the file under
+other labels (another tree measured into the same file) are kept.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import time
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+THETA0 = 1.5707963267948966  # pi / 2
+HORIZON, STEPS, PATHS, SEED = 4.0, 2000, 200, 46
+EPS_GRID = (0.2, 0.1, 0.05, 0.025)
+REPEATS = 9
+
+
+def _quartiles(values):
+    import numpy as np
+
+    q25, q50, q75 = np.quantile(values, [0.25, 0.5, 0.75])
+    return {"median": float(q50), "q25": float(q25), "q75": float(q75), "samples": len(values)}
+
+
+def _time(fn):
+    fn()
+    out = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def measure() -> dict:
+    import numpy as np
+    import scipy
+
+    from rbmlab import geometry as geo
+    from rbmlab import stepping
+    from rbmlab.damped import _damped_engine
+    from rbmlab.grids import TimeGrid, driver_block
+    from rbmlab.reflected import close_events, default_contact_threshold
+    from rbmlab.transport import transport_batch
+
+    cap = geo.spherical_cap(THETA0)
+    grid = TimeGrid(HORIZON, STEPS)
+    dB = driver_block(grid, cap.frame_count, SEED, 0, PATHS)
+    ref = stepping.integrate_reflected_batch(cap, np.array([THETA0 - 0.15, 0.0]), dB, grid)
+    points = ref["points"]
+    frames = transport_batch(cap, points)
+    closes, dur = close_events(ref["R"], grid.times, default_contact_threshold(grid))
+    dL = np.diff(ref["L"], axis=1)
+    path_steps = PATHS * STEPS
+
+    def engine_levels():
+        for eps in EPS_GRID:
+            _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=closes & (dur >= eps), collect="series")
+
+    transport_s = _time(lambda: transport_batch(cap, points))
+    engine_s = [t / len(EPS_GRID) for t in _time(engine_levels)]
+    return {
+        "input": {
+            "model": "cap:theta0=pi/2", "horizon": HORIZON, "steps": STEPS, "paths": PATHS,
+            "master_seed": SEED, "eps_grid": list(EPS_GRID), "min_theta": float(points[..., 0].min()),
+        },
+        "ns_per_path_step": {
+            "transport.transport_batch": _quartiles([1e9 * t / path_steps for t in transport_s]),
+            "damped.engine": _quartiles([1e9 * t / path_steps for t in engine_s]),
+        },
+        "environment": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write; records under other labels are kept")
+    parser.add_argument("--label", required=True, help="name of this record, e.g. parent or change")
+    args = parser.parse_args(argv)
+    record = measure()
+    data = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            data = json.load(fh)
+    data.setdefault("records", {})[args.label] = record
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps({args.label: record["ns_per_path_step"]}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
