@@ -143,8 +143,10 @@ def _damped_engine(
     flagged node (jump variants) or None.
     collect: "series" (the matrices), "norm2" (their squared Frobenius norms)
     or "normal" (their normal rows n^T w), each per node; the transported
-    normals come back as "carrier".
+    normals come back as "carrier".  Any other collect raises ValueError.
     """
+    if collect not in ("series", "norm2", "normal"):
+        raise ValueError(f"unknown collect {collect!r}")
     P, n, d = points.shape
     N = n - 1
     nu, q, kappa = _node_geometry(model, points, frames)
@@ -167,7 +169,7 @@ def _damped_engine(
         out["series"] = W.swapaxes(0, 1)
     elif collect == "norm2":
         out["norm2"] = np.sum(W * W, axis=(2, 3)).T
-    elif collect == "normal":
+    else:
         out["normal"] = _vec_mat(nu, W.swapaxes(0, 1))
     return out
 

@@ -10,7 +10,9 @@ class TubularZoneError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A time stepper could not complete a step (guard exhaustion, etc.).
+    """A time stepper could not complete a step: a non-finite increment or
+    an implicit step that did not converge, or an off-collar curved step
+    still leaving the domain after the deepest bridge halving.
 
     Carries, where known, the grid node, the penalization parameter ``a``,
     the batch row of the first failing path and that path's boundary

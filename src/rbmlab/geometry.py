@@ -252,6 +252,16 @@ def laplacian_R_of_R(model: ManifoldModel, R) -> np.ndarray:
     return -1.0 / np.tan(model.theta0 - R)
 
 
+def laplacian_R_of_R_slope(model: ManifoldModel, R) -> np.ndarray:
+    """Derivative in R of :func:`laplacian_R_of_R` (never positive)."""
+    R = np.asarray(R, dtype=float)
+    if model.id in (HALF_LINE, HALF_SPACE):
+        return np.zeros_like(R)
+    if model.id == FLAT_DISK:
+        return -1.0 / (1.0 - R) ** 2
+    return -1.0 / np.sin(model.theta0 - R) ** 2
+
+
 def _smoothstep(u: np.ndarray) -> np.ndarray:
     """C^inf monotone step, identically 0 for u <= 0 and 1 for u >= 1."""
     u = np.clip(u, 0.0, 1.0)

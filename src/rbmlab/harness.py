@@ -151,8 +151,7 @@ def _a_groups(cfg: ExperimentConfig, paths: int):
 
 def _penalized_runs(cfg: ExperimentConfig, model: ManifoldModel, x0, dB):
     """(a, penalized run on the chunk's driver dB) for each a of the grid, in
-    grid order.  Penalized paths depend on their chunk, but not on how the
-    a-grid is split into calls."""
+    grid order, whatever the split of the a-grid into calls."""
     for group in _a_groups(cfg, dB.shape[0]):
         runs = stepping.integrate_penalized_grid(model, group, x0, dB, cfg.grid, aux_seed=cfg.master_seed + 1)
         for j, a in enumerate(group):
@@ -220,9 +219,8 @@ def _run_halfline_penalization(cfg: ExperimentConfig):
         h = np.maximum.accumulate(np.maximum(0.0, -(x0 + f)), axis=1)
         g = x0 + f + h
         alive = np.minimum.accumulate(x0 + f, axis=1) > 0.0  # node-level t < tau
-        scheme = sk1d.EulerScheme(aux_seed=cfg.master_seed + 1)
         for group in _a_groups(cfg, c):
-            for a, X in zip(group, sk1d.penalized_paths_1d_grid(group, x0, dB, dt, scheme)):
+            for a, X in zip(group, sk1d.penalized_paths_1d_grid(group, x0, dB, dt)):
                 sup_gap[a][first : first + c] = np.abs(X - g).max(axis=1)
                 V = np.exp(
                     np.concatenate(

@@ -26,8 +26,8 @@ class PenalizedPath:
     boundary_dist : (N+1,) distance to the boundary, positive at every node
     local_time : (N+1,) nondecreasing smoothed local time, 0 at t=0
     damping : (N+1,) normal damping rate at the nodes
-    damping_integral : (N+1,) running integral of the damping rate, resolved
-        over the same sub-steps as the local time
+    damping_integral : (N+1,) running integral of the damping rate, taken
+        at the same points as the local time
     """
 
     grid: TimeGrid

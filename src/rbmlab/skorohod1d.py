@@ -3,7 +3,8 @@
 Drivers are piecewise-linear paths, for which the running-infimum solution of
 the reflection problem is exact at the nodes and the interior of every segment
 is fully determined.  The smooth counterpart is the log-concave drift family
-built from the first-passage survival function; its realized paths and
+built from the first-passage survival function; its realized paths (one
+drift-implicit Euler step per node, which keeps every node positive) and
 derivative flows approximate the reflected path and its exact derivative
 indicator as the softening parameter shrinks.
 """
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .grids import SeedStreams
 from .grids import guard_stream  # noqa: F401  (bound for perfbench/spans.py, which wraps it by name)
-from .stepping import _grid_rows, guarded_walk
+from .stepping import _grid_rows, implicit_step
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -166,6 +166,27 @@ def _phi(y):
     return SQRT_HALF_PI * erf(np.asarray(y) / math.sqrt(2.0))
 
 
+def _checked_drift_args(a, x):
+    """x as a float array, after checking that a and x are positive."""
+    if np.any(np.asarray(a) <= 0):
+        raise ValueError("a must be positive")
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(x_arr <= 0):
+        raise ValueError("drift is defined for x > 0 only")
+    return x_arr
+
+
+def _survival_rates(a, x):
+    """The drift at x > 0 and its x-derivative (the second log derivative of
+    the survival factor), from one evaluation and without argument checks."""
+    root = np.sqrt(a)
+    y = x / root
+    num = np.exp(-0.5 * y * y)
+    den = np.where(y > 6.0, SQRT_HALF_PI, _phi(np.minimum(y, 6.0)))
+    g = num / den / root
+    return g, -x * g / a - g * g
+
+
 def penalized_drift_1d(a, x):
     """Drift of the softened half-line SDE: positive, decreasing in x.
 
@@ -173,99 +194,59 @@ def penalized_drift_1d(a, x):
     denominator is evaluated by its constant limit to avoid 0/0 underflow.
     ``a`` is one value or one per entry of x.
     """
-    if np.any(np.asarray(a) <= 0):
-        raise ValueError("a must be positive")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("drift is defined for x > 0 only")
-    root = np.sqrt(a)
-    y = x_arr / root
-    num = np.exp(-0.5 * y * y)
-    den = np.where(y > 6.0, SQRT_HALF_PI, _phi(np.minimum(y, 6.0)))
-    out = num / den / root
+    out = _survival_rates(a, _checked_drift_args(a, x))[0]
     return float(out) if out.ndim == 0 else out
 
 
 def penalized_drift_second_log(a: float, x):
     """Second x-derivative of the log survival factor (always negative)."""
-    g = penalized_drift_1d(a, x)
-    x_arr = np.asarray(x, dtype=float)
-    out = -x_arr * g / a - g * g
+    out = _survival_rates(a, _checked_drift_args(a, x))[1]
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class EulerScheme:
-    """Stepping configuration for the softened SDE."""
-
-    max_bisections: int = 20
-    max_substeps: int = 200
-    aux_seed: int = 0
-
-
-def penalized_paths_1d_grid(
-    a_grid,
-    x: float,
-    dW: np.ndarray,
-    dt: float,
-    scheme: EulerScheme | None = None,
-) -> np.ndarray:
-    """Batched Euler integration of the softened half-line SDE for every a of
-    ``a_grid`` on one shared driver.
+def penalized_paths_1d_grid(a_grid, x: float, dW: np.ndarray, dt: float) -> np.ndarray:
+    """Batched drift-implicit Euler integration of the softened half-line SDE
+    for every a of ``a_grid`` on one shared driver.
 
     dW has shape (P, N).  Returns node values (G, P, N+1), G = len(a_grid),
-    all strictly positive.  Each step is one :func:`stepping.guarded_walk`
-    over all G * P rows with this drift: a step that would cross zero is
-    bisected (up to ``max_bisections`` times) with Brownian-bridge
-    interpolation of its increment, and stiff drift steps are shortened so
-    drift * h <= x/2.  The rows of one a form one group of the walk, so entry
-    k equals the one-a run at ``a_grid[k]`` bit for bit.
+    all strictly positive.  Each step is one :func:`stepping.implicit_step`
+    over all G * P rows with this drift, whose slope is
+    :func:`penalized_drift_second_log`.  Rows are stepped on their own, so
+    entry k equals the one-a run at ``a_grid[k]`` bit for bit and a path does
+    not depend on the other paths of the batch.
     """
     if x <= 0:
         raise ValueError("start point must be strictly positive")
-    scheme = scheme or EulerScheme()
     dW = np.atleast_2d(np.asarray(dW, dtype=float))
     n_paths, n_steps = dW.shape
-    a_rows, group, paths = _grid_rows(a_grid, n_paths)
+    a_rows, paths = _grid_rows(a_grid, n_paths)
     G = np.size(a_grid)
     out = np.empty((G * n_paths, n_steps + 1))
     out[:, 0] = x
     state = np.full(G * n_paths, float(x))
-    streams = SeedStreams(scheme.aux_seed)
     for i in range(n_steps):
-        state, _ = guarded_walk(
-            state, dW[paths, i], dt, a_rows, lambda a, r: (penalized_drift_1d(a, r),), streams, i,
-            paths, group, max_substeps=scheme.max_substeps, max_bisect=scheme.max_bisections,
-        )
+        state, _ = implicit_step(state, dW[paths, i], dt, a_rows, _survival_rates, i, paths)
         out[:, i + 1] = state
     return out.reshape(G, n_paths, n_steps + 1)
 
 
-def penalized_paths_1d(
-    a: float,
-    x: float,
-    dW: np.ndarray,
-    dt: float,
-    scheme: EulerScheme | None = None,
-) -> np.ndarray:
-    """Batched Euler integration of the softened half-line SDE.
+def penalized_paths_1d(a: float, x: float, dW: np.ndarray, dt: float) -> np.ndarray:
+    """Batched drift-implicit Euler integration of the softened half-line SDE.
 
     dW has shape (P, N).  Returns node values (P, N+1), all strictly
     positive: the one-a case of :func:`penalized_paths_1d_grid`.
     """
-    return penalized_paths_1d_grid((a,), x, dW, dt, scheme)[0]
+    return penalized_paths_1d_grid((a,), x, dW, dt)[0]
 
 
-def penalized_path_1d(
-    a: float, x: float, driver: RealPath, scheme: EulerScheme | None = None
-) -> RealPath:
+def penalized_path_1d(a: float, x: float, driver: RealPath) -> RealPath:
     """Single-path version of :func:`penalized_paths_1d` on a uniform driver."""
     dts = np.diff(driver.times)
     dt = float(dts[0])
     if not np.allclose(dts, dt, rtol=0, atol=1e-9 * dt):
         raise ValueError("driver grid must be uniform")
     dW = np.diff(driver.values)[None, :]
-    vals = penalized_paths_1d(a, x, dW, dt, scheme)[0]
+    vals = penalized_paths_1d(a, x, dW, dt)[0]
     return RealPath(driver.times, vals)
 
 

@@ -2,18 +2,24 @@
 
 State layout: chart points, paths along the first axis.  On a shared driver
 the penalized and reflected flows differ only in how the boundary-distance
-coordinate R moves.  Flat-boundary models move R by a guarded scalar walk
-(penalized) or as the running infimum of the driver (reflected), and the
-tangential coordinates by the driver itself.  The curved
+coordinate R moves.  Flat-boundary models move R by a drift-implicit
+scalar step (penalized) or as the running infimum of the driver (reflected),
+and the tangential coordinates by the driver itself.  The curved
 charts share one region-split step, ``_chart_step``.  Its edge rows, the
 collar R < delta_0 (on the cap only where the polar chart is near the
 boundary), move to the boundary distance the flow computed from increment
-component 1 only -- the guarded walk, or an Euler step followed by projection
-onto the domain -- so coupled runs see bit-identical Brownian input in the
-normal direction.  The other rows take plain Euler steps with the blended
+component 1 only -- the drift-implicit step ``implicit_step``, or an Euler
+step followed by projection onto the domain -- so coupled runs see
+bit-identical Brownian input in the normal direction.  The implicit step
+solves r - dt b(r) = R + dW per row by Newton's method; its drift is positive
+near the boundary and decreasing, so the root is unique and positive and no
+step is ever shortened or redrawn (Alfonsi, MCMA 2005; Neuenkirch & Szpruch,
+Numer. Math. 2014).  The other rows take plain Euler steps with the blended
 frame (disk, cap mid region) or an ambient step on the embedded sphere (cap
 far region, where the polar chart degenerates), moved inward by the drift
-displacement in the penalized flow.
+displacement in the penalized flow.  A penalized off-collar step that leaves
+the domain (on coarse grids only) is redone in two Brownian-bridge halves,
+whose normals are keyed by node, halving depth and batch row.
 """
 from __future__ import annotations
 
@@ -26,8 +32,10 @@ from .errors import IntegrationError
 from .grids import SeedStreams, TimeGrid
 from .grids import guard_stream  # noqa: F401  (bound for perfbench/spans.py, which wraps it by name)
 
-_MAX_SUBSTEPS = 200
-_MAX_BISECT = 20
+_NEWTON_TOL = 1e-10  # bound on a Newton correction, relative to the iterate
+_ROOT_TOL = 1e-6  # the same for a step that returns only the root
+_MAX_NEWTON = 100
+_MAX_BISECT = 20  # bridge-halving depth of an off-collar curved step
 
 
 def _squares(a):
@@ -71,125 +79,97 @@ def damping_rate(a: float, R):
 
 def _shared_value(a):
     """The float every entry of a holds, else a: rows of one value of a are
-    then rated as a one-a walk rates them, without a libm pow per row."""
+    then rated as a one-a step rates them, without a libm pow per row."""
     return float(a[0]) if a.size and (a == a[0]).all() else a
 
 
-def _group_ranks(group):
-    """Each row's index among the rows of its group, for rows sorted by group."""
-    if group[0] == group[-1]:
-        return np.arange(group.size)
-    return np.arange(group.size) - np.searchsorted(group, group)
+def implicit_step(R0, w, dt, a, rates, node=None, rows=None):
+    """Drift-implicit Euler step of dR = b(R) dt + dW from positive states R0
+    over increments w: the root r > 0 of r - dt b(r) = y, y = R0 + w, per row.
 
-
-def guarded_walk(R0, w_total, h_total, a, rates, streams, node, rows=None, group=None,
-                 max_substeps=_MAX_SUBSTEPS, max_bisect=_MAX_BISECT):
-    """Advance positive scalar states R0 by dR = drift(R) dt + dW over one step.
-
-    ``rates(a, R)`` returns ``(drift, *integrands)`` at states R and their
-    values of ``a`` (one value, or one per path); the walk returns the new
-    states and the integral of each integrand over the sub-steps.  A sub-step
-    is shortened so that |drift| * h <= R/2, and one whose proposal leaves
-    (0, inf) is bisected (up to ``max_bisect`` times) with a Brownian-bridge
-    split of the remaining increment.  Only paths whose step is unfinished are
-    stepped.  ``group`` numbers the paths' groups in non-decreasing order (one
-    group by default; the integrators group by value of a).  Each sub-step and
-    bisection that a group takes part in is one attempt of the group, whose
-    normals ``streams.guard(node, attempt)`` gives (entry k to the group's k-th
-    path), drawn only when one of its paths needs a bridge split.  So a group
-    draws what it would draw walked alone.  An ``IntegrationError`` names the
-    batch row (``rows[j]``, or j) of the first failing path j, its value of
-    ``a`` and its state at the start of the step.
+    ``rates(a, r)`` returns ``(b, b', *integrands)`` at states r > 0 and their
+    values of ``a`` (one value, or one per row).  The drifts stepped here are
+    decreasing and blow up at 0+ like 1/r, so F(r) = r - dt b(r) - y rises
+    from -inf with slope F' = 1 - dt b' >= 1 and has exactly one positive
+    root.  Newton's method starts at y where y > sqrt(dt) and elsewhere at the
+    Bessel-3 root (y + sqrt(y^2 + 4 dt)) / 2 (exact for b = 1/r).  An iterate
+    moves down by at most half, and each row keeps a bracket of its points
+    where F < 0 (from 0) and F > 0 (from +inf) and bisects it where an iterate
+    would leave it, so every iterate is positive.  A row is done at the first
+    iterate r_k whose correction c = F/F' is at most _NEWTON_TOL * r_k; it
+    returns the root r_k - c and each integrand at r_k times dt, so the
+    increments are taken at the implicit point to the solver's tolerance.
+    A step without integrands needs only the root, which misses by about
+    |F''| c^2 / 2F' <= 10 c^2 / r_k for these drifts, and takes
+    _ROOT_TOL * r_k as its bound on c.  Done rows leave the iteration and
+    rows share nothing, so a row's bits do not depend on its batch-mates.  A
+    non-finite y, or a row not done after _MAX_NEWTON iterates, raises an
+    ``IntegrationError`` naming the row's batch row (``rows[j]``, or j), its
+    value of ``a`` and R0.
     """
-    start = np.asarray(R0, dtype=float)
-    n = start.size
+    R0 = np.asarray(R0, dtype=float)
+    y = R0 + w
+    n = y.size
     a = a if isinstance(a, np.ndarray) else np.full(n, float(a))
-    out = np.empty(n)
-    if n == 0:
-        return out, [out.copy() for _ in rates(a, start)[1:]]
-    group = np.zeros(n, dtype=np.intp) if group is None else np.asarray(group)
-    rank = _group_ranks(group)
-    size = int(rank.max()) + 1  # normals per draw: one for each row of the largest group
-    attempt = np.zeros(int(group[-1]) + 1, dtype=np.int64)
-    even = True  # every group is on the same attempt
-    pos = np.arange(n)
-    r = start
-    rem = np.full(n, float(h_total))
-    w = np.asarray(w_total, dtype=float)
-    a_live, g, k = a, group, rank
-    a_rates = _shared_value(a)
-    incs = None
 
     def error(message, j):
-        row = int(j if rows is None else rows[j])
-        return IntegrationError(message, node_index=node, a=float(a[j]), path_index=row,
-                                boundary_distance=float(start[j]))
+        return IntegrationError(message, node_index=node, a=float(a[j]),
+                                path_index=int(j if rows is None else rows[j]), boundary_distance=float(R0[j]))
 
-    def split(h, use=None):
-        """Increments over sub-steps h; the bridge normals of the paths in
-        ``use`` (default all) come from their groups' current attempts, the
-        other paths' normals are not used."""
-        theta = h / rem
-        draw = theta < 1.0 if use is None else use & (theta < 1.0)
-        if not draw.any():
-            return w
-        if not even:
-            keys = attempt[g]
-            drawn = keys[draw]
-        if even or (drawn == drawn[0]).all():  # one attempt among the drawing paths
-            z = streams.guard(node, int(attempt[0] if even else drawn[0])).standard_normal(size)[k]
-        else:
-            z = np.zeros(pos.size)
-            for key in np.unique(drawn):
-                sel = keys == key
-                z[sel] = streams.guard(node, int(key)).standard_normal(size)[k[sel]]
-        return np.where(theta >= 1.0, w, theta * w + np.sqrt(theta * (1.0 - theta) * rem) * z)
-
-    for _ in range(max_substeps):
-        if pos.size == 0:
-            return out, incs
-        first = pos[0]
-        drift, *vals = rates(a_rates, r)
+    if not np.isfinite(y).all():
+        raise error("non-finite increment", int(np.argmin(np.isfinite(y))))
+    out = np.empty(n)
+    if n == 0:
+        return out, [out.copy() for _ in rates(a, y)[2:]]
+    incs = None
+    pos = np.arange(n)
+    root_dt = np.sqrt(dt)
+    # per row: the iterate, y, and the bracket ends lo (F < 0) and hi (F > 0)
+    state = np.empty((4, n))
+    state[0] = np.where(y > root_dt, y, 2.0 * dt / (np.sqrt(y * y + 4.0 * dt) - np.minimum(y, root_dt)))
+    state[1] = y
+    state[2] = 0.0
+    state[3] = np.inf
+    a_rates = _shared_value(a)
+    for _ in range(_MAX_NEWTON):
+        r, y, lo, hi = state
+        b, slope, *vals = rates(a_rates, r)
         if incs is None:
-            incs = [np.zeros(n) for _ in vals]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h_cap = np.where(np.abs(drift) > 0, 0.5 * r / np.abs(drift), np.inf)
-        h = np.maximum(np.minimum(rem, h_cap), rem * 2.0**-max_bisect)
-        delta = split(h)
-        attempt += 1  # finished groups draw no more, so counting them on is harmless
-        prop = r + drift * h + delta
-        bad = prop <= 0
-        level = 0
-        while bad.any():
-            if level == max_bisect:
-                raise error("positivity guard exhausted", pos[bad][0])
-            h = np.where(bad, 0.5 * h, h)
-            delta = np.where(bad, split(h, bad), delta)
-            stepped = np.bincount(g[bad], minlength=attempt.size) > 0
-            attempt += stepped
-            even = even and bool(stepped.all())
-            prop = np.where(bad, r + drift * h + delta, prop)
-            bad = prop <= 0
-            level += 1
-        for total, v in zip(incs, vals):
-            total[pos] += v * h
-        out[pos] = r = prop
-        w = w - delta
-        rem = np.maximum(rem - h, 0.0)
-        live = rem > 0
-        if not live.all():
-            pos, r, w, rem, a_live, g, k = pos[live], r[live], w[live], rem[live], a_live[live], g[live], k[live]
+            incs = [np.empty(n) for _ in vals]
+            tol = _NEWTON_TOL if vals else _ROOT_TOL
+        F = r - dt * b - y
+        c = F / (1.0 - dt * slope)
+        nxt = r - c
+        done = np.abs(c) <= tol * r
+        if done.any():
+            finished = pos[done]
+            out[finished] = nxt[done]
+            for total, v in zip(incs, vals):
+                total[finished] = v[done] * dt
+            if finished.size == pos.size:
+                return out, incs
+            live = ~done
+            pos, state, F, nxt = pos[live], state[:, live], F[live], nxt[live]
+            r, y, lo, hi = state
             if isinstance(a_rates, np.ndarray):
-                a_rates = _shared_value(a_live)
-    raise error("substep budget exhausted", first)
+                a_rates = _shared_value(a[pos])
+        np.copyto(lo, r, where=F < 0)
+        np.copyto(hi, r, where=F > 0)
+        np.maximum(nxt, 0.5 * r, out=r)
+        outside = (r <= lo) | (r >= hi)
+        if outside.any():
+            r[outside] = 0.5 * (lo[outside] + hi[outside])
+    raise error("implicit step did not converge", pos[0])
 
 
 def _collar_rates(model, a, R):
-    """Drift of the collar radial coordinate, then the drift magnitude and the
-    damping rate, whose walk integrals are the local-time and damping
-    increments."""
-    mag, damp = _tanh_rates(a, np.maximum(R, 1e-300))
-    return mag + 0.5 * geo.laplacian_R_of_R(model, np.maximum(R, 0.0)), mag, damp
+    """Drift of the collar radial coordinate and its slope in R, then the
+    drift magnitude and the damping rate, whose values at the implicit point
+    times dt are the local-time and damping increments.  The damping rate is
+    exactly -d(magnitude)/dR."""
+    mag, damp = _tanh_rates(a, R)
+    drift = mag + 0.5 * geo.laplacian_R_of_R(model, R)
+    return drift, 0.5 * geo.laplacian_R_of_R_slope(model, R) - damp, mag, damp
 
 
 def _disk_noise(e_r, dB, beta_sqrt, comp_sqrt):
@@ -264,23 +244,22 @@ def _chart_step(model, x, R, dB, dt, regions, R_edge, inward=None):
     return new
 
 
-def _step_flat_penalized(model, a, x, dB_i, dt, streams, node, rows, group=None):
+def _step_flat_penalized(model, a, x, dB_i, dt, streams, node, rows):
     """One penalized step for a flat-boundary model; returns (x_new, dL, dC).
     The last coordinate is the boundary distance, the others move with the
     driver."""
     rates = partial(_collar_rates, model)
-    R, (dL, dC) = guarded_walk(x[:, -1], dB_i[:, 0], dt, a, rates, streams, node, rows, group)
+    R, (dL, dC) = implicit_step(x[:, -1], dB_i[:, 0], dt, a, rates, node, rows)
     return np.column_stack([x[:, :-1] + dB_i[:, 1:], R]), dL, dC
 
 
-def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, group=None, depth=0):
+def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, depth=0):
     """One penalized step for a curved-chart model; returns (x_new, dL, dC).
-    ``a`` is one value or one per row, ``rows`` are the paths' batch rows,
-    which an ``IntegrationError`` names, and ``group`` groups the rows as in
-    :func:`guarded_walk`, also for the bridge-halving draws."""
+    ``a`` is one value or one per row and ``rows`` are the paths' batch rows,
+    which an ``IntegrationError`` names and which key the bridge-halving
+    draws."""
     n = x.shape[0]
     a = a if isinstance(a, np.ndarray) else np.full(n, float(a))
-    group = np.zeros(n, dtype=np.intp) if group is None else group
     R = geo.raw_boundary_distance(model, x)
     regions = _regions(model, x, R)
     edge = regions[0]
@@ -288,8 +267,7 @@ def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, group=Non
     dL = np.empty(n)
     dC = np.empty(n)
     rates = partial(_collar_rates, model)
-    R_edge, (dL[edge], dC[edge]) = guarded_walk(
-        R[edge], dB_i[edge, 0], dt, a[edge], rates, streams, node, rows[edge], group[edge])
+    R_edge, (dL[edge], dC[edge]) = implicit_step(R[edge], dB_i[edge, 0], dt, a[edge], rates, node, rows[edge])
     mag, damp = _tanh_rates(a[rest], R[rest])
     dL[rest] = mag * dt
     dC[rest] = damp * dt
@@ -302,12 +280,12 @@ def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, group=Non
             raise IntegrationError("positivity guard exhausted", node_index=node, a=float(a[idx[0]]),
                                    path_index=int(rows[idx[0]]), boundary_distance=float(R[idx[0]]))
         # redo escaped steps (possible only on coarse grids, off the collar)
-        # in two bridge halves; row k of its group takes row k of the draw
-        k = _group_ranks(group)[idx]
+        # in two bridge halves; batch path k takes row k of the draw
+        k = rows[idx]
         z = streams.guard(node, 4096 + depth).standard_normal((k.max() + 1, dB_i.shape[1]))[k]
         half1 = 0.5 * dB_i[idx] + 0.5 * np.sqrt(dt) * z
         half2 = dB_i[idx] - half1
-        sub = (streams, node, rows[idx], group[idx], depth + 1)
+        sub = (streams, node, k, depth + 1)
         x1, dl1, dc1 = _step_curved_penalized(model, a[idx], x[idx], half1, dt / 2, *sub)
         x2, dl2, dc2 = _step_curved_penalized(model, a[idx], x1, half2, dt / 2, *sub)
         new[idx] = x2
@@ -317,15 +295,15 @@ def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, group=Non
 
 
 def _grid_rows(a_grid, n_paths):
-    """Rows of an a-grid run, a-major: each row's value of a, its group (the
-    index of that a in the grid) and its path, after checking the grid."""
+    """Rows of an a-grid run, a-major: each row's value of a and its path,
+    after checking the grid."""
     a_grid = np.asarray(a_grid, dtype=float).reshape(-1)
     if a_grid.size == 0:
         raise ValueError("a_grid must be nonempty")
     if not (a_grid > 0).all():
         raise ValueError("a must be positive")
     G = a_grid.size
-    return np.repeat(a_grid, n_paths), np.repeat(np.arange(G), n_paths), np.tile(np.arange(n_paths), G)
+    return np.repeat(a_grid, n_paths), np.tile(np.arange(n_paths), G)
 
 
 def _checked_inputs(model, x0, dB, grid):
@@ -353,16 +331,20 @@ def integrate_penalized_grid(
     on one shared driver; returns dict of arrays with a leading a axis.
 
     dB has shape (P, N, m).  Output: points (G, P, N+1, d), R (G, P, N+1),
-    L (G, P, N+1) (left-endpoint accumulation of the drift magnitude) and
-    C (G, P, N+1) (the same for the damping rate), G = len(a_grid).  All
-    G * P rows share one node loop.  The rows of one a form one group of the
-    guarded walk, so entry k equals the one-a run at ``a_grid[k]`` bit for bit.
+    L (G, P, N+1) (accumulated drift magnitude times dt: at the implicit
+    point in the collar, at the left endpoint elsewhere) and C (G, P, N+1)
+    (the same for the damping rate), G = len(a_grid).  All G * P rows share
+    one node loop, and every row is stepped on its own, so entry k equals the
+    one-a run at ``a_grid[k]`` bit for bit and a path does not depend on the
+    other paths of the batch (except through the bridge-halving draws of an
+    off-collar curved step that leaves the domain, keyed by batch row, which
+    only coarse grids need).
     """
     dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
     if not R0 > 0:
         raise ValueError("start point must lie in the interior")
     P, N, _ = dB.shape
-    a_rows, group, paths = _grid_rows(a_grid, P)
+    a_rows, paths = _grid_rows(a_grid, P)
     G = np.size(a_grid)
     dt = grid.dt
     d = model.dim
@@ -383,7 +365,7 @@ def integrate_penalized_grid(
     L = np.zeros(G * P)
     C = np.zeros(G * P)
     for i in range(N):
-        x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, streams, i, paths, group)
+        x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, streams, i, paths)
         L += dL
         C += dC
         points[:, i + 1] = x
@@ -405,9 +387,8 @@ def integrate_penalized_batch(
     """Euler-Maruyama with boundary-repelling drift; returns dict of arrays.
 
     dB has shape (P, N, m).  Output: points (P, N+1, d), R (P, N+1),
-    L (P, N+1) (left-endpoint accumulation of the drift magnitude) and
-    C (P, N+1) (the same for the damping rate): the one-a case of
-    :func:`integrate_penalized_grid`.
+    L (P, N+1) (accumulated drift magnitude) and C (P, N+1) (accumulated
+    damping rate): the one-a case of :func:`integrate_penalized_grid`.
     """
     out = integrate_penalized_grid(model, (a,), x0, dB, grid, aux_seed)
     return {key: v[0] for key, v in out.items()}

@@ -401,3 +401,12 @@ def test_engine_matches_node_by_node_engine(model, x0, horizon):
             for key in old:
                 assert new[key].shape == old[key].shape
                 assert np.max(np.abs(new[key] - old[key])) <= 1e-12, (collect, key)
+
+
+def test_engine_rejects_unknown_collect():
+    from rbmlab.damped import _damped_engine
+
+    model = geo.half_line()
+    points = np.full((2, 4, 1), 0.5)
+    with pytest.raises(ValueError, match="unknown collect 'norm'"):
+        _damped_engine(model, points, None, 0.1, np.zeros((2, 3)), collect="norm")

@@ -11,8 +11,11 @@ import sys
 import numpy as np
 import pytest
 
+from rbmlab import cli
 from rbmlab import geometry as geo
-from rbmlab import harness
+from rbmlab import harness, stepping
+from rbmlab.errors import IntegrationError
+from rbmlab.grids import driver_block
 from rbmlab.harness import ExperimentConfig, ResultRow, local_time_tv, sp_distance
 
 
@@ -164,6 +167,21 @@ def test_projection_smoke():
     assert by_a[0.025] < by_a[0.1]
 
 
+def test_norm_bound_runs_where_the_sub_step_walk_gave_up():
+    # the benchmark's cap norm-bound sweep at master seed 12002, where the
+    # guarded sub-step walk of the collar ran out of its budget at a = 0.0125
+    theta0 = np.pi / 3
+    cfg = ExperimentConfig(
+        kind="norm-bound", model=f"cap:theta0={theta0}", horizon=0.1, steps=200,
+        a_grid=(0.05, 0.0125), n_paths=200, x0=(theta0 - 0.15, 0.0), master_seed=12002,
+    )
+    assert max(r.value for r in harness.run_experiment(cfg)) <= 1e-6
+    model = geo.parse_model(cfg.model)
+    dB = driver_block(cfg.grid, model.frame_count, cfg.master_seed, 0, cfg.n_paths)
+    out = stepping.integrate_penalized_grid(model, cfg.a_grid, cfg.x0, dB, cfg.grid, aux_seed=cfg.master_seed + 1)
+    assert (out["R"] > 0).all()
+
+
 def _run_cli(*args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "rbmlab.cli", *args],
@@ -173,18 +191,29 @@ def _run_cli(*args, timeout=300):
     )
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     r = _run_cli("sweep", "--kind", "local-time", "--a-grid", "0.1,0.2")
     assert r.returncode == 2
     r = _run_cli("sweep")  # missing kind
     assert r.returncode == 2
     r = _run_cli("report", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv"))
     assert r.returncode == 4
-    # a << sqrt(dt): the guarded walk runs out of sub-steps, and the numeric
-    # error names the node, a, the path and its boundary distance
+    # a << sqrt(dt): the drift-implicit step keeps the path inside
     r = _run_cli("simulate", "--model", "half-line", "--a", "0.0015", "--steps", "1000", "--x0", "0.01")
-    assert r.returncode == 3
-    assert re.search(r"substep budget exhausted \(node=\d+, a=0\.0015, path=0, R=[0-9.e-]+\)", r.stderr), r.stderr
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0].split(",")[:3] == ["t", "x1", "R"] and len(lines) == 1002
+    assert all(float(line.split(",")[2]) > 0 for line in lines[1:])
+    # a step that fails exits 3, and the numeric error names the node, a,
+    # the path and its boundary distance
+    def failing(*args, **kwargs):
+        raise IntegrationError("implicit step did not converge", node_index=7, a=0.0015, path_index=0,
+                               boundary_distance=0.01)
+
+    monkeypatch.setattr(cli, "integrate_penalized", failing)
+    assert cli.main(["simulate", "--model", "half-line", "--a", "0.0015", "--steps", "1000", "--x0", "0.01"]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"numeric error: implicit step did not converge \(node=7, a=0\.0015, path=0, R=0\.01\)", err), err
 
 
 def test_cli_sweep_report_roundtrip(tmp_path):
@@ -249,19 +278,20 @@ def test_smoke_config_is_fast():
 # whose a/sqrt(dt) reaches into the stiff regime, recorded before the
 # penalized integrators stepped the a-grid as one batch.  f-normal and
 # transport were re-recorded when cap transport became a closed-form angle
-# and the damped engine a product of step matrices (values moved by <= 1e-15).
+# and the damped engine a product of step matrices (values moved by <= 1e-15),
+# and every kind but norm-bound when the collar step became drift-implicit.
 _A_KIND_CASES = {
     "halfline-penalization": (
         dict(model="half-line", horizon=0.2, steps=400, a_grid=(0.05, 0.0125, 0.00625), n_paths=24, x0=(0.05,)),
-        "a804e9be6600880635d57ecb6dff29fb06426a753fbaa3fc03b0b3524c3f035d",
+        "b9d3cc18418250bbc6054b0b302544ed23dd78e8b9548b3a9656cce49e46b202",
     ),
     "sp-convergence": (
         dict(model="disk", horizon=0.2, steps=200, a_grid=(0.1, 0.025, 0.0125), n_paths=24, x0=(0.9, 0.0)),
-        "2c0834fb9fb451c70b0fc44be44bd0347c87efe6ec810e836e872aa27dfb413c",
+        "ad26e4cc32a6bc64a99186eec9b754f280f2aef082ca46f1ffc9075d1f34f970",
     ),
     "local-time": (
         dict(model="half-line", horizon=0.2, steps=400, a_grid=(0.05, 0.0125, 0.00625), n_paths=24, x0=(0.05,)),
-        "007132471c131ebd669f70874abff5cc948931adba796b1d96e1dbe226a0d717",
+        "684343d11e9886ed8e4b689a1b8c2f56e84b17010b6b9d72af5464340964299c",
     ),
     "norm-bound": (
         dict(model=f"cap:theta0={np.pi / 3}", horizon=0.1, steps=100, a_grid=(0.05, 0.025, 0.0125), n_paths=16,
@@ -270,16 +300,16 @@ _A_KIND_CASES = {
     ),
     "f-normal": (
         dict(model="half-line", horizon=0.2, steps=200, a_grid=(0.05, 0.025, 0.0125), n_paths=16, x0=(0.05,)),
-        "63d3bfc1b4bd9f350be49589911222dfefebe73f3f86e2ccd2551c2c253380b3",
+        "acaa90fc594f66c07e31ae18eff6a5bbb564f63ffa02611fba317e7b446f460c",
     ),
     "transport": (
         dict(model=f"cap:theta0={np.pi / 3}", horizon=0.1, steps=100, a_grid=(0.05, 0.025, 0.0125), n_paths=16,
              x0=(np.pi / 3 - 0.1, 0.0)),
-        "17bd249af10a58d8c10da6ec78e9e64fa59bb316021c10cdf457b8039fe741aa",
+        "a2d2534ce1eb80e4078f46c9c7b713cb77c1423382328fb30aeea8fc18d6d236",
     ),
     "projection": (
         dict(model="disk", horizon=0.2, steps=200, a_grid=(0.1, 0.025, 0.0125), n_paths=24, x0=(0.9, 0.0)),
-        "5c1b07aebdb35b7eda0026e978a3871d887b8ec27c6c59a1192f3e763e18a33f",
+        "650c3c9f23301ba8fc78e5326f502b640d2c05532f92ee60c1f8a30fa1632c70",
     ),
 }
 

@@ -157,17 +157,18 @@ def test_disk_and_cap_positivity():
 
 
 def test_collar_brownian_part_bit_identical():
-    """Unguarded steps: the radial increment minus its drift part is exactly
-    driver component 1, the coupling device shared with the reflected run."""
+    """The radial increment minus its drift part, read at the implicit point
+    (the step's end), is exactly driver component 1, the coupling device
+    shared with the reflected run."""
     model = geo.half_line()
     grid = TimeGrid(0.25, 250)
     driver = DriverPath.generate(grid, 1, seed=33)
     a = 0.05
     path = integrate_penalized(model, a, [1.5], driver, grid)
     R = path.boundary_dist
-    if np.min(R) < 0.5:  # keep the probe in the unguarded regime
+    if np.min(R) < 0.5:  # keep the probe where the drift part is far below the state
         pytest.skip("driver reached the stiff zone for this seed")
-    drift = tanh_drift_magnitude(a, R[:-1])
+    drift = tanh_drift_magnitude(a, R[1:])
     recovered = np.diff(R) - drift * grid.dt
     # the shared increments are recovered up to one rounding of the state sum
     assert np.max(np.abs(recovered - driver.increments[:, 0])) <= 1e-15

@@ -1,13 +1,10 @@
-"""The guarded collar walk and the curved chart step, pinned bit for bit
-against the code they replaced.
+"""The drift-implicit collar step and the curved chart step.
 
-``_frozen_collar_walk`` and ``_frozen_survival_walk`` are the full-array
-walks that ``stepping`` and ``skorohod1d`` each carried before they were
-merged into ``stepping.guarded_walk``, kept verbatim (fresh ``guard_stream``
-generator per attempt, every path stepped until the slowest finishes) as the
-reference the merged walk must reproduce.  ``_frozen_penalized_curved`` and
-``_frozen_reflected_curved`` are the two curved-chart integrators, each with
-its own disk and cap region split, that ``stepping._chart_step`` replaced.
+``_frozen_penalized_curved`` and ``_frozen_reflected_curved`` are the two
+curved-chart integrators, each with its own disk and cap region split, that
+``stepping._chart_step`` replaced, pinned bit for bit; the penalized one
+moves its collar rows by ``stepping.implicit_step`` and keys its
+bridge-halving draws by batch path, as the integrator does.
 """
 from __future__ import annotations
 
@@ -21,10 +18,9 @@ from rbmlab import geometry as geo
 from rbmlab import skorohod1d as sk
 from rbmlab import stepping
 from rbmlab.errors import IntegrationError
-from rbmlab.grids import SeedStreams, TimeGrid, driver_block, guard_stream
-from rbmlab.skorohod1d import EulerScheme
+from rbmlab.grids import SeedStreams, TimeGrid, driver_block
 
-# -- frozen reference walks ---------------------------------------------------
+# -- frozen references --------------------------------------------------------
 
 
 def _frozen_tanh_drift_magnitude(a, R):
@@ -45,96 +41,6 @@ def _frozen_damping_rate(a, R):
     ez = np.exp(np.where(small, -np.inf, -z))
     tail = (8.0 / a**2) * (ez + ez**3) / (1.0 - ez * ez) ** 2
     return np.where(small, direct, tail)
-
-
-def _frozen_collar_walk(model, a, R0, w_total, h_total, seed, node, max_substeps=200, max_bisect=20):
-    R = np.asarray(R0, dtype=float).copy()
-    rem = np.full_like(R, h_total)
-    w = np.asarray(w_total, dtype=float).copy()
-    L_inc = np.zeros_like(R)
-    C_inc = np.zeros_like(R)
-    attempt = 0
-    for _ in range(max_substeps):
-        active = rem > 0
-        if not active.any():
-            return R, L_inc, C_inc
-        mag = _frozen_tanh_drift_magnitude(a, np.maximum(R, 1e-300))
-        drift = mag + 0.5 * geo.laplacian_R_of_R(model, np.maximum(R, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h_cap = np.where(np.abs(drift) > 0, 0.5 * R / np.abs(drift), np.inf)
-        h = np.minimum(rem, h_cap)
-        h = np.maximum(h, rem * 2.0**-max_bisect)
-        safe_rem = np.where(rem > 0, rem, 1.0)
-        theta = np.where(active, h / safe_rem, 0.0)
-        z = guard_stream(seed, node, attempt).standard_normal(R.size)
-        attempt += 1
-        bridge = theta * w + np.sqrt(np.maximum(theta * (1.0 - theta), 0.0) * rem) * z
-        delta = np.where(theta >= 1.0, w, bridge)
-        prop = R + drift * h + delta
-        bad = (prop <= 0) & active
-        level = 0
-        while bad.any():
-            if level >= max_bisect:
-                raise IntegrationError("positivity guard exhausted", node_index=node)
-            h = np.where(bad, 0.5 * h, h)
-            theta = np.where(active, h / safe_rem, 0.0)
-            z = guard_stream(seed, node, attempt).standard_normal(R.size)
-            attempt += 1
-            bridge = theta * w + np.sqrt(np.maximum(theta * (1.0 - theta), 0.0) * rem) * z
-            delta = np.where(bad, np.where(theta >= 1.0, w, bridge), delta)
-            prop = np.where(bad, R + drift * h + delta, prop)
-            bad = (prop <= 0) & active
-            level += 1
-        L_inc = np.where(active, L_inc + mag * h, L_inc)
-        C_inc = np.where(active, C_inc + _frozen_damping_rate(a, np.maximum(R, 1e-300)) * h, C_inc)
-        R = np.where(active, prop, R)
-        w = np.where(active, w - delta, w)
-        rem = np.where(active, np.maximum(rem - h, 0.0), rem)
-    raise IntegrationError("substep budget exhausted", node_index=node)
-
-
-def _frozen_survival_walk(state, w_total, h_total, a, scheme, node):
-    r = state.copy()
-    rem = np.full_like(r, h_total)
-    w = w_total.copy()
-    attempt = 0
-    for _ in range(scheme.max_substeps):
-        active = rem > 0
-        if not active.any():
-            return r
-        drift = np.zeros_like(r)
-        drift[active] = sk.penalized_drift_1d(a, r[active])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h_cap = np.where(drift > 0, 0.5 * r / drift, np.inf)
-        h = np.minimum(rem, h_cap)
-        h = np.maximum(h, rem * 2.0**-scheme.max_bisections)
-        theta = np.where(active, h / np.where(rem > 0, rem, 1.0), 0.0)
-        z = guard_stream(scheme.aux_seed, node, attempt).standard_normal(r.size)
-        attempt += 1
-        full = theta >= 1.0
-        th = np.minimum(theta, 1.0)
-        delta = np.where(full, w, th * w + np.sqrt(th * (1.0 - th) * rem) * z)
-        prop = r + drift * h + delta
-        bad = (prop <= 0) & active
-        level = 0
-        while bad.any():
-            if level >= scheme.max_bisections:
-                raise IntegrationError("positivity guard exhausted", node_index=node)
-            h = np.where(bad, 0.5 * h, h)
-            theta = np.where(active, h / np.where(rem > 0, rem, 1.0), 0.0)
-            z = guard_stream(scheme.aux_seed, node, attempt).standard_normal(r.size)
-            attempt += 1
-            full = theta >= 1.0
-            th = np.minimum(theta, 1.0)
-            delta_new = np.where(full, w, th * w + np.sqrt(th * (1.0 - th) * rem) * z)
-            delta = np.where(bad, delta_new, delta)
-            prop = np.where(bad, r + drift * h + delta, prop)
-            bad = (prop <= 0) & active
-            level += 1
-        r = np.where(active, prop, r)
-        w = np.where(active, w - delta, w)
-        rem = np.where(active, np.maximum(rem - h, 0.0), rem)
-    raise IntegrationError("substep budget exhausted", node_index=node)
 
 
 def _frozen_disk_noise(x, dB, beta_sqrt, comp_sqrt):
@@ -170,7 +76,7 @@ def _frozen_step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, de
             idx = collar
             r = 1.0 - R[idx]
             ang = np.arctan2(x[idx, 1], x[idx, 0]) + dB_i[idx, 1] / r
-            R_new, (dl, dc) = stepping.guarded_walk(R[idx], dB_i[idx, 0], dt, a, rates, streams, node, rows[idx])
+            R_new, (dl, dc) = stepping.implicit_step(R[idx], dB_i[idx, 0], dt, a, rates, node, rows[idx])
             new[idx, 0] = (1.0 - R_new) * np.cos(ang)
             new[idx, 1] = (1.0 - R_new) * np.sin(ang)
             dL[idx] = dl
@@ -190,7 +96,7 @@ def _frozen_step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, de
         both = collar & near
         if both.any():
             idx = both
-            R_new, (dl, dc) = stepping.guarded_walk(R[idx], dB_i[idx, 0], dt, a, rates, streams, node, rows[idx])
+            R_new, (dl, dc) = stepping.implicit_step(R[idx], dB_i[idx, 0], dt, a, rates, node, rows[idx])
             new[idx, 0] = model.theta0 - R_new
             new[idx, 1] = x[idx, 1] + dB_i[idx, 1] / np.sin(theta[idx])
             dL[idx] = dl
@@ -223,7 +129,8 @@ def _frozen_step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, de
         if depth >= 20:
             raise IntegrationError("positivity guard exhausted", node_index=node, a=a,
                                    path_index=int(rows[idx[0]]), boundary_distance=float(R[idx[0]]))
-        z = streams.guard(node, 4096 + depth).standard_normal(dB_i.shape)[idx]
+        k = rows[idx]
+        z = streams.guard(node, 4096 + depth).standard_normal((k.max() + 1, dB_i.shape[1]))[k]
         half1 = 0.5 * dB_i[idx] + 0.5 * np.sqrt(dt) * z
         half2 = dB_i[idx] - half1
         x1, dl1, dc1 = _frozen_step_curved_penalized(
@@ -309,97 +216,57 @@ def _frozen_reflected_curved(model, x0, dB, grid):
     return res
 
 
-def _collar_walk(model, a, R0, w, dt, seed, node, **budgets):
-    rates = partial(stepping._collar_rates, model)
-    R, (dL, dC) = stepping.guarded_walk(R0, w, dt, a, rates, SeedStreams(seed), node, **budgets)
-    return R, dL, dC
-
-
 def _assert_same(new, old):
     for x, y in zip(new, old):
         assert np.array_equal(x, y)
 
 
-# -- the merged walk against the frozen ones ----------------------------------
+# -- the drift-implicit step --------------------------------------------------
 
 
-def test_halfline_walk_matches_frozen_along_paths():
-    # the stiff point of the benchmark's half-line sweeps: a/sqrt(dt) = 0.28
-    a, grid, seed = 0.00625, TimeGrid(0.1, 200), 45
-    dB = driver_block(grid, 1, seed=44, first_path=0, n_paths=32)
-    out = stepping.integrate_penalized_batch(geo.half_line(), a, [0.02], dB, grid, aux_seed=seed)
-    R, L, C = np.full(32, 0.02), np.zeros(32), np.zeros(32)
-    for i in range(grid.steps):
-        R, dL, dC = _frozen_collar_walk(geo.half_line(), a, R, dB[:, i, 0], grid.dt, seed, i)
-        L, C = L + dL, C + dC
-        assert np.array_equal(out["R"][:, i + 1], R)
-        assert np.array_equal(out["L"][:, i + 1], L)
-        assert np.array_equal(out["C"][:, i + 1], C)
-    assert L.max() > 0.01  # the paths did work the boundary layer
+def _random_steps(R_max, n, seed):
+    """States from deep in the boundary layer to R_max, increments up to
+    several sqrt(dt) either way, and a from well below sqrt(dt) to above it."""
+    rng = np.random.default_rng(seed)
+    dt = 1e-3
+    R0 = R_max * (1e-9 + rng.uniform(0.0, 1.0, n) ** 3)
+    w = np.sqrt(dt) * rng.standard_normal(n) * rng.uniform(0.0, 3.0, n)
+    a = 10.0 ** rng.uniform(-3.5, -0.5, n)
+    return R0, w, dt, a
 
 
-@pytest.mark.parametrize("model", [geo.flat_disk(), geo.spherical_cap(np.pi / 3)], ids=["disk", "cap"])
-def test_collar_subset_matches_frozen(model):
-    rng = np.random.default_rng(3)
-    a, dt = 0.0125, 1e-4
-    R = rng.uniform(0.0, 1.5 * model.tubular_radius, size=250) ** 2 / model.tubular_radius
-    w = rng.normal(0.0, np.sqrt(dt), size=250)
-    collar = np.flatnonzero(R < model.tubular_radius)
-    assert 0 < collar.size < R.size
-    for node in (0, 7):
-        new = _collar_walk(model, a, R[collar], w[collar], dt, 11, node)
-        _assert_same(new, _frozen_collar_walk(model, a, R[collar], w[collar], dt, 11, node))
-
-
-def test_forced_bisection_matches_frozen():
-    model, a, dt = geo.half_line(), 0.05, 5e-4
-    R = np.array([0.5, 0.004, 0.3, 0.002])
-    w = np.array([0.01, -0.02, -0.35, -0.015])
-    # path 2's drift is too weak to stop a full step crossing zero, so the
-    # walk must bisect
-    with pytest.raises(IntegrationError, match="positivity guard exhausted"):
-        _collar_walk(model, a, R, w, dt, 5, 3, max_bisect=0)
-    _assert_same(_collar_walk(model, a, R, w, dt, 5, 3), _frozen_collar_walk(model, a, R, w, dt, 5, 3))
-
-
-@pytest.mark.parametrize("aux_seed", [0, 2**64 + 5])
-def test_survival_drift_paths_match_frozen(aux_seed):
-    dt = 5e-4
-    dW = driver_block(TimeGrid(0.1, 200), 1, seed=42, first_path=0, n_paths=16)[:, :, 0]
-    scheme = EulerScheme(aux_seed=aux_seed)
-    for a in (0.05, 0.00625):
-        X = sk.penalized_paths_1d(a, 0.05, dW, dt, scheme)
-        state = np.full(16, 0.05)
-        for i in range(dW.shape[1]):
-            state = _frozen_survival_walk(state, dW[:, i], dt, a, scheme, i)
-            assert np.array_equal(X[:, i + 1], state)
-
-
-def test_budget_raise_matches_frozen():
-    # the old loop raises when its last budgeted sub-step finishes the last
-    # path, as it tests for unfinished paths only at the top of a sub-step
-    model, a, dt = geo.half_line(), 0.00625, 5e-4
-    R, w = np.array([0.3, 0.001]), np.array([0.01, 0.002])
-    calls = []
-
-    def counting(a, R):
-        calls.append(R.size)
-        return stepping._collar_rates(model, a, R)
-
-    stepping.guarded_walk(R, w, dt, a, counting, SeedStreams(1), 0)
-    used = len(calls)
-    assert used > 2
-    for budget in (used - 1, used):
-        with pytest.raises(IntegrationError, match="substep budget exhausted"):
-            _frozen_collar_walk(model, a, R, w, dt, 1, 0, max_substeps=budget)
-        with pytest.raises(IntegrationError, match="substep budget exhausted") as exc:
-            _collar_walk(model, a, R, w, dt, 1, 0, max_substeps=budget)
-        assert (exc.value.node_index, exc.value.a, exc.value.path_index) == (0, a, 1)
-        assert exc.value.boundary_distance == 0.001
-    _assert_same(
-        _collar_walk(model, a, R, w, dt, 1, 0, max_substeps=used + 1),
-        _frozen_collar_walk(model, a, R, w, dt, 1, 0, max_substeps=used + 1),
-    )
+@pytest.mark.parametrize(
+    "model", [geo.half_line(), geo.flat_disk(), geo.spherical_cap(np.pi / 3), None],
+    ids=["half-line", "disk", "cap", "survival"],
+)
+def test_implicit_root_residual(model):
+    # the root r > 0 of r - dt b(r) = R0 + w: for the collar up to a few
+    # roundings of that sum, with its increments the rates at the root to
+    # the solver's tolerance; for the survival drift (no increments) within
+    # 1e-11 r
+    if model is None:
+        rates = sk._survival_rates
+        R0, w, dt, a = _random_steps(1.0, 20_000, 4)
+    else:
+        rates = partial(stepping._collar_rates, model)
+        R0, w, dt, a = _random_steps(model.tubular_radius, 20_000, 4)
+    R, incs = stepping.implicit_step(R0, w, dt, a, rates)
+    assert np.all(R > 0)
+    y = R0 + w
+    drift, slope, *vals = rates(a, R)
+    residual = R - dt * drift - y
+    if model is None:
+        assert np.all(np.abs(residual / (1.0 - dt * slope)) <= 1e-11 * R)
+    else:
+        assert np.all(np.abs(residual) <= 8 * np.finfo(float).eps * (np.abs(R) + np.abs(y) + dt * np.abs(drift)))
+    assert len(incs) == len(vals)
+    for inc, v in zip(incs, vals):
+        assert np.allclose(inc, v * dt, rtol=1e-7, atol=0)
+    # the same rows one by one: no row depends on its batch-mates
+    for j in range(0, R.size, 997):
+        alone, alone_incs = stepping.implicit_step(R0[j : j + 1], w[j : j + 1], dt, a[j : j + 1], rates)
+        assert alone[0] == R[j]
+        assert [v[0] for v in alone_incs] == [v[j] for v in incs]
 
 
 _CAP = geo.spherical_cap(np.pi / 3)
@@ -451,19 +318,73 @@ def test_reflected_curved_paths_do_not_depend_on_their_chunk(model, x0):
             assert np.array_equal(alone[key][0], batch[key][row])
 
 
-# -- behaviour the frozen walks did not have ----------------------------------
+class _NoBridgeStreams(SeedStreams):
+    """Seed streams whose bridge-halving draws fail the test."""
+
+    def guard(self, node, attempt):
+        raise AssertionError(f"bridge halving at node {node}")
+
+
+_STIFF_STARTS = [(geo.half_line(), (0.02,)), (geo.flat_disk(), (0.98, 0.0)), (_CAP, (np.pi / 3 - 0.02, 0.0))]
+
+
+@pytest.mark.parametrize("model,x0", _STIFF_STARTS, ids=["half-line", "disk", "cap"])
+def test_penalized_paths_do_not_depend_on_their_chunk(monkeypatch, model, x0):
+    # a/sqrt(dt) = 0.22, a stiff boundary layer; no step of this grid leaves
+    # the domain, so no bridge-halving draw (keyed by batch row) is made
+    monkeypatch.setattr(stepping, "SeedStreams", _NoBridgeStreams)
+    grid, m, a = TimeGrid(0.5, 250), model.frame_count, 0.01
+    batch = stepping.integrate_penalized_batch(model, a, x0, driver_block(grid, m, 12, 0, 60), grid, aux_seed=3)
+    assert (batch["L"][:, -1] > 1.0).any()
+    for row in (0, 17, 59):
+        alone = stepping.integrate_penalized_batch(model, a, x0, driver_block(grid, m, 12, row, 1), grid, aux_seed=3)
+        for key in batch:
+            assert np.array_equal(alone[key][0], batch[key][row])
+
+
+def test_survival_paths_do_not_depend_on_their_chunk():
+    grid, a = TimeGrid(0.5, 250), 0.01
+    batch = sk.penalized_paths_1d(a, 0.02, driver_block(grid, 1, 12, 0, 60)[:, :, 0], grid.dt)
+    for row in (0, 17, 59):
+        alone = sk.penalized_paths_1d(a, 0.02, driver_block(grid, 1, 12, row, 1)[:, :, 0], grid.dt)
+        assert np.array_equal(alone[0], batch[row])
+
+
+@pytest.mark.parametrize(
+    "model,x0,a,dt",
+    [
+        (geo.half_line(), (0.01,), 0.003125, 1e-3),
+        (geo.half_line(), (0.01,), 0.0016, 1e-4),
+        (geo.flat_disk(), (0.99, 0.0), 0.003, 1e-3),
+        (_CAP, (np.pi / 3 - 0.01, 0.0), 0.003, 1e-3),
+    ],
+    ids=["half-line", "half-line-fine", "disk", "cap"],
+)
+def test_small_a_runs_with_positive_R(model, x0, a, dt):
+    # a about sqrt(dt) / 10, where the guarded sub-step walk ran out of its budget
+    grid = TimeGrid(1000 * dt, 1000)
+    dB = driver_block(grid, model.frame_count, seed=8, first_path=0, n_paths=100)
+    out = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=9)
+    assert np.all(out["R"] > 0)
+    assert np.all(np.isfinite(out["L"])) and out["L"][:, -1].min() > 0
+    if model.id == geo.HALF_LINE:
+        X = sk.penalized_paths_1d(a, x0[0], dB[:, :, 0], dt)
+        assert np.all(X > 0)
+
+
+# -- rates, warnings, empty batches and errors --------------------------------
 
 
 def test_stiff_halfline_step_emits_no_warning():
     # far from the boundary both drifts are subnormal (2R/a = 736 for the
-    # tanh drift, x^2/2a = 720 for the survival drift), where the step cap
-    # 0.5 R / |drift| overflows to inf; near it the walk sub-steps
+    # tanh drift, x^2/2a = 720 for the survival drift); near it the step
+    # solves for a root a few a from the boundary
     a, dt = 0.00625, 5e-4
     R = np.array([2.3, 0.5, 0.01, 1e-4])
     w = np.array([0.02, -0.01, -0.02, 0.01])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        R_new, dL, dC = _collar_walk(geo.half_line(), a, R, w, dt, 2, 0)
+        R_new, (dL, dC) = stepping.implicit_step(R, w, dt, a, partial(stepping._collar_rates, geo.half_line()))
         X = sk.penalized_paths_1d(a, 3.0, w[None, :], dt)
     assert np.all(R_new > 0) and np.all(dL >= 0) and np.all(dC >= 0)
     assert np.all(X > 0)
@@ -500,20 +421,22 @@ def test_empty_batch():
 
 
 def test_integrate_penalized_batch_error_names_path_and_state():
-    # a << sqrt(dt): the walk runs out of sub-steps near the boundary
-    grid, a = TimeGrid(1.0, 1000), 0.0015
+    # a non-finite increment has no implicit root: the step raises, naming
+    # the node, a, the row and the row's state at the start of the step
+    grid, a, node = TimeGrid(1.0, 1000), 0.0015, 400
     for model, x0 in ((geo.half_line(), [0.01]), (geo.flat_disk(), [0.99, 0.0])):
         dB = driver_block(grid, model.frame_count, seed=8, first_path=0, n_paths=6)
+        clean = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=9)
+        path = int(np.argmin(clean["R"][:, node]))
+        assert clean["R"][path, node] < model.tubular_radius
+        dB[path, node, 0] = np.nan
         with pytest.raises(IntegrationError) as exc:
             stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=9)
         err = exc.value
-        assert err.a == a and 0 <= err.path_index < 6
+        assert (err.node_index, err.a, err.path_index) == (node, a, path)
         for field in ("node=", "a=", "path=", "R="):
             assert field in str(err)
-        # the run up to the failing node reaches the reported state in that row
-        head = TimeGrid(grid.dt * err.node_index, err.node_index)
-        ok = stepping.integrate_penalized_batch(model, a, x0, dB[:, : err.node_index], head, aux_seed=9)
-        assert ok["R"][err.path_index, -1] == err.boundary_distance
+        assert err.boundary_distance == clean["R"][path, node]
 
 
 @pytest.mark.parametrize(
@@ -528,29 +451,17 @@ def test_curved_error_maps_collar_subset_to_batch_row(model, theta):
         x = np.array([[theta, 0.0], [theta, 0.0], [model.theta0 - 0.001, 0.0]])
     dB = np.zeros((3, model.frame_count))
     dB[:, 0] = -0.03
-    with pytest.raises(IntegrationError, match="substep budget exhausted") as exc:
+    dB[2, 0] = np.nan
+    with pytest.raises(IntegrationError, match="non-finite increment") as exc:
         stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, SeedStreams(9), 0, np.arange(3))
     assert exc.value.path_index == 2
     assert exc.value.boundary_distance == geo.raw_boundary_distance(model, x)[2]
+    dB[2, 0] = -0.03  # a << sqrt(dt) and a step far across the boundary: the root is inside
+    new, dL, dC = stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, SeedStreams(9), 0, np.arange(3))
+    assert geo.raw_boundary_distance(model, new)[2] > 0 and dL[2] > 0.02
 
 
 # -- the a-grid stepped as one batch ------------------------------------------
-
-
-class _RecordedStreams(SeedStreams):
-    """Seed streams that log the (node, attempt) key of every guard draw."""
-
-    def __init__(self, seed, log):
-        super().__init__(seed)
-        self.log = log
-
-    def guard(self, node, attempt):
-        self.log.append((node, attempt))
-        return super().guard(node, attempt)
-
-
-def _recording(monkeypatch, log):
-    monkeypatch.setattr(stepping, "SeedStreams", lambda seed: _RecordedStreams(seed, log))
 
 
 def _assert_grid_matches_one_a(model, a_grid, x0, dB, grid, aux_seed):
@@ -564,43 +475,13 @@ def _assert_grid_matches_one_a(model, a_grid, x0, dB, grid, aux_seed):
     return stacked
 
 
-def test_halfline_grid_matches_one_a_runs(monkeypatch):
-    # a/sqrt(dt) from 2.2 down to 0.28: every a sub-steps and bisects near the
-    # boundary, each at its own nodes and attempts
+def test_halfline_grid_matches_one_a_runs():
+    # a/sqrt(dt) from 2.2 down to 0.28: every a solves near the boundary,
+    # each with its own number of Newton iterates
     a_grid, grid = (0.05, 0.025, 0.0125, 0.00625), TimeGrid(0.1, 200)
     dB = driver_block(grid, 1, seed=44, first_path=0, n_paths=16)
-    keys = {}
-    for a in a_grid:
-        keys[a] = []
-        _recording(monkeypatch, keys[a])
-        stepping.integrate_penalized_batch(geo.half_line(), a, [0.02], dB, grid, aux_seed=45)
-    drawing = [{node for node, _ in keys[a]} for a in a_grid]
-    assert set.union(*drawing) - set.intersection(*drawing)  # some a draw where others do not
-    stacked_keys = []
-    _recording(monkeypatch, stacked_keys)
-    _assert_grid_matches_one_a(geo.half_line(), a_grid, [0.02], dB, grid, 45)
-    # the grid call asks for the streams the one-a calls ask for, and no others
-    assert set(stacked_keys) == set().union(*(set(k) for k in keys.values()))
-
-
-def test_walk_groups_keep_their_own_attempt_counts():
-    # group 0 bisects (the rows of test_forced_bisection_matches_frozen); group
-    # 1 sub-steps with bridge splits on after group 0 has finished bisecting
-    model, dt = geo.half_line(), 5e-4
-    R0 = np.array([0.5, 0.004, 0.3, 0.002, 0.003, 0.001, 0.002])
-    w = np.array([0.01, -0.02, -0.35, -0.015, 0.01, -0.004, 0.006])
-    a = np.array([0.05] * 4 + [0.00625] * 3)
-    group = np.array([0] * 4 + [1] * 3)
-    rates = partial(stepping._collar_rates, model)
-    R, incs = stepping.guarded_walk(R0, w, dt, a, rates, SeedStreams(5), 3, rows=np.arange(7) % 4, group=group)
-    for g in (0, 1):
-        rows = group == g
-        alone = _collar_walk(model, float(a[rows][0]), R0[rows], w[rows], dt, 5, 3)
-        _assert_same([R[rows], incs[0][rows], incs[1][rows]], alone)
-    with pytest.raises(IntegrationError, match="positivity guard exhausted") as exc:
-        stepping.guarded_walk(R0, w, dt, a, rates, SeedStreams(5), 3, rows=np.arange(7) % 4, group=group,
-                              max_bisect=0)
-    assert (exc.value.a, exc.value.path_index, exc.value.boundary_distance) == (0.05, 2, 0.3)
+    stacked = _assert_grid_matches_one_a(geo.half_line(), a_grid, [0.02], dB, grid, 45)
+    assert stacked["L"][-1, :, -1].max() > 0.01  # the paths did work the boundary layer
 
 
 @pytest.mark.parametrize(
@@ -632,9 +513,11 @@ def test_curved_grid_matches_one_a_runs(monkeypatch, model, grid, x0, a_grid, co
         assert far.any() or model.id == geo.FLAT_DISK
 
 
-def test_grid_error_names_the_rows_own_a_and_path():
-    # only the smallest a runs out of sub-steps (a << sqrt(dt)), in the middle
-    # of the grid, so the failing row is neither the first row nor of the first a
+def test_grid_error_names_the_rows_own_a_and_path(monkeypatch):
+    # with at most 9 Newton iterates a step, only the smallest a runs out
+    # (a << sqrt(dt)), in the middle of the grid, so the failing row is
+    # neither the first row nor of the first a
+    monkeypatch.setattr(stepping, "_MAX_NEWTON", 9)
     grid = TimeGrid(1.0, 1000)
     for model, x0 in ((geo.half_line(), [0.01]), (geo.flat_disk(), [0.99, 0.0])):
         dB = driver_block(grid, model.frame_count, seed=8, first_path=0, n_paths=6)
@@ -645,6 +528,7 @@ def test_grid_error_names_the_rows_own_a_and_path():
         assert stacked.value.a == 0.0015
         assert str(stacked.value) == str(alone.value)
         assert 0 <= stacked.value.path_index < 6
+        stepping.integrate_penalized_grid(model, (0.1, 0.05), x0, dB, grid, aux_seed=9)
 
 
 def test_grid_rejects_bad_a():

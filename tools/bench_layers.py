@@ -1,13 +1,26 @@
-"""Per-layer timings of cap parallel transport and the damped engine.
+"""Per-layer timings of the penalized collar step, cap parallel transport
+and the damped engine.
 
-Times ``transport.transport_batch`` and ``damped._damped_engine`` in ns per
-path-step on the input of the ``eps-cauchy`` sweep of the ``sweeps``
-benchmark: reflected paths on ``cap:theta0=pi/2``, T=4, dt=2e-3 (2000 steps),
-one 200-path chunk at master seed 46, and the engine at each of the four
-excursion thresholds 0.2, 0.1, 0.05, 0.025.  Each layer is called once to
-warm up and then nine times; the record keeps the median and the
-quartiles over the repeats, with numpy, scipy and Python versions and
-``nproc``.  BLAS and OpenMP pools are pinned to one thread.
+Collar layer: ``stepping.integrate_penalized_grid`` and
+``skorohod1d.penalized_paths_1d_grid`` on the inputs of the ``sweeps``
+benchmark's penalized calls, in ns per path-step (a-grid rows x paths x
+steps): the half-line sweeps (x0=0.5, T=1, dt=5e-4, 32 paths, a-grid
+0.05/0.025/0.0125/0.00625, master seeds 44 for the collar and 42 for the
+survival-drift flow) and the disk sweep (x0=(0.5, 0), T=0.1, dt=1e-4, one
+250-path chunk, a-grid 0.1/0.05/0.025/0.0125, master seed 43).
+
+Transport and engine: ``transport.transport_batch`` and
+``damped._damped_engine`` on the input of the ``eps-cauchy`` sweep of the
+``sweeps`` benchmark: reflected paths on ``cap:theta0=pi/2``, T=4, dt=2e-3
+(2000 steps), one 200-path chunk at master seed 46, and the engine at each of
+the four excursion thresholds 0.2, 0.1, 0.05, 0.025.
+
+Each layer is called once to warm up and then nine times; the record keeps
+the median and the quartiles over the repeats, with numpy, scipy and Python
+versions and ``nproc``.  BLAS and OpenMP pools are pinned to one thread.
+The calls use only names and arguments that the penalized integrators have
+had since the a-grid became one batch, so one copy of this script measures
+an older tree as well.
 
 Run from the root of a checkout, with the rbmlab to measure on the path:
 
@@ -31,6 +44,11 @@ THETA0 = 1.5707963267948966  # pi / 2
 HORIZON, STEPS, PATHS, SEED = 4.0, 2000, 200, 46
 EPS_GRID = (0.2, 0.1, 0.05, 0.025)
 REPEATS = 9
+
+# the sweeps benchmark's half-line and disk inputs, and their master seeds
+HS_A, HS_HORIZON, HS_STEPS, HS_PATHS = (0.05, 0.025, 0.0125, 0.00625), 1.0, 2000, 32
+HS_SEED, HS_SEED_1D = 44, 42
+DISK_A, DISK_HORIZON, DISK_STEPS, DISK_PATHS, DISK_SEED = (0.1, 0.05, 0.025, 0.0125), 0.1, 1000, 250, 43
 
 
 def _quartiles(values):
@@ -59,6 +77,7 @@ def measure() -> dict:
     from rbmlab.damped import _damped_engine
     from rbmlab.grids import TimeGrid, driver_block
     from rbmlab.reflected import close_events, default_contact_threshold
+    from rbmlab.skorohod1d import penalized_paths_1d_grid
     from rbmlab.transport import transport_batch
 
     cap = geo.spherical_cap(THETA0)
@@ -77,14 +96,37 @@ def measure() -> dict:
 
     transport_s = _time(lambda: transport_batch(cap, points))
     engine_s = [t / len(EPS_GRID) for t in _time(engine_levels)]
+
+    hs_grid = TimeGrid(HS_HORIZON, HS_STEPS)
+    hs_dB = driver_block(hs_grid, 1, HS_SEED, 0, HS_PATHS)
+    hs_dW = driver_block(hs_grid, 1, HS_SEED_1D, 0, HS_PATHS)[:, :, 0]
+    disk = geo.flat_disk()
+    disk_grid = TimeGrid(DISK_HORIZON, DISK_STEPS)
+    disk_dB = driver_block(disk_grid, disk.frame_count, DISK_SEED, 0, DISK_PATHS)
+    hs_steps = len(HS_A) * HS_PATHS * HS_STEPS
+    disk_steps = len(DISK_A) * DISK_PATHS * DISK_STEPS
+    halfline_s = _time(lambda: stepping.integrate_penalized_grid(
+        geo.half_line(), HS_A, np.array([0.5]), hs_dB, hs_grid, HS_SEED + 1))
+    survival_s = _time(lambda: penalized_paths_1d_grid(HS_A, 0.5, hs_dW, hs_grid.dt))
+    disk_s = _time(lambda: stepping.integrate_penalized_grid(
+        disk, DISK_A, np.array([0.5, 0.0]), disk_dB, disk_grid, DISK_SEED + 1))
     return {
         "input": {
             "model": "cap:theta0=pi/2", "horizon": HORIZON, "steps": STEPS, "paths": PATHS,
             "master_seed": SEED, "eps_grid": list(EPS_GRID), "min_theta": float(points[..., 0].min()),
+            "collar": {
+                "half-line": {"x0": 0.5, "horizon": HS_HORIZON, "steps": HS_STEPS, "paths": HS_PATHS,
+                              "a_grid": list(HS_A), "master_seed": HS_SEED, "master_seed_1d": HS_SEED_1D},
+                "disk": {"x0": [0.5, 0.0], "horizon": DISK_HORIZON, "steps": DISK_STEPS, "paths": DISK_PATHS,
+                         "a_grid": list(DISK_A), "master_seed": DISK_SEED},
+            },
         },
         "ns_per_path_step": {
             "transport.transport_batch": _quartiles([1e9 * t / path_steps for t in transport_s]),
             "damped.engine": _quartiles([1e9 * t / path_steps for t in engine_s]),
+            "stepping.penalized.half-line": _quartiles([1e9 * t / hs_steps for t in halfline_s]),
+            "stepping.penalized.disk": _quartiles([1e9 * t / disk_steps for t in disk_s]),
+            "skorohod1d.penalized_paths_1d": _quartiles([1e9 * t / hs_steps for t in survival_s]),
         },
         "environment": {
             "nproc": os.cpu_count(),
