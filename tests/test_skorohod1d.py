@@ -316,10 +316,12 @@ def test_guard_exhaustion_raises():
     assert "node=1, a=0.01, path=1, R=" in str(err)
 
 
-def test_penalized_grid_matches_one_a_runs():
-    # a/sqrt(dt) from 2.2 down to 0.28: each a takes its own Newton iterates
+@pytest.mark.parametrize("driver_seed", [0, 2**64 + 5])
+def test_penalized_grid_matches_one_a_runs(driver_seed):
+    # a/sqrt(dt) from 2.2 down to 0.28: each a takes its own Newton iterates;
+    # the second driver seed is wider than 64 bits
     dt, a_grid = 5e-4, (0.05, 0.025, 0.0125, 0.00625)
-    dW = driver_block(TimeGrid(0.1, 200), 1, seed=42, first_path=0, n_paths=16)[:, :, 0]
+    dW = driver_block(TimeGrid(0.1, 200), 1, seed=driver_seed, first_path=0, n_paths=16)[:, :, 0]
     stacked = sk.penalized_paths_1d_grid(a_grid, 0.05, dW, dt)
     assert stacked.shape == (4, 16, 201)
     for k, a in enumerate(a_grid):
