@@ -67,6 +67,7 @@ _CONFIG_KEYS = {
     "x0": _parse_grid,
     "n": int,
     "dt": float,
+    "field": str,
 }
 
 
@@ -80,6 +81,23 @@ def _apply_config_file(args):
         if getattr(args, key, None) is None:
             setattr(args, key, _CONFIG_KEYS[key](raw))
     return args
+
+
+# Numeric options that must be positive, as flags or config-file keys.
+_POSITIVE_KEYS = ("T", "steps", "paths", "n", "dt", "p")
+
+
+def _check_positive(args):
+    for key in _POSITIVE_KEYS:
+        value = getattr(args, key, None)
+        if value is not None and not value > 0:
+            raise ValueError(f"{key} must be positive, got {value}")
+    return args
+
+
+def _given(value, default):
+    """An explicit option, zero included, else its default."""
+    return default if value is None else value
 
 
 def _add_common(p):
@@ -126,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     model = parse_model(args.model or "half-line")
-    grid = TimeGrid(args.T or 1.0, args.steps or 1000)
-    seed = args.seed or 0
+    grid = TimeGrid(_given(args.T, 1.0), _given(args.steps, 1000))
+    seed = _given(args.seed, 0)
     driver = DriverPath.generate(grid, model.frame_count, seed)
     x0 = np.asarray(args.x0, dtype=float) if args.x0 else default_start(model)
     if args.a is not None:
@@ -161,14 +179,14 @@ def _cmd_sweep(args) -> int:
     cfg = harness.ExperimentConfig(
         kind=args.kind,
         model=args.model or defaults.model,
-        horizon=args.T or defaults.horizon,
-        steps=args.steps or defaults.steps,
+        horizon=_given(args.T, defaults.horizon),
+        steps=_given(args.steps, defaults.steps),
         a_grid=tuple(args.a_grid) if args.a_grid else defaults.a_grid,
         eps_grid=tuple(args.eps_grid) if args.eps_grid else defaults.eps_grid,
         eta=args.eta,
-        n_paths=args.paths or defaults.n_paths,
-        p=args.p or defaults.p,
-        master_seed=args.seed if args.seed is not None else 0,
+        n_paths=_given(args.paths, defaults.n_paths),
+        p=_given(args.p, defaults.p),
+        master_seed=_given(args.seed, 0),
         x0=tuple(args.x0) if args.x0 else None,
         out=args.out,
     )
@@ -187,12 +205,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = parse_model(args.model or "half-space:d=1")
-    n = args.n or 10_000
-    dt = args.dt or 1e-3
-    T = args.T or 1.0
-    seed = args.seed or 0
+    n = _given(args.n, 10_000)
+    dt = _given(args.dt, 1e-3)
+    T = _given(args.T, 1.0)
+    seed = _given(args.seed, 0)
     x = np.asarray(args.x0, dtype=float) if args.x0 else default_start(model)
-    f = est.scalar_field(getattr(args, "field", None) or "gauss")
+    f = est.scalar_field(args.field or "gauss")
     # the 1-form under test is the differential of the selected field, so its
     # evolution is the gradient of the function solution
     phi = est.OneForm(f"{f.name}-grad", components=f.gradient, closed=True)
@@ -255,7 +273,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ARGUMENT if exc.code not in (0, None) else EXIT_OK
     try:
-        args = _apply_config_file(args) if hasattr(args, "config") else args
+        args = _check_positive(_apply_config_file(args))
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "sweep":

@@ -73,6 +73,10 @@ class ExperimentConfig:
                 raise ValueError("eps_grid must be strictly decreasing")
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
+        if self.eta is not None and not self.eta > 0:
+            raise ValueError("eta must be positive")
+        if not self.p > 0:
+            raise ValueError("p must be positive")
         return self
 
     @property
@@ -136,10 +140,15 @@ def _chunks(n: int, size: int):
         done += c
 
 
+# Paths a sweep runs per chunk.  Every path draws its own driver and every
+# integrator steps each row on its own, so the width moves no byte of a sweep
+# (but on coarse grids that take the bridge-halving branch).
+_CHUNK_PATHS = 250
+
 # Row-nodes one penalized integrator call may hold: the largest one-a call of
 # the acceptance sweeps (a 250-path chunk on 10,000 steps).  The a-grid is
 # stepped in groups of as many values of a as fit.
-_MAX_ROW_NODES = 250 * 10_001
+_MAX_ROW_NODES = _CHUNK_PATHS * 10_001
 
 
 def _a_groups(cfg: ExperimentConfig, paths: int):
@@ -147,15 +156,6 @@ def _a_groups(cfg: ExperimentConfig, paths: int):
     values of a as keep a call of ``paths`` paths within _MAX_ROW_NODES."""
     per_call = max(1, _MAX_ROW_NODES // (paths * (cfg.steps + 1)))
     return [cfg.a_grid[k : k + per_call] for k in range(0, len(cfg.a_grid), per_call)]
-
-
-def _penalized_runs(cfg: ExperimentConfig, model: ManifoldModel, x0, dB):
-    """(a, penalized run on the chunk's driver dB) for each a of the grid, in
-    grid order, whatever the split of the a-grid into calls."""
-    for group in _a_groups(cfg, dB.shape[0]):
-        runs = stepping.integrate_penalized_grid(model, group, x0, dB, cfg.grid, aux_seed=cfg.master_seed + 1)
-        for j, a in enumerate(group):
-            yield a, {key: v[j] for key, v in runs.items()}
 
 
 # -- elementary statistics ----------------------------------------------------
@@ -206,29 +206,61 @@ def _start_point(cfg: ExperimentConfig, model: ManifoldModel) -> np.ndarray:
     return default_start(model)
 
 
+def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, reflected=True, penalized=None):
+    """Coupled runs on the shared driver, one chunk of paths at a time.
+
+    Yields (chunk, ref, pens) per chunk: the chunk's slice of the paths, the
+    reflected run on its driver (None when ``reflected`` is false), and an
+    iterator of (a, penalized run) in grid order.  The iterator makes one call
+    ``penalized(group, x0, dB)`` per _a_groups slice as it is consumed, and
+    none when it is not; a call returns the group's runs in order, and the
+    default is the model's penalized integrator.
+    """
+    grid = cfg.grid
+    x0 = _start_point(cfg, model)
+    if penalized is None:
+
+        def penalized(group, x0, dB):
+            runs = stepping.integrate_penalized_grid(model, group, x0, dB, grid, aux_seed=cfg.master_seed + 1)
+            return [{key: v[j] for key, v in runs.items()} for j in range(len(group))]
+
+    def pens(dB):
+        for group in _a_groups(cfg, dB.shape[0]):
+            yield from zip(group, penalized(group, x0, dB))
+
+    for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
+        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
+        ref = stepping.integrate_reflected_batch(model, x0, dB, grid) if reflected else None
+        yield slice(first, first + c), ref, pens(dB)
+
+
+def _damped_along(model: ManifoldModel, run: dict, dt: float):
+    """The damped engine along one run, its transport frames computed once:
+    call it with the engine's keyword options.  A penalized run (one with a
+    damping series C) brings its damping increments."""
+    frames = None if model.is_flat_chart else transport_batch(model, run["points"])
+    dL = np.diff(run["L"], axis=1)
+    dC = np.diff(run["C"], axis=1) if "C" in run else None
+    return lambda **kw: _damped_engine(model, run["points"], frames, dt, dL, c_increments=dC, **kw)
+
+
 def _run_halfline_penalization(cfg: ExperimentConfig):
     """Softened 1-d flow vs the exact reflection: path gap and derivative gap."""
-    grid = cfg.grid
-    dt = grid.dt
-    x0 = float(_start_point(cfg, geo.half_line())[0])
+    dt = cfg.grid.dt
     sup_gap = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
     dflow_gap = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    for first, c in _chunks(cfg.n_paths, 250):
-        dB = driver_block(grid, 1, cfg.master_seed, first, c)[:, :, 0]
-        f = np.concatenate([np.zeros((c, 1)), np.cumsum(dB, axis=1)], axis=1)
-        h = np.maximum.accumulate(np.maximum(0.0, -(x0 + f)), axis=1)
-        g = x0 + f + h
-        alive = np.minimum.accumulate(x0 + f, axis=1) > 0.0  # node-level t < tau
-        for group in _a_groups(cfg, c):
-            for a, X in zip(group, sk1d.penalized_paths_1d_grid(group, x0, dB, dt)):
-                sup_gap[a][first : first + c] = np.abs(X - g).max(axis=1)
-                V = np.exp(
-                    np.concatenate(
-                        [np.zeros((c, 1)), np.cumsum(sk1d.penalized_drift_second_log(a, X[:, :-1]) * dt, axis=1)],
-                        axis=1,
-                    )
-                )
-                dflow_gap[a][first : first + c] = np.abs(V[:, :-1] - alive[:, :-1]).sum(axis=1) * dt
+
+    def flow(group, x0, dB):
+        return sk1d.penalized_paths_1d_grid(group, x0[0], dB[:, :, 0], dt)
+
+    for chunk, ref, pens in _chunk_runs(cfg, geo.half_line(), penalized=flow):
+        # R - L is x0 plus the driver up to the first hit: node-level t < tau
+        alive = np.minimum.accumulate(ref["R"] - ref["L"], axis=1) > 0.0
+        for a, X in pens:
+            sup_gap[a][chunk] = np.abs(X - ref["R"]).max(axis=1)
+            expo = np.zeros_like(X)
+            np.cumsum(sk1d.penalized_drift_second_log(a, X[:, :-1]) * dt, axis=1, out=expo[:, 1:])
+            dflow_gap[a][chunk] = np.abs(np.exp(expo[:, :-1]) - alive[:, :-1]).sum(axis=1) * dt
     rows = []
     for a in cfg.a_grid:
         q = _quantiles(sup_gap[a])
@@ -240,31 +272,12 @@ def _run_halfline_penalization(cfg: ExperimentConfig):
     return rows
 
 
-def _coupled_runs(cfg: ExperimentConfig, model: ManifoldModel, collect):
-    """Iterate chunks of coupled (reflected, penalized-per-a) runs.
-
-    collect(first, c, a, ref, pen) is called once per (chunk, a); penalized
-    outputs are discarded after each call of the integrator.
-    """
-    grid = cfg.grid
-    x0 = _start_point(cfg, model)
-    m = model.frame_count
-    for first, c in _chunks(cfg.n_paths, 250):
-        dB = driver_block(grid, m, cfg.master_seed, first, c)
-        ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-        for a, pen in _penalized_runs(cfg, model, x0, dB):
-            collect(first, c, a, ref, pen)
-
-
 def _run_sp_convergence(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
     sup_p = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-
-    def collect(first, c, a, ref, pen):
-        dist = geo.chart_distance(model, pen["points"], ref["points"])
-        sup_p[a][first : first + c] = dist.max(axis=1) ** cfg.p
-
-    _coupled_runs(cfg, model, collect)
+    for chunk, ref, pens in _chunk_runs(cfg, model):
+        for a, pen in pens:
+            sup_p[a][chunk] = geo.chart_distance(model, pen["points"], ref["points"]).max(axis=1) ** cfg.p
     rows = []
     for a in cfg.a_grid:
         m, e = _mean_stderr(sup_p[a])
@@ -277,12 +290,9 @@ def _run_local_time(cfg: ExperimentConfig):
     sup = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
     tv = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
     twice = np.empty(cfg.n_paths)
-
-    def collect(first, c, a, ref, pen):
-        chunk = slice(first, first + c)
-        sup[a][chunk], tv[a][chunk], twice[chunk] = local_time_tv(ref["L"], pen["L"])
-
-    _coupled_runs(cfg, model, collect)
+    for chunk, ref, pens in _chunk_runs(cfg, model):
+        for a, pen in pens:
+            sup[a][chunk], tv[a][chunk], twice[chunk] = local_time_tv(ref["L"], pen["L"])
     rows = []
     for a in cfg.a_grid:
         m, e = _mean_stderr(sup[a])
@@ -301,26 +311,15 @@ def _run_norm_bound(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
     if model.is_flat_chart:
         raise ValueError("norm-bound experiment targets the curved model")
-    grid = cfg.grid
-    x0 = _start_point(cfg, model)
+    dt = cfg.grid.dt
     worst = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    for first, c in _chunks(cfg.n_paths, 200):
-        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
-        for a, pen in _penalized_runs(cfg, model, x0, dB):
-            frames = transport_batch(model, pen["points"])
-            out = _damped_engine(
-                model,
-                pen["points"],
-                frames,
-                grid.dt,
-                np.diff(pen["L"], axis=1),
-                c_increments=np.diff(pen["C"], axis=1),
-                collect="norm2",
-            )
+    for chunk, _, pens in _chunk_runs(cfg, model, reflected=False):
+        for a, pen in pens:
+            norm2 = _damped_along(model, pen, dt)(collect="norm2")["norm2"]
             kappa_floor = geo._level_curvature(model, pen["points"][:, :-1])  # lower bound along the path
-            expo = -1.0 * grid.dt - 2.0 * kappa_floor * np.diff(pen["L"], axis=1)
-            bound = 2.0 * np.exp(np.concatenate([np.zeros((c, 1)), np.cumsum(expo, axis=1)], axis=1))
-            worst[a][first : first + c] = (out["norm2"] - bound).max(axis=1)
+            log_bound = np.zeros_like(pen["L"])
+            np.cumsum(-1.0 * dt - 2.0 * kappa_floor * np.diff(pen["L"], axis=1), axis=1, out=log_bound[:, 1:])
+            worst[a][chunk] = (norm2 - 2.0 * np.exp(log_bound)).max(axis=1)
     rows = []
     for a in cfg.a_grid:
         rows.append(
@@ -334,24 +333,17 @@ def _run_eps_cauchy(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
     grid = cfg.grid
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
-    x0 = _start_point(cfg, model)
     n_pairs = len(cfg.eps_grid) - 1
     gaps = [np.empty(cfg.n_paths) for _ in range(n_pairs)]
-    for first, c in _chunks(cfg.n_paths, 200):
-        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
-        ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-        frames = None if model.is_flat_chart else transport_batch(model, ref["points"])
+    for chunk, ref, _ in _chunk_runs(cfg, model):
         closes, dur = close_events(ref["R"], grid.times, eta)
-        dL = np.diff(ref["L"], axis=1)
+        engine = _damped_along(model, ref, grid.dt)
         prev = None  # only the previous level's series is held
         for k, eps in enumerate(cfg.eps_grid):
-            series = _damped_engine(
-                model, ref["points"], frames, grid.dt, dL,
-                jump_flags=closes & (dur >= eps), collect="series",
-            )["series"]
+            series = engine(jump_flags=closes & (dur >= eps), collect="series")["series"]
             if prev is not None:
                 diff = prev - series
-                gaps[k - 1][first : first + c] = np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1)
+                gaps[k - 1][chunk] = np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1)
             prev = series
     rows = []
     for k in range(n_pairs):
@@ -374,26 +366,15 @@ def _run_f_normal(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
     grid = cfg.grid
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
-    x0 = _start_point(cfg, model)
     vals = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    for first, c in _chunks(cfg.n_paths, 250):
-        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
-        ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-        frames = None if model.is_flat_chart else transport_batch(model, ref["points"])
+    for chunk, ref, pens in _chunk_runs(cfg, model):
         closes, dur = close_events(ref["R"], grid.times, eta)
-        lim = _damped_engine(
-            model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1),
-            jump_flags=closes & (dur >= 0.5 * grid.dt), collect="normal",
-        )
+        lim = _damped_along(model, ref, grid.dt)(jump_flags=closes & (dur >= 0.5 * grid.dt), collect="normal")
         f_lim = np.einsum("pni,pni->pn", lim["normal"], lim["carrier"])
-        for a, pen in _penalized_runs(cfg, model, x0, dB):
-            pfr = None if model.is_flat_chart else transport_batch(model, pen["points"])
-            sm = _damped_engine(
-                model, pen["points"], pfr, grid.dt, np.diff(pen["L"], axis=1),
-                c_increments=np.diff(pen["C"], axis=1), collect="normal",
-            )
+        for a, pen in pens:
+            sm = _damped_along(model, pen, grid.dt)(collect="normal")
             f_a = np.einsum("pni,pni->pn", sm["normal"], sm["carrier"])
-            vals[a][first : first + c] = np.sum((f_a - f_lim)[:, :-1] ** 2, axis=1) * grid.dt
+            vals[a][chunk] = np.sum((f_a - f_lim)[:, :-1] ** 2, axis=1) * grid.dt
     rows = []
     for a in cfg.a_grid:
         m, e = _mean_stderr(vals[a])
@@ -403,18 +384,14 @@ def _run_f_normal(cfg: ExperimentConfig):
 
 def _run_transport(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
-    grid = cfg.grid
-    x0 = _start_point(cfg, model)
     v = np.zeros(model.dim)
     v[-1] = 1.0
     gaps = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    for first, c in _chunks(cfg.n_paths, 200):
-        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
-        ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
+    for chunk, ref, pens in _chunk_runs(cfg, model):
         ref_v = transport_batch(model, ref["points"]) @ v
-        for a, pen in _penalized_runs(cfg, model, x0, dB):
+        for a, pen in pens:
             pen_v = transport_batch(model, pen["points"]) @ v
-            gaps[a][first : first + c] = np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=1)
+            gaps[a][chunk] = np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=1)
     rows = []
     for a in cfg.a_grid:
         m, e = _mean_stderr(gaps[a])
@@ -426,19 +403,13 @@ def _run_projection(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
     delta0 = model.tubular_radius
     sup = {a: np.full(cfg.n_paths, math.nan) for a in cfg.a_grid}
-
-    def collect(first, c, a, ref, pen):
-        both = (ref["R"] < delta0) & (pen["R"] < delta0)
-        proj_gap = np.linalg.norm(
-            geo.nearest_boundary_point(model, pen["points"])
-            - geo.nearest_boundary_point(model, ref["points"]),
-            axis=-1,
-        )
-        masked = np.where(both, proj_gap, -np.inf).max(axis=1)
-        masked = np.where(np.isfinite(masked), masked, math.nan)
-        sup[a][first : first + c] = masked
-
-    _coupled_runs(cfg, model, collect)
+    for chunk, ref, pens in _chunk_runs(cfg, model):
+        ref_proj = geo.nearest_boundary_point(model, ref["points"])
+        for a, pen in pens:
+            both = (ref["R"] < delta0) & (pen["R"] < delta0)
+            proj_gap = np.linalg.norm(geo.nearest_boundary_point(model, pen["points"]) - ref_proj, axis=-1)
+            masked = np.where(both, proj_gap, -np.inf).max(axis=1)
+            sup[a][chunk] = np.where(np.isfinite(masked), masked, math.nan)
     rows = []
     for a in cfg.a_grid:
         vals = sup[a][~np.isnan(sup[a])]

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from rbmlab import cli
 from rbmlab import geometry as geo
 from rbmlab import harness, stepping
+from rbmlab import skorohod1d as sk1d
 from rbmlab.errors import IntegrationError
 from rbmlab.grids import driver_block
 from rbmlab.harness import ExperimentConfig, ResultRow, local_time_tv, sp_distance
@@ -75,6 +77,18 @@ def test_config_validation():
         ExperimentConfig(kind="eps-cauchy", eps_grid=(0.1,)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(kind="local-time", n_paths=1).validate()
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("eps-cauchy", "eta", 0.0), ("eps-cauchy", "eta", -1.0), ("f-normal", "eta", 0.0),
+    ("sp-convergence", "p", 0.0), ("sp-convergence", "p", -1.0), ("sp-convergence", "p", math.nan),
+])
+def test_config_rejects_non_positive_eta_and_p(kind, field, value):
+    # eta <= 0 counts no node as a contact (all-zero eps-cauchy gaps), and
+    # p <= 0 turns the sup distance into a meaningless power of it
+    cfg = _tiny_config(kind=kind, model="half-line", n_paths=4, steps=20, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        harness.run_experiment(cfg)
 
 
 def test_config_digest_behavior():
@@ -250,6 +264,44 @@ def test_cli_simulate_and_config_file(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_config_file_selects_the_field(tmp_path, monkeypatch):
+    fields = []
+    real = cli.est.scalar_field
+    monkeypatch.setattr(cli.est, "scalar_field", lambda name: fields.append(name) or real(name))
+    cfgfile = tmp_path / "verify.cfg"
+    cfgfile.write_text("field=cos-neumann\nn=200\ndt=0.05\nseed=1\n")
+    assert cli.main(["verify", "--config", str(cfgfile)]) == cli.EXIT_OK
+    assert cli.main(["verify", "--config", str(cfgfile), "--field", "gauss"]) == cli.EXIT_OK  # the flag wins
+    assert fields == ["cos-neumann", "gauss"]
+
+
+_POSITIVE_FLAGS = [
+    ("simulate", "--T", ()),
+    ("simulate", "--steps", ()),
+    ("sweep", "--paths", ("--kind", "local-time")),
+    ("sweep", "--p", ("--kind", "sp-convergence")),
+    ("verify", "--n", ()),
+    ("verify", "--dt", ()),
+]
+
+
+@pytest.mark.parametrize("command,flag,rest", _POSITIVE_FLAGS, ids=[f"{c}{f}" for c, f, _ in _POSITIVE_FLAGS])
+def test_cli_rejects_non_positive_flags(command, flag, rest, tmp_path, capsys):
+    # an explicit zero used to fall back silently to the default
+    for value in ("0", "-1"):
+        assert cli.main([command, *rest, flag, value]) == cli.EXIT_ARGUMENT
+        assert f"{flag[2:]} must be positive" in capsys.readouterr().err
+    cfgfile = tmp_path / "zero.cfg"
+    cfgfile.write_text(f"{flag[2:]}=0\n")
+    assert cli.main([command, *rest, "--config", str(cfgfile)]) == cli.EXIT_ARGUMENT
+
+
+def test_cli_explicit_flags_are_used(capsys):
+    assert cli.main(["simulate", "--T", "0.25", "--steps", "3"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and float(lines[-1].split(",")[0]) == 0.25
+
+
 def test_cli_verify_smoke():
     r = _run_cli("verify", "--n", "2000", "--dt", "0.01", "--seed", "1", timeout=600)
     assert r.returncode == 0, r.stdout + r.stderr
@@ -312,6 +364,65 @@ _A_KIND_CASES = {
         "650c3c9f23301ba8fc78e5326f502b640d2c05532f92ee60c1f8a30fa1632c70",
     ),
 }
+
+
+# eps-cauchy's CSV sha256 on the cap and on the half-line, recorded while the
+# harness still ran it in fixed 200-path chunks.
+_EPS_CAUCHY_CASES = {
+    "eps-cauchy-cap": (
+        dict(kind="eps-cauchy", model=f"cap:theta0={np.pi / 2}", horizon=1.0, steps=200,
+             eps_grid=(0.2, 0.1, 0.05, 0.025), n_paths=16, x0=(np.pi / 2 - 0.15, 0.0)),
+        "738c74dbb1a0f0c88066d664b17cac8b924fe45b88cd402dd7d6c06907602a98",
+    ),
+    "eps-cauchy-half-line": (
+        dict(kind="eps-cauchy", model="half-line", horizon=1.0, steps=400, eps_grid=(0.2, 0.1, 0.05, 0.025),
+             n_paths=24, x0=(0.2,)),
+        "0c7c931d4544a0a2a6878069eb299ea8d28f56f9e1b7703f65c7211f3929b785",
+    ),
+}
+
+# Every kind, each with its pinned CSV sha256.
+_KIND_CASES = {
+    **{kind: (dict(kind=kind, **fields), digest) for kind, (fields, digest) in _A_KIND_CASES.items()},
+    **_EPS_CAUCHY_CASES,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KIND_CASES))
+def test_sweep_bytes_do_not_depend_on_the_chunk_width(case, monkeypatch):
+    fields, digest = _KIND_CASES[case]
+    cfg = ExperimentConfig(master_seed=5, **fields)
+    for width in (harness._CHUNK_PATHS, 5, 7):
+        monkeypatch.setattr(harness, "_CHUNK_PATHS", width)
+        text = harness.render_csv(harness.run_experiment(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, width
+
+
+def test_sweeps_make_only_the_runs_they_use(monkeypatch):
+    calls = Counter()
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((harness, "_chunks"), (stepping, "integrate_reflected_batch"),
+                         (stepping, "integrate_penalized_grid"), (sk1d, "penalized_paths_1d_grid")):
+        spy(module, name)
+    monkeypatch.setattr(harness, "_CHUNK_PATHS", 7)
+    for case, (fields, _) in sorted(_KIND_CASES.items()):
+        calls.clear()
+        cfg = ExperimentConfig(master_seed=5, **fields)
+        harness.run_experiment(cfg)
+        chunks = -(-cfg.n_paths // 7)
+        penalized = calls["integrate_penalized_grid"] + calls["penalized_paths_1d_grid"]
+        assert calls["_chunks"] == 1, case
+        assert calls["integrate_reflected_batch"] == (0 if cfg.kind == "norm-bound" else chunks), case
+        assert penalized == (0 if cfg.kind == "eps-cauchy" else chunks), case
 
 
 @pytest.mark.parametrize("kind", sorted(_A_KIND_CASES))
