@@ -84,7 +84,7 @@ def _apply_config_file(args):
 
 
 # Numeric options that must be positive, as flags or config-file keys.
-_POSITIVE_KEYS = ("T", "steps", "paths", "n", "dt", "p")
+_POSITIVE_KEYS = ("T", "steps", "paths", "n", "dt", "p", "eta")
 
 
 def _check_positive(args):

@@ -1,21 +1,26 @@
 """Monte Carlo estimators for the heat-semigroup representation formulas.
 
-On the flat-boundary models the reflected terminal value, the boundary local
-time and the first-hit indicator are sampled from their exact joint law by
-drawing the within-step minimum of each Brownian bridge; this removes the
-order-1/2 monitoring bias that nodal reflection schemes carry, so the
-estimates can be compared against PDE oracles at Monte Carlo accuracy.
-curved models fall back to the nodal projection integrator.
+On the flat-boundary models every estimator reduces one exact-law record,
+sampled in a single pass over the paths: for each start point, the reflected
+terminal point, the survival indicator of the first boundary hit and the
+left-endpoint Ito sum of the normal increments up to that hit, with the
+terminal tangential increments that all starts share.  The reflected terminal
+value and the first hit are drawn from their exact joint law through the
+within-step minimum of each Brownian bridge; this removes the order-1/2
+monitoring bias that nodal reflection schemes carry, so the estimates can be
+compared against PDE oracles at Monte Carlo accuracy.  Curved models fall
+back to the nodal projection integrator.
 
 Estimators are deterministic functions of (configuration, master seed): each
 path draws from its own counter-based substream, and accumulation order is
-fixed, so re-running a configuration reproduces means bit-exactly.
+fixed, so re-running a configuration reproduces means bit-exactly.  On the
+flat models the chunk width moves no bit either.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -148,63 +153,66 @@ def one_form(name: str) -> OneForm:
 # -- exact-law sampling on flat-boundary models ------------------------------
 
 
-def _flat_terminal_chunks(model, x_norm, T, n, dt, seed, shifts=None):
-    """Iterate per-chunk dictionaries of flat-model terminal statistics.
+def _flat_terminal_chunks(model, T, n, dt, seed):
+    """Iterate the exact-law draws of n flat-model paths, _CHUNK paths at a time.
 
-    For each start shift s in `shifts` (offsets added to x_norm, default just
-    0.0) the chunk dict carries, per path: refined terminal normal coordinate
-    ``y_norm[s]``, survival indicator ``alive[s]`` of the first boundary hit,
-    and the left-endpoint Ito sum ``b_kill[s]`` of normal increments up to the
-    hit.  Tangential data: terminal increments ``b_tang`` (d-1 components).
+    Yields (first, w, step_min, b_tang) per chunk of c paths: the index of its
+    first path, the normal driver at the nodes ``w`` (c, N+1), the minimum of
+    the Brownian bridge within each step ``step_min`` (c, N), and the terminal
+    tangential increments ``b_tang`` (c, d-1).
     """
     grid = TimeGrid(T, int(round(T / dt)))
-    N = grid.steps
-    m = model.frame_count
-    shifts = np.asarray([0.0] if shifts is None else shifts, dtype=float)
-    done = 0
-    while done < n:
-        c = min(_CHUNK, n - done)
-        dB = driver_block(grid, m, seed, done, c)
-        U = bridge_uniform_block(grid, seed, done, c)
-        w1 = np.cumsum(dB[:, :, 0], axis=1)
-        prev = np.concatenate([np.zeros((c, 1)), w1[:, :-1]], axis=1)
-        gap2 = (w1 - prev) ** 2 - 2.0 * grid.dt * np.log(U)
-        step_min = 0.5 * (prev + w1 - np.sqrt(gap2))
-        run_min = np.minimum.accumulate(step_min, axis=1)
-        out = {
-            "n": c,
-            "first": done,
-            "b_tang": dB[:, :, 1:].sum(axis=1),
-            "w1_nodes": np.concatenate([np.zeros((c, 1)), w1], axis=1),
-        }
-        y = {}
-        alive = {}
-        b_kill = {}
-        for s in shifts:
-            x = x_norm + s
-            lift = np.maximum(0.0, -x - run_min[:, -1])
-            y[float(s)] = x + w1[:, -1] + lift
-            alive[float(s)] = x + run_min[:, -1] > 0.0
+    for first in range(0, n, _CHUNK):
+        c = min(_CHUNK, n - first)
+        dB = driver_block(grid, model.frame_count, seed, first, c)
+        U = bridge_uniform_block(grid, seed, first, c)
+        w = np.zeros((c, grid.steps + 1))
+        np.cumsum(dB[:, :, 0], axis=1, out=w[:, 1:])
+        gap2 = (w[:, 1:] - w[:, :-1]) ** 2 - 2.0 * grid.dt * np.log(U)
+        step_min = 0.5 * (w[:, :-1] + w[:, 1:] - np.sqrt(gap2))
+        yield first, w, step_min, dB[:, :, 1:].sum(axis=1)
+
+
+class _ExactLaw(NamedTuple):
+    """Per-path record of one exact-law pass, one row per start point."""
+
+    points: np.ndarray  # (S, n, d) reflected terminal points
+    alive: np.ndarray  # (S, n) no boundary hit up to T
+    b_kill: np.ndarray  # (S, n) left-endpoint Ito sum of normal increments up to the hit
+    b_tang: np.ndarray  # (n, d-1) terminal tangential increments
+
+
+def _exact_law(model, starts, T, n, dt, seed) -> _ExactLaw:
+    """Sample n paths once for every start point (rows of ``starts``); the
+    starts share each path's driver, so the rows are the coupled flow."""
+    starts = np.asarray(starts, dtype=float)
+    S, d = starts.shape
+    points = np.empty((S, n, d))
+    alive = np.empty((S, n), dtype=bool)
+    b_kill = np.empty((S, n))
+    b_tang = np.empty((n, d - 1))
+    for first, w, step_min, tang in _flat_terminal_chunks(model, T, n, dt, seed):
+        c, N = step_min.shape
+        paths, rows = slice(first, first + c), np.arange(c)
+        low = step_min.min(axis=1)  # bridge minimum over [0, T]
+        b_tang[paths] = tang
+        points[:, paths, :-1] = starts[:, None, :-1] + tang
+        for k, x in enumerate(starts[:, -1]):
+            points[k, paths, -1] = x + w[:, -1] + np.maximum(0.0, -x - low)
+            alive[k, paths] = x + low > 0.0
             killed_by = x + step_min <= 0.0
             kill_step = np.argmax(killed_by, axis=1)
-            has_kill = killed_by[np.arange(c), kill_step]
-            stop = np.where(has_kill, kill_step + 1, N)
-            b_kill[float(s)] = out["w1_nodes"][np.arange(c), stop]
-        out["y_norm"] = y
-        out["alive"] = alive
-        out["b_kill"] = b_kill
-        done += c
-        yield out
+            stop = np.where(killed_by[rows, kill_step], kill_step + 1, N)
+            b_kill[k, paths] = w[rows, stop]
+    return _ExactLaw(points, alive, b_kill, b_tang)
 
 
-def _assemble_points(model, chunk, x_tang, shift=0.0):
-    d = model.dim
-    c = chunk["n"]
-    pts = np.empty((c, d))
-    pts[:, -1] = chunk["y_norm"][shift]
-    if d > 1:
-        pts[:, : d - 1] = x_tang + chunk["b_tang"]
-    return pts
+def _damped(alive, v):
+    """W_T v per path on a flat model: v with its normal part erased on the
+    paths that hit the boundary."""
+    wv = np.tile(v, (alive.shape[0], 1))
+    wv[:, -1] = alive * v[-1]
+    return wv
 
 
 def _mean_stderr(values: np.ndarray):
@@ -214,11 +222,6 @@ def _mean_stderr(values: np.ndarray):
         return mean, np.zeros_like(mean)
     sd = values.std(axis=0, ddof=1)
     return mean, sd / math.sqrt(n)
-
-
-def _split_start(model, x):
-    x = np.asarray(x, dtype=float).reshape(model.dim)
-    return x[: model.dim - 1], float(x[-1])
 
 
 def neumann_heat_mc(
@@ -234,13 +237,11 @@ def neumann_heat_mc(
     digest = canonical_digest(
         dict(op="neumann", model=model.name, f=f.name, T=T, x=tuple(np.atleast_1d(x)), n=n, dt=dt, seed=seed)
     )
-    vals = np.empty(n)
     if model.is_flat_chart and model.id != geo.FLAT_DISK:
-        x_tang, x_norm = _split_start(model, x)
-        for chunk in _flat_terminal_chunks(model, x_norm, T, n, dt, seed):
-            pts = _assemble_points(model, chunk, x_tang)
-            vals[chunk["first"] : chunk["first"] + chunk["n"]] = f.value(pts)
+        start = np.asarray(x, dtype=float).reshape(1, model.dim)
+        vals = f.value(_exact_law(model, start, T, n, dt, seed).points[0])
     else:
+        vals = np.empty(n)
         grid = TimeGrid(T, int(round(T / dt)))
         done = 0
         while done < n:
@@ -265,14 +266,11 @@ def one_form_mc(
     v: TangentVector,
     n: int,
     dt: float,
-    eps: float | None = None,
-    eta: float | None = None,
     seed: int = 0,
 ) -> MCEstimate:
     """Mean of phi0 at the reflected endpoint applied to the transported,
     damped start vector v (limit variant: normal part erased at the first
     boundary hit on flat models)."""
-    del eps, eta  # the exact-law flat kernel resolves every excursion
     _require_flat(model, "one_form_mc")
     if not phi0.boundary_compatible(model):
         raise ValueError("one-form violates the absolute boundary conditions")
@@ -281,17 +279,10 @@ def one_form_mc(
     digest = canonical_digest(
         dict(op="one-form", model=model.name, phi=phi0.name, T=T, x=tuple(x), v=tuple(vc), n=n, dt=dt, seed=seed)
     )
-    x_tang, x_norm = _split_start(model, x)
-    d = model.dim
-    cov = np.empty((n, d))  # per-path covector: phi0(Y_T) applied to W_T columns
-    for chunk in _flat_terminal_chunks(model, x_norm, T, n, dt, seed):
-        pts = _assemble_points(model, chunk, x_tang)
-        comps = phi0.components(pts)
-        sl = slice(chunk["first"], chunk["first"] + chunk["n"])
-        cov[sl, : d - 1] = comps[:, : d - 1]
-        cov[sl, d - 1] = comps[:, d - 1] * chunk["alive"][0.0]
-    mean_cov = cov.mean(axis=0)
-    mean = float(np.sum(mean_cov * vc))  # linear in v, ulp-exact per slot
+    law = _exact_law(model, x[None], T, n, dt, seed)
+    # per-path covector: phi0(Y_T) applied to the columns of W_T
+    cov = phi0.components(law.points[0]) * _damped(law.alive[0], np.ones(model.dim))
+    mean = float(np.sum(cov.mean(axis=0) * vc))  # linear in v, ulp-exact per slot
     _, err = _mean_stderr(cov @ vc)
     return MCEstimate(mean, float(err), n, digest)
 
@@ -315,15 +306,9 @@ def bismut_gradient_mc(
     digest = canonical_digest(
         dict(op="bismut", model=model.name, f=f.name, T=T, x=tuple(x), v=tuple(vc), n=n, dt=dt, seed=seed)
     )
-    x_tang, x_norm = _split_start(model, x)
-    d = model.dim
-    cov = np.empty((n, d))
-    for chunk in _flat_terminal_chunks(model, x_norm, T, n, dt, seed):
-        pts = _assemble_points(model, chunk, x_tang)
-        fv = f.value(pts) / T
-        sl = slice(chunk["first"], chunk["first"] + chunk["n"])
-        cov[sl, : d - 1] = fv[:, None] * chunk["b_tang"]
-        cov[sl, d - 1] = fv * chunk["b_kill"][0.0]
+    law = _exact_law(model, x[None], T, n, dt, seed)
+    fv = f.value(law.points[0]) / T
+    cov = fv[:, None] * np.column_stack([law.b_tang, law.b_kill[0]])
     mean = float(np.sum(cov.mean(axis=0) * vc))
     _, err = _mean_stderr(cov @ vc)
     return MCEstimate(mean, float(err), n, digest)
@@ -404,16 +389,9 @@ def martingale_check(
     digest = canonical_digest(
         dict(op="martingale", model=model.name, f=F.terminal.name, T=T, x=tuple(x), v=tuple(vc), n=n, dt=dt, seed=seed)
     )
-    x_tang, x_norm = _split_start(model, x)
-    d = model.dim
     base = float(F.gradient(0.0, x) @ vc)
-    vals = np.empty(n)
-    for chunk in _flat_terminal_chunks(model, x_norm, T, n, dt, seed):
-        pts = _assemble_points(model, chunk, x_tang)
-        g = F.terminal.gradient(pts)
-        wv = np.concatenate([np.tile(vc[: d - 1], (chunk["n"], 1)), (chunk["alive"][0.0] * vc[-1])[:, None]], axis=1)
-        sl = slice(chunk["first"], chunk["first"] + chunk["n"])
-        vals[sl] = np.sum(g * wv, axis=1) - base
+    law = _exact_law(model, x[None], T, n, dt, seed)
+    vals = np.sum(F.terminal.gradient(law.points[0]) * _damped(law.alive[0], vc), axis=1) - base
     mean, err = _mean_stderr(vals)
     return MCEstimate(float(mean), float(err), n, digest)
 
@@ -452,27 +430,16 @@ def weak_derivative_check(
     us = mid + half * nodes
     ws = half * weights
     d = model.dim
-    starts = [np.asarray(gamma(u), dtype=float).reshape(d) for u in (*us, u1, u2)]
+    starts = np.array([np.asarray(gamma(u), dtype=float).reshape(d) for u in (*us, u1, u2)])
     dots = [np.asarray(gamma_dot(u), dtype=float).reshape(d) for u in us]
-    base_norm = float(starts[-2][-1])  # normal coordinate of the u1 start
-    shifts = [float(s[-1]) - base_norm for s in starts]
-    vals = np.empty(n)
-    for chunk in _flat_terminal_chunks(model, base_norm, t, n, dt, seed, shifts=shifts):
-        c = chunk["n"]
-        sl = slice(chunk["first"], chunk["first"] + c)
-        res = np.zeros(c)
-        for k, (u, wq) in enumerate(zip(us, ws)):
-            pts = _assemble_points(model, chunk, starts[k][: d - 1], shift=shifts[k])
-            grad = f.gradient(pts)
-            wv = dots[k].copy()
-            dirv = np.concatenate(
-                [np.tile(wv[: d - 1], (c, 1)), (chunk["alive"][shifts[k]] * wv[-1])[:, None]], axis=1
-            )
-            res -= wq * np.sum(grad * dirv, axis=1)
-        pts2 = _assemble_points(model, chunk, starts[-1][: d - 1], shift=shifts[-1])
-        pts1 = _assemble_points(model, chunk, starts[-2][: d - 1], shift=shifts[-2])
-        res += f.value(pts2) - f.value(pts1)
-        vals[sl] = res
+    base = starts[-2, -1]  # normal coordinate of the u1 start
+    # base + (s - base) can differ from s in the last bit; the pinned means use it
+    starts[:, -1] = base + (starts[:, -1] - base)
+    law = _exact_law(model, starts, t, n, dt, seed)
+    vals = np.zeros(n)
+    for k, wq in enumerate(ws):
+        vals -= wq * np.sum(f.gradient(law.points[k]) * _damped(law.alive[k], dots[k]), axis=1)
+    vals += f.value(law.points[-1]) - f.value(law.points[-2])
     mean, err = _mean_stderr(vals)
     return MCEstimate(float(mean), float(err), n, digest)
 

@@ -59,7 +59,9 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        parse_model(self.model)
+        model = parse_model(self.model)
+        if self.kind == "halfline-penalization" and model.id != geo.HALF_LINE:
+            raise ValueError("halfline-penalization runs on the half-line model only")
         if self.kind in ("halfline-penalization", "sp-convergence", "local-time",
                          "norm-bound", "f-normal", "transport", "projection"):
             if not self.a_grid:

@@ -58,8 +58,10 @@ def integrate_reflected(
     """Reflected path on one driver: exact running-infimum solution of the
     normal coordinate on flat-boundary models, Euler step plus projection on
     the curved ones (push distance = local-time increment)."""
-    out = stepping.integrate_reflected_batch(model, x0, driver.increments[None], grid)
     eta = default_contact_threshold(grid) if eta is None else eta
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    out = stepping.integrate_reflected_batch(model, x0, driver.increments[None], grid)
     R = out["R"][0]
     return ReflectedPath(
         grid=grid,

@@ -1,6 +1,7 @@
 """Representation-formula estimators and the quadrature oracle."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -192,3 +193,67 @@ def test_registry_contents_and_compat():
         est.scalar_field("unknown")
     with pytest.raises(ValueError):
         est.one_form("unknown")
+
+
+def _flat_estimator_calls(d):
+    """Every flat-model estimator on half-space:d=d at 40 paths, one call each."""
+    hs = geo.half_space(d)
+    T, n, dt, seed = 0.5, 40, 1e-2, 21
+    if d == 1:
+        x, vc, profile = [0.25], [1.0], GAUSS
+        curve, tangent = (lambda u: np.array([0.2 + u])), (lambda u: np.array([1.0]))
+    else:
+        x, vc, profile = [0.3, 0.25], [0.6, -0.8], est.scalar_field("cos-neumann")
+        curve, tangent = (lambda u: np.array([0.3 - u, 0.1 + u])), (lambda u: np.array([-1.0, 1.0]))
+    v = _v(x, vc)
+    F = est.NeumannHeatSolution(hs, profile, T)
+    return {
+        "neumann": lambda: est.neumann_heat_mc(hs, GAUSS, T, x, n, dt, seed=seed),
+        "one-form": lambda: est.one_form_mc(hs, PHI, T, v, n, dt, seed=seed),
+        "bismut": lambda: est.bismut_gradient_mc(hs, GAUSS, T, v, n, dt, seed=seed),
+        "martingale": lambda: est.martingale_check(hs, F, T, v, n, dt, seed=seed),
+        "weak-derivative": lambda: est.weak_derivative_check(hs, GAUSS, curve, tangent, 0.0, 0.5, T, n, dt, seed=seed),
+    }
+
+
+def _estimate_sha(e):
+    return hashlib.sha256(f"{e.mean!r} {e.stderr!r} {e.config_digest}".encode()).hexdigest()
+
+
+# sha256 of repr(mean), repr(stderr) and the digest of each flat estimator,
+# recorded while every estimator still ran its own loop over the 5000-path
+# chunks.
+_ESTIMATOR_PINS = {
+    "neumann:d=1": "6d1b4776a7c752d52a939cf88c8af730293dba81a10407a6b4d1a5136634712a",
+    "one-form:d=1": "0036f442227ca07567b0e8f2ad30feb4e913fc9a520794bb4d3721230ac2b647",
+    "bismut:d=1": "28601b515a35949825ce1faf80beeb06e1b7ebf3fc70601ac705c094249ea1ca",
+    "martingale:d=1": "34ebb86c3910679c591304a0b1bc9965a831ecefaaea062680637ddbb80479bf",
+    "weak-derivative:d=1": "65d8c690e8df31b4e501af51d07fb3d39091302f6f58685947dfbcf1d4549cfd",
+    "neumann:d=2": "0ab36958ffc474eb5a39422be4b7940f7887f54f280a76706a8e98871a1d92ec",
+    "one-form:d=2": "5e8b927f7dd77f48daa6f0bb5efed57bb56511291c39d88c6d93b622626add42",
+    "bismut:d=2": "0e73664a3453950321cdf3699d43784ca168a23bc763004c3e2ec276b70080d6",
+    "martingale:d=2": "0a57381fd956b5f46236cc075e83847a631b60afc81d835a82180da1c59b334a",
+    "weak-derivative:d=2": "10541fcad13f700f6e5dac1e0f8fef4be076543885b6918be7a7498cf60f6917",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ESTIMATOR_PINS))
+def test_flat_estimator_bits_do_not_depend_on_the_chunk_width(case, monkeypatch):
+    name, d = case.rsplit(":d=", 1)
+    call = _flat_estimator_calls(int(d))[name]
+    passes = []
+    real = est._flat_terminal_chunks
+
+    def spy(*args, **kwargs):
+        passes.append(0)
+        for chunk in real(*args, **kwargs):
+            passes[-1] += 1
+            yield chunk
+
+    monkeypatch.setattr(est, "_flat_terminal_chunks", spy)
+    for width in (5000, 7, 5):
+        monkeypatch.setattr(est, "_CHUNK", width)
+        passes.clear()
+        assert _estimate_sha(call()) == _ESTIMATOR_PINS[case], width
+        # one pass over the paths per call, the weak derivative's ten starts included
+        assert passes == [-(-40 // width)], width

@@ -91,6 +91,19 @@ def test_config_rejects_non_positive_eta_and_p(kind, field, value):
         harness.run_experiment(cfg)
 
 
+@pytest.mark.parametrize("model", ["disk", "cap:theta0=1.0", "half-space:d=1"])
+def test_halfline_penalization_rejects_other_models(model, capsys):
+    # it always ran the half-line, and returned its rows under a digest that
+    # named the other model
+    cfg = ExperimentConfig(kind="halfline-penalization", model=model, horizon=0.1, steps=20, n_paths=4)
+    with pytest.raises(ValueError, match="half-line model only"):
+        cfg.validate()
+    args = ["sweep", "--kind", "halfline-penalization", "--model", model, "--steps", "20", "--paths", "4"]
+    assert cli.main(args) == cli.EXIT_ARGUMENT
+    assert "half-line model only" in capsys.readouterr().err
+    ExperimentConfig(kind="halfline-penalization", model="half-line").validate()
+
+
 def test_config_digest_behavior():
     a = ExperimentConfig(kind="local-time", model="half-line", n_paths=16)
     b = ExperimentConfig(kind="local-time", model="half-line", n_paths=16, out="somewhere.csv")
@@ -282,6 +295,8 @@ _POSITIVE_FLAGS = [
     ("sweep", "--p", ("--kind", "sp-convergence")),
     ("verify", "--n", ()),
     ("verify", "--dt", ()),
+    ("simulate", "--eta", ()),
+    ("sweep", "--eta", ("--kind", "eps-cauchy")),
 ]
 
 
@@ -392,10 +407,37 @@ _KIND_CASES = {
 def test_sweep_bytes_do_not_depend_on_the_chunk_width(case, monkeypatch):
     fields, digest = _KIND_CASES[case]
     cfg = ExperimentConfig(master_seed=5, **fields)
-    for width in (harness._CHUNK_PATHS, 5, 7):
+    # the damped engine's per-path outputs too: norm-bound's CSV reads 0.0
+    # wherever the paths are, so only these show that its chunks differ
+    engine_calls = []
+    real_engine = harness._damped_engine
+
+    def engine(*args, **kwargs):
+        engine_calls.append(real_engine(*args, **kwargs))
+        return engine_calls[-1]
+
+    monkeypatch.setattr(harness, "_damped_engine", engine)
+    engine_bytes = {}
+    widths = (harness._CHUNK_PATHS, 5, 7)
+    for width in widths:
         monkeypatch.setattr(harness, "_CHUNK_PATHS", width)
+        engine_calls.clear()
         text = harness.render_csv(harness.run_experiment(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, width
+        engine_bytes[width] = _per_path_bytes(engine_calls, chunks=-(-cfg.n_paths // width))
+    assert all(engine_bytes[width] == engine_bytes[widths[0]] for width in widths)
+
+
+def _per_path_bytes(calls, chunks):
+    """Bytes of every output of the calls, each call of a chunk joined along
+    the paths across the chunks (every chunk makes the same calls in turn)."""
+    per_chunk = len(calls) // chunks
+    assert per_chunk * chunks == len(calls)
+    return [
+        np.concatenate([out[key] for out in calls[j::per_chunk]]).tobytes()
+        for j in range(per_chunk)
+        for key in sorted(calls[j])
+    ]
 
 
 def test_sweeps_make_only_the_runs_they_use(monkeypatch):

@@ -55,6 +55,15 @@ def test_local_time_increases_only_into_flagged_nodes():
     assert np.sum(dL * (path.boundary_dist[1:] >= path.eta)) == 0.0
 
 
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+def test_integrate_reflected_rejects_non_positive_eta(eta):
+    # eta <= 0 flags no node as a contact: an all-zero contact column
+    grid = TimeGrid(1.0, 50)
+    driver = DriverPath.generate(grid, 1, seed=10)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        integrate_reflected(geo.half_line(), [0.2], driver, grid, eta=eta)
+
+
 def test_disk_projection_lands_on_boundary():
     grid = TimeGrid(1.0, 4000)
     disk = geo.flat_disk()
