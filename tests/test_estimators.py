@@ -195,22 +195,31 @@ def test_registry_contents_and_compat():
         est.one_form("unknown")
 
 
-def _flat_estimator_calls(d):
-    """Every flat-model estimator on half-space:d=d at 40 paths, one call each."""
+def _flat_estimator_calls(d, n=40, dt=1e-2, below=False):
+    """Criterion 8's seven calls, in its order, on half-space:d=d at 40 paths:
+    every flat-model estimator, and the Neumann mean also at x +- 0.05 for the
+    finite difference.  ``below`` moves the start point and the curve of
+    starts out of the domain."""
     hs = geo.half_space(d)
-    T, n, dt, seed = 0.5, 40, 1e-2, 21
+    T, seed = 0.5, 21
     if d == 1:
         x, vc, profile = [0.25], [1.0], GAUSS
         curve, tangent = (lambda u: np.array([0.2 + u])), (lambda u: np.array([1.0]))
     else:
         x, vc, profile = [0.3, 0.25], [0.6, -0.8], est.scalar_field("cos-neumann")
         curve, tangent = (lambda u: np.array([0.3 - u, 0.1 + u])), (lambda u: np.array([-1.0, 1.0]))
+    if below:
+        x, inside = [*x[:-1], -0.5], curve
+        curve = lambda u: inside(u) - 1.0  # noqa: E731
     v = _v(x, vc)
+    up, down = [*x[:-1], x[-1] + 0.05], [*x[:-1], x[-1] - 0.05]
     F = est.NeumannHeatSolution(hs, profile, T)
     return {
         "neumann": lambda: est.neumann_heat_mc(hs, GAUSS, T, x, n, dt, seed=seed),
         "one-form": lambda: est.one_form_mc(hs, PHI, T, v, n, dt, seed=seed),
         "bismut": lambda: est.bismut_gradient_mc(hs, GAUSS, T, v, n, dt, seed=seed),
+        "neumann-up": lambda: est.neumann_heat_mc(hs, GAUSS, T, up, n, dt, seed=seed),
+        "neumann-down": lambda: est.neumann_heat_mc(hs, GAUSS, T, down, n, dt, seed=seed),
         "martingale": lambda: est.martingale_check(hs, F, T, v, n, dt, seed=seed),
         "weak-derivative": lambda: est.weak_derivative_check(hs, GAUSS, curve, tangent, 0.0, 0.5, T, n, dt, seed=seed),
     }
@@ -237,10 +246,8 @@ _ESTIMATOR_PINS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_ESTIMATOR_PINS))
-def test_flat_estimator_bits_do_not_depend_on_the_chunk_width(case, monkeypatch):
-    name, d = case.rsplit(":d=", 1)
-    call = _flat_estimator_calls(int(d))[name]
+def _count_passes(monkeypatch):
+    """Chunks drawn per pass of ``_flat_terminal_chunks``, one list entry per pass."""
     passes = []
     real = est._flat_terminal_chunks
 
@@ -251,9 +258,135 @@ def test_flat_estimator_bits_do_not_depend_on_the_chunk_width(case, monkeypatch)
             yield chunk
 
     monkeypatch.setattr(est, "_flat_terminal_chunks", spy)
+    return passes
+
+
+@pytest.mark.parametrize("case", sorted(_ESTIMATOR_PINS))
+def test_flat_estimator_bits_do_not_depend_on_the_chunk_width(case, monkeypatch):
+    name, d = case.rsplit(":d=", 1)
+    call = _flat_estimator_calls(int(d))[name]
+    passes = _count_passes(monkeypatch)
     for width in (5000, 7, 5):
         monkeypatch.setattr(est, "_CHUNK", width)
+        est._path_record.cache_clear()  # draw at this width, not from the record of the last one
         passes.clear()
         assert _estimate_sha(call()) == _ESTIMATOR_PINS[case], width
         # one pass over the paths per call, the weak derivative's ten starts included
         assert passes == [-(-40 // width)], width
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_criterion_8_calls_share_one_draw(d, monkeypatch):
+    calls = _flat_estimator_calls(d)
+    passes = _count_passes(monkeypatch)
+    est._path_record.cache_clear()
+    got = {name: call() for name, call in calls.items()}
+    assert len(got) == 7 and passes == [1]
+    for name, e in got.items():
+        case = f"{name}:d={d}"
+        if case in _ESTIMATOR_PINS:
+            assert _estimate_sha(e) == _ESTIMATOR_PINS[case], case
+        else:  # x +- h: the shared record gives what a draw of its own gives
+            est._path_record.cache_clear()
+            assert _estimate_sha(calls[name]()) == _estimate_sha(e), case
+
+
+def test_path_record_is_drawn_again_when_the_draw_changes(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    est._path_record.cache_clear()
+
+    def neumann(model=geo.half_space(1), T=0.5, n=40, dt=1e-2, seed=21):
+        x = [0.0] * (model.dim - 1) + [0.25]
+        return est.neumann_heat_mc(model, GAUSS, T, x, n, dt, seed=seed)
+
+    base = neumann()
+    assert neumann() == base and len(passes) == 1
+    changes = dict(seed=22, n=41, T=0.4, dt=5e-3, model=geo.half_space(2))
+    for key, value in changes.items():
+        neumann()
+        drawn = len(passes)
+        neumann(**{key: value})
+        assert len(passes) == drawn + 1, key
+
+
+def test_path_record_arrays_are_read_only():
+    est._path_record.cache_clear()
+    record = est._path_record(2, 0.5, 50, 40, 21)
+    for name, array in record._asdict().items():
+        with pytest.raises(ValueError):
+            array[...] = 0
+        assert array.size, name
+    est._path_record.cache_clear()
+
+
+def _direct_reduction(starts, w, step_min):
+    """The per-start reduction of the whole (n, N) bridge minima, as it read
+    before the ladder: an argmax over every step of every path."""
+    c, N = step_min.shape
+    rows = np.arange(c)
+    low = step_min.min(axis=1)
+    alive, b_kill, normal = [], [], []
+    for x in starts:
+        alive.append(x + low > 0.0)
+        killed_by = x + step_min <= 0.0
+        kill_step = np.argmax(killed_by, axis=1)
+        stop = np.where(killed_by[rows, kill_step], kill_step + 1, N)
+        b_kill.append(w[rows, stop])
+        normal.append(x + w[:, -1] + np.maximum(0.0, -x - low))
+    return np.array(alive), np.array(b_kill), np.array(normal)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ladder_reduction_matches_the_direct_first_hit(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n, N = 13, 24
+    w = np.zeros((n, N + 1))
+    w[:, 1:] = np.cumsum(rng.normal(0.0, 0.3, (n, N)), axis=1)
+    # half the minima on a coarse lattice, so that steps tie and starts sit on them
+    lattice = 0.25 * rng.integers(-8, 4, (n, N))
+    step_min = np.where(rng.random((n, N)) < 0.5, lattice, rng.uniform(-2.0, 1.5, (n, N)))
+    picks = -step_min[rng.integers(0, n, 12), rng.integers(0, N, 12)]
+    starts = np.concatenate([[0.0], picks[picks >= 0.0], rng.uniform(0.0, 4.0, 6)])
+    assert np.any(starts[:, None, None] + step_min == 0.0)  # ties on <= are exercised
+
+    def chunks(frame_count, T, steps, paths, draw_seed):
+        for first in (0, 6):
+            rows = slice(first, 6 if first == 0 else n)
+            yield first, w[rows], step_min[rows], np.zeros((len(w[rows]), frame_count - 1))
+
+    monkeypatch.setattr(est, "_flat_terminal_chunks", chunks)
+    est._path_record.cache_clear()
+    try:
+        law = est._exact_law(geo.half_line(), starts[:, None], 1.0, n, 1.0 / N, seed)
+    finally:
+        est._path_record.cache_clear()
+    alive, b_kill, normal = _direct_reduction(starts, w, step_min)
+    assert np.array_equal(law.alive, alive)
+    assert np.array_equal(law.b_kill, b_kill)
+    assert np.array_equal(law.points[..., -1], normal)
+    assert alive.any() and not alive.all()
+
+
+# inputs that ran silently before: a start outside the domain, a dt that does
+# not divide T (3 steps of 1/3 ran for dt = 0.3), and no paths
+_BAD_INPUTS = {"start below the boundary": dict(below=True), "dt not dividing T": dict(dt=0.3), "no paths": dict(n=0)}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_INPUTS))
+@pytest.mark.parametrize("name", ["neumann", "one-form", "bismut", "martingale", "weak-derivative"])
+def test_flat_estimators_reject_bad_inputs_before_drawing(name, bad, monkeypatch):
+    call = _flat_estimator_calls(1, **_BAD_INPUTS[bad])[name]
+    passes = _count_passes(monkeypatch)
+    est._path_record.cache_clear()
+    with pytest.raises(ValueError):
+        call()
+    assert passes == []
+
+
+def test_neumann_rejects_starts_outside_every_model():
+    with pytest.raises(ValueError):
+        est.neumann_heat_mc(HL, GAUSS, 1.0, [-0.5], 10, 1e-2)
+    with pytest.raises(ValueError):
+        est.neumann_heat_mc(HL, GAUSS, 1.0, [0.5], 10, 0.3)
+    with pytest.raises(ValueError):
+        est.neumann_heat_mc(geo.flat_disk(), GAUSS, 0.5, [1.5, 0.0], 10, 1e-2)

@@ -1,5 +1,5 @@
-"""Per-layer timings of the penalized collar step, cap parallel transport
-and the damped engine.
+"""Per-layer timings of the penalized collar step, cap parallel transport,
+the damped engine and the flat exact-law sampler.
 
 Collar layer: ``stepping.integrate_penalized_grid`` and
 ``skorohod1d.penalized_paths_1d_grid`` on the inputs of the ``sweeps``
@@ -14,6 +14,15 @@ Transport and engine: ``transport.transport_batch`` and
 ``sweeps`` benchmark: reflected paths on ``cap:theta0=pi/2``, T=4, dt=2e-3
 (2000 steps), one 200-path chunk at master seed 46, and the engine at each of
 the four excursion thresholds 0.2, 0.1, 0.05, 0.025.
+
+Flat exact-law sampler: the input of the ``exact-law`` benchmark
+(half-space:d=1, 5000 paths, T=1, dt=1e-3, master seed 48, start 0.5), in ns
+per path-step (paths x steps).  ``exact_law.record`` draws the path record
+with its cache cleared before each call; ``exact_law.reduction`` reduces the
+cached record for one start point, which is what each further estimator call
+on the same draw costs.  A tree without the record (``estimators._path_record``
+absent) draws on every call: its one-start ``_exact_law`` call is timed as
+``exact_law.record``, and ``exact_law.reduction`` is left out.
 
 Each layer is called once to warm up and then nine times; the record keeps
 the median and the quartiles over the repeats, with numpy, scipy and Python
@@ -49,6 +58,8 @@ REPEATS = 9
 HS_A, HS_HORIZON, HS_STEPS, HS_PATHS = (0.05, 0.025, 0.0125, 0.00625), 1.0, 2000, 32
 HS_SEED, HS_SEED_1D = 44, 42
 DISK_A, DISK_HORIZON, DISK_STEPS, DISK_PATHS, DISK_SEED = (0.1, 0.05, 0.025, 0.0125), 0.1, 1000, 250, 43
+# the exact-law benchmark's input
+EL_HORIZON, EL_DT, EL_STEPS, EL_PATHS, EL_SEED, EL_X = 1.0, 1e-3, 1000, 5000, 48, 0.5
 
 
 def _quartiles(values):
@@ -72,6 +83,7 @@ def measure() -> dict:
     import numpy as np
     import scipy
 
+    from rbmlab import estimators as est
     from rbmlab import geometry as geo
     from rbmlab import stepping
     from rbmlab.damped import _damped_engine
@@ -110,6 +122,23 @@ def measure() -> dict:
     survival_s = _time(lambda: penalized_paths_1d_grid(HS_A, 0.5, hs_dW, hs_grid.dt))
     disk_s = _time(lambda: stepping.integrate_penalized_grid(
         disk, DISK_A, np.array([0.5, 0.0]), disk_dB, disk_grid, DISK_SEED + 1))
+
+    flat = geo.half_space(1)
+    el_start = np.array([[EL_X]])
+    el_steps = EL_PATHS * EL_STEPS
+
+    def one_start():
+        est._exact_law(flat, el_start, EL_HORIZON, EL_PATHS, EL_DT, EL_SEED)
+
+    def record():
+        est._path_record.cache_clear()
+        est._path_record(flat.frame_count, EL_HORIZON, EL_STEPS, EL_PATHS, EL_SEED)
+
+    if hasattr(est, "_path_record"):
+        exact_law = {"exact_law.record": _time(record), "exact_law.reduction": _time(one_start)}
+        est._path_record.cache_clear()
+    else:
+        exact_law = {"exact_law.record": _time(one_start)}
     return {
         "input": {
             "model": "cap:theta0=pi/2", "horizon": HORIZON, "steps": STEPS, "paths": PATHS,
@@ -120,6 +149,8 @@ def measure() -> dict:
                 "disk": {"x0": [0.5, 0.0], "horizon": DISK_HORIZON, "steps": DISK_STEPS, "paths": DISK_PATHS,
                          "a_grid": list(DISK_A), "master_seed": DISK_SEED},
             },
+            "exact_law": {"model": "half-space:d=1", "x0": EL_X, "horizon": EL_HORIZON, "steps": EL_STEPS,
+                          "paths": EL_PATHS, "master_seed": EL_SEED},
         },
         "ns_per_path_step": {
             "transport.transport_batch": _quartiles([1e9 * t / path_steps for t in transport_s]),
@@ -127,6 +158,7 @@ def measure() -> dict:
             "stepping.penalized.half-line": _quartiles([1e9 * t / hs_steps for t in halfline_s]),
             "stepping.penalized.disk": _quartiles([1e9 * t / disk_steps for t in disk_s]),
             "skorohod1d.penalized_paths_1d": _quartiles([1e9 * t / hs_steps for t in survival_s]),
+            **{name: _quartiles([1e9 * t / el_steps for t in times]) for name, times in exact_law.items()},
         },
         "environment": {
             "nproc": os.cpu_count(),
