@@ -122,6 +122,13 @@ def _rank_one(M, fac, vecs):
     M[i, p] = m - fac[i, p][:, None, None] * (v[:, :, None] * _vec_mat(v, m)[:, None, :])
 
 
+# Step matrices are built, and the running products reduced, this many nodes
+# at a time, so that no call holds an (N, P, d, d) stack but "series".
+_NODE_BLOCK = 32
+
+_COLLECTS = ("series", "norm2", "normal", "terminal", "cauchy", "bound")
+
+
 def _damped_engine(
     model,
     points,
@@ -140,37 +147,93 @@ def _damped_engine(
     c_increments: (P, N) per-step integrals of the normal damping rate
     (smooth variant) or None.
     jump_flags: (P, N+1) boolean, erase normal row after the step into a
-    flagged node (jump variants) or None.
-    collect: "series" (the matrices), "norm2" (their squared Frobenius norms)
-    or "normal" (their normal rows n^T w), each per node; the transported
+    flagged node (jump variants), None, or a list of such arrays: one
+    level each, all run in one pass over the nodes, which builds the shared
+    factors once and applies each level's erasure to its own copy.
+    collect, per node for one level: "series" (the matrices, (P, N+1, d, d)),
+    "norm2" (their squared Frobenius norms) or "normal" (their normal rows
+    n^T w).  Reduced over the nodes: "terminal" (the matrices at node N,
+    (P, levels, d, d)), "cauchy" (the sup over nodes of the Frobenius gap
+    between consecutive levels, (P, levels - 1)) or "bound" (the sup over
+    nodes of |w|^2 - 2 exp(-t - 2 int kappa dL), one level).  The transported
     normals come back as "carrier".  Any other collect raises ValueError.
     """
-    if collect not in ("series", "norm2", "normal"):
+    if collect not in _COLLECTS:
         raise ValueError(f"unknown collect {collect!r}")
+    levels = list(jump_flags) if isinstance(jump_flags, (list, tuple)) else [jump_flags]
+    if collect == "cauchy" and len(levels) < 2:
+        raise ValueError("collect 'cauchy' needs at least two levels")
+    if collect not in ("terminal", "cauchy") and len(levels) > 1:
+        raise ValueError(f"collect {collect!r} takes one level")
     P, n, d = points.shape
     N = n - 1
     nu, q, kappa = _node_geometry(model, points, frames)
+    step = (1.0 - 0.5 * geo.ricci_factor(model) * dt) * np.eye(d)
 
-    M = np.empty((N, P, d, d))
-    M[...] = (1.0 - 0.5 * geo.ricci_factor(model) * dt) * np.eye(d)
-    _rank_one(M, np.where(dL > 0, kappa[:, :-1] * dL, 0.0), q[:, :-1])
-    if c_increments is not None:
-        _rank_one(M, np.maximum(-np.expm1(-c_increments), 0.0), nu[:, :-1])  # 1 - exp(-int c), exact factor
-    if jump_flags is not None:
-        _rank_one(M, jump_flags[:, 1:].astype(float), nu[:, 1:])
-
-    W = np.empty((n, P, d, d))
-    W[0] = np.eye(d)
-    for i in range(N):
-        np.matmul(M[i], W[i], out=W[i + 1])
-
+    # W per node block, blk[0] the last node of the previous block; "series"
+    # writes the blocks straight into its output
+    series = np.empty((n, 1, P, d, d)) if collect == "series" else None
+    blk = np.empty((_NODE_BLOCK + 1, len(levels), P, d, d)) if series is None else series
+    blk[0] = np.eye(d)
     out = {"carrier": nu}
+    if collect == "norm2":
+        out["norm2"] = np.empty((P, n))
+        out["norm2"][:, 0] = np.sum(blk[0, 0] * blk[0, 0], axis=(1, 2))
+    elif collect == "normal":
+        out["normal"] = np.empty((P, n, d))
+        out["normal"][:, 0] = _vec_mat(nu[:, 0], blk[0, 0])
+    elif collect == "cauchy":
+        gaps = np.zeros((len(levels) - 1, P))
+    elif collect == "bound":
+        log_bound = np.zeros(P)
+        worst = np.sum(blk[0, 0] * blk[0, 0], axis=(1, 2)) - 2.0 * np.exp(log_bound)
+
+    for i0 in range(0, N, _NODE_BLOCK):
+        i1 = min(i0 + _NODE_BLOCK, N)
+        s, s1 = slice(i0, i1), slice(i0 + 1, i1 + 1)
+        M = np.empty((i1 - i0, P, d, d))
+        M[...] = step
+        _rank_one(M, np.where(dL[:, s] > 0, kappa[:, s] * dL[:, s], 0.0), q[:, s])
+        if c_increments is not None:
+            _rank_one(M, np.maximum(-np.expm1(-c_increments[:, s]), 0.0), nu[:, s])  # 1 - exp(-int c), exact
+        if len(levels) > 1:
+            M = np.repeat(M[:, None], len(levels), axis=1)
+        else:
+            M = M[:, None]
+        for k, flags in enumerate(levels):
+            if flags is not None:
+                _rank_one(M[:, k], flags[:, s1].astype(float), nu[:, s1])
+
+        W = series[i0:] if series is not None else blk
+        for k in range(i1 - i0):
+            np.matmul(M[k], W[k], out=W[k + 1])
+        W = W[1 : i1 - i0 + 1]
+        if collect == "norm2":
+            out["norm2"][:, s1] = np.sum(W[:, 0] * W[:, 0], axis=(2, 3)).T
+        elif collect == "normal":
+            out["normal"][:, s1] = _vec_mat(nu[:, s1], W[:, 0].swapaxes(0, 1))
+        elif collect == "cauchy":
+            diff = W[:, :-1] - W[:, 1:]
+            np.maximum(gaps, np.sqrt(np.sum(diff * diff, axis=(3, 4))).max(axis=0), out=gaps)
+        elif collect == "bound":
+            steps = np.empty((P, i1 - i0 + 1))
+            steps[:, 0] = log_bound
+            steps[:, 1:] = -1.0 * dt - 2.0 * kappa[:, s] * dL[:, s]
+            np.cumsum(steps, axis=1, out=steps)
+            log_bound = steps[:, -1].copy()
+            norm2 = np.sum(W[:, 0] * W[:, 0], axis=(2, 3)).T
+            np.maximum(worst, (norm2 - 2.0 * np.exp(steps[:, 1:])).max(axis=1), out=worst)
+        if series is None:
+            blk[0] = W[-1]
+
     if collect == "series":
-        out["series"] = W.swapaxes(0, 1)
-    elif collect == "norm2":
-        out["norm2"] = np.sum(W * W, axis=(2, 3)).T
-    else:
-        out["normal"] = _vec_mat(nu, W.swapaxes(0, 1))
+        out["series"] = series[:, 0].swapaxes(0, 1)
+    elif collect == "terminal":
+        out["terminal"] = blk[0].swapaxes(0, 1).copy()
+    elif collect == "cauchy":
+        out["cauchy"] = gaps.T
+    elif collect == "bound":
+        out["bound"] = worst
     return out
 
 

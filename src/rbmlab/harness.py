@@ -148,15 +148,26 @@ def _chunks(n: int, size: int):
 _CHUNK_PATHS = 250
 
 # Row-nodes one penalized integrator call may hold: the largest one-a call of
-# the acceptance sweeps (a 250-path chunk on 10,000 steps).  The a-grid is
-# stepped in groups of as many values of a as fit.
+# the acceptance sweeps that keep whole paths (a 250-path chunk on 10,000
+# steps).  The a-grid is stepped in groups of as many values of a as fit.
 _MAX_ROW_NODES = _CHUNK_PATHS * 10_001
+
+# The kinds that reduce the coupled runs as they are stepped (_streams): a row
+# holds its state only, and, for local-time, its N variation terms.
+_STREAMED = ("sp-convergence", "local-time", "projection")
+
+
+def _row_nodes(cfg: ExperimentConfig) -> int:
+    """Nodes of each row that one integrator call of the sweep holds."""
+    if cfg.kind == "local-time":
+        return cfg.steps
+    return 1 if cfg.kind in _STREAMED else cfg.steps + 1
 
 
 def _a_groups(cfg: ExperimentConfig, paths: int):
     """The a-grid in the slices that one integrator call each steps: as many
     values of a as keep a call of ``paths`` paths within _MAX_ROW_NODES."""
-    per_call = max(1, _MAX_ROW_NODES // (paths * (cfg.steps + 1)))
+    per_call = max(1, _MAX_ROW_NODES // (paths * _row_nodes(cfg)))
     return [cfg.a_grid[k : k + per_call] for k in range(0, len(cfg.a_grid), per_call)]
 
 
@@ -195,8 +206,12 @@ def local_time_tv(L, L_a):
     if L.shape != L_a.shape:
         raise ValueError("coupled local-time series must share a grid")
     sup = np.abs(L - L_a).max(axis=-1)
-    tv = np.abs(np.diff(L, axis=-1) - np.diff(L_a, axis=-1)).sum(axis=-1)
-    return sup, tv, 2.0 * L[..., -1]
+    return sup, _tv_terms(L, L_a).sum(axis=-1), 2.0 * L[..., -1]
+
+
+def _tv_terms(L, L_a):
+    """The terms |dL_k - dL^a_k| of the node variation, one per step."""
+    return np.abs(np.diff(L, axis=-1) - np.diff(L_a, axis=-1))
 
 
 # -- experiment kernels -------------------------------------------------------
@@ -216,7 +231,8 @@ def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, reflected=True, pen
     iterator of (a, penalized run) in grid order.  The iterator makes one call
     ``penalized(group, x0, dB)`` per _a_groups slice as it is consumed, and
     none when it is not; a call returns the group's runs in order, and the
-    default is the model's penalized integrator.
+    default is the model's penalized integrator.  ``penalized=False`` makes no
+    penalized runs, and lets the chunk's driver go before the chunk is yielded.
     """
     grid = cfg.grid
     x0 = _start_point(cfg, model)
@@ -233,7 +249,33 @@ def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, reflected=True, pen
     for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
         dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
         ref = stepping.integrate_reflected_batch(model, x0, dB, grid) if reflected else None
-        yield slice(first, first + c), ref, pens(dB)
+        runs = iter(()) if penalized is False else pens(dB)
+        del dB
+        yield slice(first, first + c), ref, runs
+        del ref, runs
+
+
+def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer):
+    """Coupled node loops on the shared driver, one chunk of paths at a time.
+
+    For each chunk and each _a_groups slice, one integrator call steps the
+    slice's penalized rows and the chunk's reflected rows in one node loop
+    and hands the runs, block by block, to the reducer that
+    ``reducer(chunk, rows)`` returns (see ``stepping.integrate_penalized_grid``):
+    ``chunk`` is the chunk's slice of the paths and ``rows`` the slice's
+    positions in the a-grid.  A chunk's driver is let go before the next one
+    is drawn.
+    """
+    grid = cfg.grid
+    x0 = _start_point(cfg, model)
+    for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
+        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
+        k = 0
+        for group in _a_groups(cfg, c):
+            stepping.integrate_penalized_grid(model, group, x0, dB, grid, aux_seed=cfg.master_seed + 1,
+                                              reduce=reducer(slice(first, first + c), slice(k, k + len(group))))
+            k += len(group)
+        del dB
 
 
 def _damped_along(model: ManifoldModel, run: dict, dt: float):
@@ -276,32 +318,55 @@ def _run_halfline_penalization(cfg: ExperimentConfig):
 
 def _run_sp_convergence(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
-    sup_p = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    for chunk, ref, pens in _chunk_runs(cfg, model):
-        for a, pen in pens:
-            sup_p[a][chunk] = geo.chart_distance(model, pen["points"], ref["points"]).max(axis=1) ** cfg.p
+    sup = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
+
+    def reducer(chunk, rows):
+        def reduce(i0, pen, ref):
+            block = sup[rows, chunk]
+            np.maximum(block, geo.chart_distance(model, pen["points"], ref["points"]).max(axis=-1), out=block)
+
+        return reduce
+
+    _streams(cfg, model, reducer)
+    sup_p = sup**cfg.p
     rows = []
-    for a in cfg.a_grid:
-        m, e = _mean_stderr(sup_p[a])
-        rows.append(ResultRow(cfg.kind, {"a": a, "p": cfg.p}, "sup_distance_p", m, e, *_quantiles(sup_p[a])))
+    for a, vals in zip(cfg.a_grid, sup_p):
+        m, e = _mean_stderr(vals)
+        rows.append(ResultRow(cfg.kind, {"a": a, "p": cfg.p}, "sup_distance_p", m, e, *_quantiles(vals)))
     return rows
 
 
 def _run_local_time(cfg: ExperimentConfig):
+    """local_time_tv of the coupled runs, reduced block by block: the sup gap
+    as a running max, and the variation from one (rows, N) buffer of its
+    terms, summed as local_time_tv sums them."""
     model = parse_model(cfg.model)
-    sup = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    tv = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
+    sup = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
+    tv = np.empty(sup.shape)
     twice = np.empty(cfg.n_paths)
-    for chunk, ref, pens in _chunk_runs(cfg, model):
-        for a, pen in pens:
-            sup[a][chunk], tv[a][chunk], twice[chunk] = local_time_tv(ref["L"], pen["L"])
+
+    def reducer(chunk, rows):
+        terms = np.empty((rows.stop - rows.start, chunk.stop - chunk.start, cfg.steps))
+
+        def reduce(i0, pen, ref):
+            gap = sup[rows, chunk]
+            np.maximum(gap, np.abs(ref["L"] - pen["L"]).max(axis=-1), out=gap)
+            i1 = i0 + ref["L"].shape[-1] - 1
+            terms[..., i0:i1] = _tv_terms(ref["L"], pen["L"])
+            if i1 == cfg.steps:
+                tv[rows, chunk] = terms.sum(axis=-1)
+                twice[chunk] = 2.0 * ref["L"][:, -1]
+
+        return reduce
+
+    _streams(cfg, model, reducer)
     rows = []
-    for a in cfg.a_grid:
-        m, e = _mean_stderr(sup[a])
-        rows.append(ResultRow(cfg.kind, {"a": a}, "sup_local_time_gap", m, e, *_quantiles(sup[a])))
-        m, e = _mean_stderr(tv[a])
-        rows.append(ResultRow(cfg.kind, {"a": a}, "tv_difference", m, e, *_quantiles(tv[a])))
-        ratio = tv[a].sum() / max(twice.sum(), 1e-300)
+    for k, a in enumerate(cfg.a_grid):
+        m, e = _mean_stderr(sup[k])
+        rows.append(ResultRow(cfg.kind, {"a": a}, "sup_local_time_gap", m, e, *_quantiles(sup[k])))
+        m, e = _mean_stderr(tv[k])
+        rows.append(ResultRow(cfg.kind, {"a": a}, "tv_difference", m, e, *_quantiles(tv[k])))
+        ratio = tv[k].sum() / max(twice.sum(), 1e-300)
         rows.append(ResultRow(cfg.kind, {"a": a}, "tv_over_twice_terminal", float(ratio)))
     m, e = _mean_stderr(twice)
     rows.append(ResultRow(cfg.kind, {}, "twice_terminal_local_time", m, e, *_quantiles(twice)))
@@ -317,11 +382,7 @@ def _run_norm_bound(cfg: ExperimentConfig):
     worst = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
     for chunk, _, pens in _chunk_runs(cfg, model, reflected=False):
         for a, pen in pens:
-            norm2 = _damped_along(model, pen, dt)(collect="norm2")["norm2"]
-            kappa_floor = geo._level_curvature(model, pen["points"][:, :-1])  # lower bound along the path
-            log_bound = np.zeros_like(pen["L"])
-            np.cumsum(-1.0 * dt - 2.0 * kappa_floor * np.diff(pen["L"], axis=1), axis=1, out=log_bound[:, 1:])
-            worst[a][chunk] = (norm2 - 2.0 * np.exp(log_bound)).max(axis=1)
+            worst[a][chunk] = _damped_along(model, pen, dt)(collect="bound")["bound"]
     rows = []
     for a in cfg.a_grid:
         rows.append(
@@ -337,16 +398,13 @@ def _run_eps_cauchy(cfg: ExperimentConfig):
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
     n_pairs = len(cfg.eps_grid) - 1
     gaps = [np.empty(cfg.n_paths) for _ in range(n_pairs)]
-    for chunk, ref, _ in _chunk_runs(cfg, model):
+    for chunk, ref, _ in _chunk_runs(cfg, model, penalized=False):
         closes, dur = close_events(ref["R"], grid.times, eta)
-        engine = _damped_along(model, ref, grid.dt)
-        prev = None  # only the previous level's series is held
-        for k, eps in enumerate(cfg.eps_grid):
-            series = engine(jump_flags=closes & (dur >= eps), collect="series")["series"]
-            if prev is not None:
-                diff = prev - series
-                gaps[k - 1][chunk] = np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1)
-            prev = series
+        levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
+        del closes, dur
+        gap = _damped_along(model, ref, grid.dt)(jump_flags=levels, collect="cauchy")["cauchy"]
+        for k in range(n_pairs):
+            gaps[k][chunk] = gap[:, k]
     rows = []
     for k in range(n_pairs):
         m, e = _mean_stderr(gaps[k])
@@ -404,17 +462,22 @@ def _run_transport(cfg: ExperimentConfig):
 def _run_projection(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
     delta0 = model.tubular_radius
-    sup = {a: np.full(cfg.n_paths, math.nan) for a in cfg.a_grid}
-    for chunk, ref, pens in _chunk_runs(cfg, model):
-        ref_proj = geo.nearest_boundary_point(model, ref["points"])
-        for a, pen in pens:
+    sup = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)  # -inf: never in both collars
+
+    def reducer(chunk, rows):
+        def reduce(i0, pen, ref):
             both = (ref["R"] < delta0) & (pen["R"] < delta0)
+            ref_proj = geo.nearest_boundary_point(model, ref["points"])
             proj_gap = np.linalg.norm(geo.nearest_boundary_point(model, pen["points"]) - ref_proj, axis=-1)
-            masked = np.where(both, proj_gap, -np.inf).max(axis=1)
-            sup[a][chunk] = np.where(np.isfinite(masked), masked, math.nan)
+            block = sup[rows, chunk]
+            np.maximum(block, np.where(both, proj_gap, -np.inf).max(axis=-1), out=block)
+
+        return reduce
+
+    _streams(cfg, model, reducer)
     rows = []
-    for a in cfg.a_grid:
-        vals = sup[a][~np.isnan(sup[a])]
+    for a, s in zip(cfg.a_grid, sup):
+        vals = s[np.isfinite(s)]
         if vals.size == 0:
             rows.append(ResultRow(cfg.kind, {"a": a}, "sup_projection_gap", math.nan))
             continue

@@ -36,6 +36,8 @@ _NEWTON_TOL = 1e-10  # bound on a Newton correction, relative to the iterate
 _ROOT_TOL = 1e-6  # the same for a step that returns only the root
 _MAX_NEWTON = 100
 _MAX_BISECT = 20  # bridge-halving depth of an off-collar curved step
+_FLAT_BLOCK = 256  # nodes per block of the streamed flat reflected paths
+_REDUCE_BLOCK = 64  # steps per block of the runs that a reducer is handed
 
 
 def _squares(a):
@@ -319,6 +321,21 @@ def _checked_inputs(model, x0, dB, grid):
     return dB, x0, float(geo.boundary_distance(model, x0))
 
 
+def _penalized_nodes(model, a_rows, paths, x, dB, dt, aux_seed):
+    """The penalized rows' (points, R, L, C) after each step, node 1 to N:
+    row j steps on driver path ``paths[j]`` at ``a_rows[j]`` from x[j]."""
+    streams = SeedStreams(aux_seed)
+    flat = model.id in (geo.HALF_LINE, geo.HALF_SPACE)
+    step = _step_flat_penalized if flat else _step_curved_penalized
+    L = np.zeros(x.shape[0])
+    C = np.zeros(x.shape[0])
+    for i in range(dB.shape[1]):
+        x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, streams, i, paths)
+        L = L + dL
+        C = C + dC
+        yield x, geo.raw_boundary_distance(model, x), L, C
+
+
 def integrate_penalized_grid(
     model: geo.ManifoldModel,
     a_grid,
@@ -326,6 +343,7 @@ def integrate_penalized_grid(
     dB: np.ndarray,
     grid: TimeGrid,
     aux_seed: int = 0,
+    reduce=None,
 ):
     """Euler-Maruyama with boundary-repelling drift for every a of ``a_grid``
     on one shared driver; returns dict of arrays with a leading a axis.
@@ -339,6 +357,15 @@ def integrate_penalized_grid(
     other paths of the batch (except through the bridge-halving draws of an
     off-collar curved step that leaves the domain, keyed by batch row, which
     only coarse grids need).
+
+    With a reducer ``reduce`` no output is stored and None is returned: the
+    reflected paths on the same driver step in the same node loop, and the
+    runs are handed over in blocks of at most _REDUCE_BLOCK steps.  A call
+    ``reduce(i0, pen, ref)`` gets nodes i0..i1 of the penalized runs (points
+    (G, P, n, d), R, L and C (G, P, n), n = i1 - i0 + 1) and of the reflected
+    ones (points (P, n, d), R and L (P, n)), each equal bit for bit to those
+    nodes of the stored runs; the next call starts at node i1.  The arrays
+    are reused once the call returns.
     """
     dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
     if not R0 > 0:
@@ -346,34 +373,42 @@ def integrate_penalized_grid(
     P, N, _ = dB.shape
     a_rows, paths = _grid_rows(a_grid, P)
     G = np.size(a_grid)
-    dt = grid.dt
     d = model.dim
+    nodes = _penalized_nodes(model, a_rows, paths, np.tile(x0, (G * P, 1)), dB, grid.dt, aux_seed)
+    n = N + 1 if reduce is None else min(N, _REDUCE_BLOCK) + 1
 
-    points = np.empty((G * P, N + 1, d))
-    R_out = np.empty((G * P, N + 1))
-    L_out = np.empty((G * P, N + 1))
-    C_out = np.empty((G * P, N + 1))
-    points[:, 0] = x0
-    R_out[:, 0] = R0
-    L_out[:, 0] = 0.0
-    C_out[:, 0] = 0.0
+    def stack(rows, *keys):
+        out = {key: np.empty((rows, n, d) if key == "points" else (rows, n)) for key in keys}
+        out["points"][:, 0] = x0
+        out["R"][:, 0] = R0
+        out["L"][:, 0] = 0.0
+        if "C" in out:
+            out["C"][:, 0] = 0.0
+        return out
 
-    streams = SeedStreams(aux_seed)
-    flat = model.id in (geo.HALF_LINE, geo.HALF_SPACE)
-    step = _step_flat_penalized if flat else _step_curved_penalized
-    x = np.tile(x0, (G * P, 1))
-    L = np.zeros(G * P)
-    C = np.zeros(G * P)
-    for i in range(N):
-        x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, streams, i, paths)
-        L += dL
-        C += dC
-        points[:, i + 1] = x
-        R_out[:, i + 1] = geo.raw_boundary_distance(model, x)
-        L_out[:, i + 1] = L
-        C_out[:, i + 1] = C
-    out = {"points": points, "R": R_out, "L": L_out, "C": C_out}
-    return {key: v.reshape(G, P, *v.shape[1:]) for key, v in out.items()}
+    pen = stack(G * P, "points", "R", "L", "C")
+    if reduce is None:
+        for i, state in enumerate(nodes, 1):
+            for v, x in zip(pen.values(), state):
+                v[:, i] = x
+        return {key: v.reshape(G, P, *v.shape[1:]) for key, v in pen.items()}
+
+    ref = stack(P, "points", "R", "L")
+    i0 = 0
+    for i, (pen_i, ref_i) in enumerate(zip(nodes, _reflected_nodes(model, x0, R0, dB, grid.dt)), 1):
+        k = i - i0
+        for v, x in zip(pen.values(), pen_i):
+            v[:, k] = x
+        for v, x in zip(ref.values(), ref_i):
+            v[:, k] = x
+        if k == n - 1 or i == N:
+            block = {key: v[:, : k + 1] for key, v in pen.items()}
+            reduce(i0, {key: v.reshape(G, P, *v.shape[1:]) for key, v in block.items()},
+                   {key: v[:, : k + 1] for key, v in ref.items()})
+            for v in (*pen.values(), *ref.values()):
+                v[:, 0] = v[:, k]
+            i0 = i
+    return None
 
 
 def integrate_penalized_batch(
@@ -411,6 +446,46 @@ def _project_to_domain(model, pts, R):
     return out, np.where(neg, 0.0, R), push
 
 
+def _reflected_nodes(model, x0, R0, dB, dt):
+    """The reflected paths' (points, R, L) after each step, node 1 to N.
+
+    Flat-boundary models take the running infimum of the driver in blocks of
+    _FLAT_BLOCK nodes, whose cumulative sums and maxima, seeded with the last
+    node of the previous block, add in the order of
+    :func:`integrate_reflected_batch`'s; curved models take an Euler step and
+    project back into the domain, the push distance feeding the local time.
+    """
+    P, N, _ = dB.shape
+    d = model.dim
+    if model.id in (geo.HALF_LINE, geo.HALF_SPACE):
+        # the driver's normal component moves to the last axis, as in points
+        order = np.r_[1:d, 0]
+        drift = np.zeros((P, 1, d))
+        h = np.zeros((P, 1))
+        for i0 in range(0, N, _FLAT_BLOCK):
+            n = min(_FLAT_BLOCK, N - i0)
+            drift = np.cumsum(np.concatenate([drift[:, -1:], dB[:, i0 : i0 + n, order]], axis=1), axis=1)
+            f = drift[:, 1:, -1]
+            h = np.maximum.accumulate(np.concatenate([h[:, -1:], np.maximum(0.0, -(R0 + f))], axis=1), axis=1)
+            points = x0 + drift[:, 1:]
+            points[..., -1] = R0 + f + h[:, 1:]
+            for k in range(n):
+                yield points[:, k], points[:, k, -1], h[:, k + 1]
+        return
+
+    x = np.tile(x0, (P, 1))
+    L = np.zeros(P)
+    for i in range(N):
+        R = geo.raw_boundary_distance(model, x)
+        regions = _regions(model, x, R)
+        edge = regions[0]
+        R_edge = R[edge] + dB[edge, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[edge]) * dt
+        x = _chart_step(model, x, R, dB[:, i], dt, regions, R_edge)
+        x, R_new, push = _project_to_domain(model, x, geo.raw_boundary_distance(model, x))
+        L = L + push
+        yield x, R_new, L
+
+
 def integrate_reflected_batch(
     model: geo.ManifoldModel,
     x0: np.ndarray,
@@ -425,7 +500,6 @@ def integrate_reflected_batch(
     """
     dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
     P, N, _ = dB.shape
-    dt = grid.dt
     d = model.dim
 
     if model.id in (geo.HALF_LINE, geo.HALF_SPACE):
@@ -440,24 +514,14 @@ def integrate_reflected_batch(
             points[:, 1:, : d - 1] = x0[: d - 1] + np.cumsum(dB[:, :, 1:], axis=1)
         return {"points": points, "R": g, "L": h}
 
-    x = np.tile(x0, (P, 1))
-    L = np.zeros(P)
     points = np.empty((P, N + 1, d))
     R_out = np.empty((P, N + 1))
     L_out = np.empty((P, N + 1))
     points[:, 0] = x0
     R_out[:, 0] = R0
     L_out[:, 0] = 0.0
-
-    for i in range(N):
-        R = geo.raw_boundary_distance(model, x)
-        regions = _regions(model, x, R)
-        edge = regions[0]
-        R_edge = R[edge] + dB[edge, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[edge]) * dt
-        x = _chart_step(model, x, R, dB[:, i], dt, regions, R_edge)
-        x, R_new, push = _project_to_domain(model, x, geo.raw_boundary_distance(model, x))
-        L += push
-        points[:, i + 1] = x
-        R_out[:, i + 1] = R_new
-        L_out[:, i + 1] = L
+    for i, (x, R, L) in enumerate(_reflected_nodes(model, x0, R0, dB, grid.dt), 1):
+        points[:, i] = x
+        R_out[:, i] = R
+        L_out[:, i] = L
     return {"points": points, "R": R_out, "L": L_out}

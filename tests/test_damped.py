@@ -410,3 +410,56 @@ def test_engine_rejects_unknown_collect():
     points = np.full((2, 4, 1), 0.5)
     with pytest.raises(ValueError, match="unknown collect 'norm'"):
         _damped_engine(model, points, None, 0.1, np.zeros((2, 3)), collect="norm")
+
+
+@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=["hemisphere", "cap-pi3", "disk", "half-line", "half-space-d2"])
+def test_engine_reductions_match_the_series_bit_for_bit(model, x0, horizon):
+    """The reduced collect modes, one pass over every level, give the bits
+    that the harness used to compute from each level's stored series."""
+    from rbmlab import damped, stepping
+    from rbmlab.damped import _damped_engine
+    from rbmlab.grids import driver_block
+    from rbmlab.reflected import close_events
+    from rbmlab.transport import transport_batch
+
+    grid = TimeGrid(horizon, 3 * damped._NODE_BLOCK + 5)  # blocks, and a short last one
+    dB = driver_block(grid, model.frame_count, 23, 0, 10)
+    x0 = np.array(x0)
+    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
+    closes, dur = close_events(ref["R"], grid.times, 0.01)
+    levels = [closes & (dur >= eps) for eps in (0.05, 0.02, 0.01, 0.0)]
+    assert levels[-1].any()
+    frames = None if model.is_flat_chart else transport_batch(model, ref["points"])
+    args = (model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1))
+    series = [_damped_engine(*args, jump_flags=flags, collect="series")["series"] for flags in levels]
+
+    cauchy = _damped_engine(*args, jump_flags=levels, collect="cauchy")["cauchy"]
+    for k in range(len(levels) - 1):
+        diff = series[k] - series[k + 1]
+        assert np.array_equal(cauchy[:, k], np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1))
+    terminal = _damped_engine(*args, jump_flags=levels, collect="terminal")["terminal"]
+    assert np.array_equal(terminal, np.stack([s[:, -1] for s in series], axis=1))
+
+    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid, aux_seed=24)
+    frames = None if model.is_flat_chart else transport_batch(model, pen["points"])
+    dL = np.diff(pen["L"], axis=1)
+    args = (model, pen["points"], frames, grid.dt, dL)
+    kw = dict(c_increments=np.diff(pen["C"], axis=1))
+    norm2 = _damped_engine(*args, collect="norm2", **kw)["norm2"]
+    log_bound = np.zeros_like(pen["L"])
+    kappa = geo._level_curvature(model, pen["points"][:, :-1])
+    np.cumsum(-1.0 * grid.dt - 2.0 * kappa * dL, axis=1, out=log_bound[:, 1:])
+    bound = _damped_engine(*args, collect="bound", **kw)["bound"]
+    assert np.array_equal(bound, (norm2 - 2.0 * np.exp(log_bound)).max(axis=1))
+
+
+def test_engine_rejects_a_level_count_its_collect_cannot_take():
+    from rbmlab.damped import _damped_engine
+
+    model = geo.half_line()
+    points = np.full((2, 4, 1), 0.5)
+    flags = np.zeros((2, 4), dtype=bool)
+    with pytest.raises(ValueError, match="at least two levels"):
+        _damped_engine(model, points, None, 0.1, np.zeros((2, 3)), jump_flags=[flags], collect="cauchy")
+    with pytest.raises(ValueError, match="takes one level"):
+        _damped_engine(model, points, None, 0.1, np.zeros((2, 3)), jump_flags=[flags, flags], collect="series")

@@ -407,8 +407,8 @@ _KIND_CASES = {
 def test_sweep_bytes_do_not_depend_on_the_chunk_width(case, monkeypatch):
     fields, digest = _KIND_CASES[case]
     cfg = ExperimentConfig(master_seed=5, **fields)
-    # the damped engine's per-path outputs too: norm-bound's CSV reads 0.0
-    # wherever the paths are, so only these show that its chunks differ
+    # the damped engine's per-path outputs too, reduced over the nodes
+    # (norm-bound's bound, eps-cauchy's level gaps) as the sweeps read them
     engine_calls = []
     real_engine = harness._damped_engine
 
@@ -440,6 +440,40 @@ def _per_path_bytes(calls, chunks):
     ]
 
 
+@pytest.mark.parametrize("kind", harness._STREAMED)
+def test_streamed_kinds_read_their_statistics_off_the_stored_runs(kind):
+    """The rows of a kind that reduces node by node are those of its statistic
+    on the stored runs of the chunk: local_time_tv for local-time, the sup
+    chart distance for sp-convergence, the masked sup projection gap for
+    projection."""
+    fields, _ = _A_KIND_CASES[kind]
+    cfg = ExperimentConfig(kind=kind, master_seed=8, **fields)
+    model = geo.parse_model(cfg.model)
+    dB = driver_block(cfg.grid, model.frame_count, cfg.master_seed, 0, cfg.n_paths)
+    ref = stepping.integrate_reflected_batch(model, cfg.x0, dB, cfg.grid)
+    pen = stepping.integrate_penalized_grid(model, cfg.a_grid, cfg.x0, dB, cfg.grid, aux_seed=cfg.master_seed + 1)
+    expected = {}
+    for k, a in enumerate(cfg.a_grid):
+        if kind == "local-time":
+            sup, tv, twice = local_time_tv(ref["L"], pen["L"][k])
+            expected[(a, "sup_local_time_gap")], expected[(a, "tv_difference")] = sup, tv
+            expected[(None, "twice_terminal_local_time")] = twice
+        elif kind == "sp-convergence":
+            expected[(a, "sup_distance_p")] = geo.chart_distance(model, pen["points"][k], ref["points"]).max(axis=1) ** cfg.p
+        else:
+            both = (ref["R"] < model.tubular_radius) & (pen["R"][k] < model.tubular_radius)
+            proj = geo.nearest_boundary_point(model, pen["points"][k]) - geo.nearest_boundary_point(model, ref["points"])
+            sup = np.where(both, np.linalg.norm(proj, axis=-1), -np.inf).max(axis=1)
+            assert np.isfinite(sup).sum() >= 2
+            expected[(a, "sup_projection_gap")] = sup[np.isfinite(sup)]
+    rows = {(r.params.get("a"), r.statistic): r for r in harness.run_experiment(cfg)}
+    assert set(expected) <= set(rows)
+    for key, vals in expected.items():
+        r = rows[key]
+        assert (r.value, r.stderr) == harness._mean_stderr(vals), key
+        assert (r.q25, r.q50, r.q75) == harness._quantiles(vals), key
+
+
 def test_sweeps_make_only_the_runs_they_use(monkeypatch):
     calls = Counter()
 
@@ -463,7 +497,10 @@ def test_sweeps_make_only_the_runs_they_use(monkeypatch):
         chunks = -(-cfg.n_paths // 7)
         penalized = calls["integrate_penalized_grid"] + calls["penalized_paths_1d_grid"]
         assert calls["_chunks"] == 1, case
-        assert calls["integrate_reflected_batch"] == (0 if cfg.kind == "norm-bound" else chunks), case
+        # norm-bound needs no reflected run, and the streamed kinds step their
+        # reflected rows in the penalized call's node loop
+        no_reflected = cfg.kind == "norm-bound" or cfg.kind in harness._STREAMED
+        assert calls["integrate_reflected_batch"] == (0 if no_reflected else chunks), case
         assert penalized == (0 if cfg.kind == "eps-cauchy" else chunks), case
 
 
@@ -471,7 +508,7 @@ def test_sweeps_make_only_the_runs_they_use(monkeypatch):
 def test_a_grid_kinds_keep_their_bytes_however_the_grid_is_split(kind, monkeypatch):
     fields, digest = _A_KIND_CASES[kind]
     cfg = ExperimentConfig(kind=kind, master_seed=5, **fields)
-    one_call = cfg.n_paths * (cfg.steps + 1)
+    one_call = cfg.n_paths * harness._row_nodes(cfg)
     # the three values of a in one call, then two values a call, then one
     for limit, calls in ((harness._MAX_ROW_NODES, 1), (2 * one_call, 2), (one_call, 3)):
         monkeypatch.setattr(harness, "_MAX_ROW_NODES", limit)

@@ -538,3 +538,41 @@ def test_grid_rejects_bad_a():
             stepping.integrate_penalized_grid(geo.half_line(), a_grid, [0.5], dB, grid)
     with pytest.raises(ValueError):
         sk.penalized_paths_1d_grid((0.1, -0.1), 0.5, dB[..., 0], 0.1)
+
+
+# -- the per-node reducer -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "model,x0,steps",
+    [
+        (geo.half_line(), (0.05,), 600),  # more than two flat reflected blocks
+        (geo.half_space(3), (0.3, -0.2, 0.05), 300),
+        (geo.flat_disk(), (0.9, 0.0), 200),
+        (_CAP, (np.pi / 3 - 0.05, 0.0), 200),
+        (geo.flat_disk(), (0.2, 0.1), 40),  # a coarse grid: the bridge-halving branch
+    ],
+    ids=["half-line", "half-space-d3", "disk", "cap", "disk-coarse"],
+)
+def test_reducer_sees_the_stored_runs_block_by_block(model, x0, steps):
+    grid = TimeGrid(0.2 if steps > 40 else 1.0, steps)
+    a_grid = (0.1, 0.025, 0.0125)
+    dB = driver_block(grid, model.frame_count, seed=31, first_path=0, n_paths=9)
+    pen = stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid, aux_seed=32)
+    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
+    blocks = []
+
+    def reduce(i0, pen_i, ref_i):
+        blocks.append((i0, {k: v.copy() for k, v in pen_i.items()}, {k: v.copy() for k, v in ref_i.items()}))
+
+    assert stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid, aux_seed=32, reduce=reduce) is None
+    # blocks of at most _REDUCE_BLOCK steps, each starting at the last node of the one before
+    starts = [i0 for i0, _, _ in blocks]
+    ends = starts[1:] + [steps]
+    assert starts[0] == 0 and all(0 < i1 - i0 <= stepping._REDUCE_BLOCK for i0, i1 in zip(starts, ends))
+    for (i0, pen_i, ref_i), i1 in zip(blocks, ends):
+        assert pen_i.keys() == pen.keys() and ref_i.keys() == ref.keys()
+        for key in pen:
+            assert np.array_equal(pen_i[key], pen[key][:, :, i0 : i1 + 1]), (i0, key)
+        for key in ref:
+            assert np.array_equal(ref_i[key], ref[key][:, i0 : i1 + 1]), (i0, key)

@@ -24,12 +24,24 @@ on the same draw costs.  A tree without the record (``estimators._path_record``
 absent) draws on every call: its one-start ``_exact_law`` call is timed as
 ``exact_law.record``, and ``exact_law.reduction`` is left out.
 
+Eps levels: the engine stage of one ``eps-cauchy`` chunk on the same input,
+from the four levels' jump flags to the inter-level gaps, in ns per path-step
+per level.  A tree whose engine runs every level in one pass (collect
+"cauchy") makes one call; an older tree makes the four "series" calls and
+the three pairwise differences that its harness made.
+
 Each layer is called once to warm up and then nine times; the record keeps
 the median and the quartiles over the repeats, with numpy, scipy and Python
 versions and ``nproc``.  BLAS and OpenMP pools are pinned to one thread.
 The calls use only names and arguments that the penalized integrators have
 had since the a-grid became one batch, so one copy of this script measures
 an older tree as well.
+
+Memory: the tracemalloc peak of one ``run_experiment`` call of each sweep of
+the ``sweeps`` benchmark (and of ``projection`` on its disk input), in MB of
+numpy buffers.  Acceptance runs: criterion 3 on the disk and criterion 4's
+finest variation rung (tests/test_acceptance.py), each once in a fresh
+interpreter, with its wall time and the peak RSS of that interpreter.
 
 Run from the root of a checkout, with the rbmlab to measure on the path:
 
@@ -42,9 +54,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
+import subprocess
+import sys
 import time
+import tracemalloc
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -60,6 +76,41 @@ HS_SEED, HS_SEED_1D = 44, 42
 DISK_A, DISK_HORIZON, DISK_STEPS, DISK_PATHS, DISK_SEED = (0.1, 0.05, 0.025, 0.0125), 0.1, 1000, 250, 43
 # the exact-law benchmark's input
 EL_HORIZON, EL_DT, EL_STEPS, EL_PATHS, EL_SEED, EL_X = 1.0, 1e-3, 1000, 5000, 48, 0.5
+
+# ExperimentConfig fields of the sweeps benchmark's reference calls
+SWEEPS = {
+    "local-time": dict(kind="local-time", model="half-line", horizon=1.0, steps=2000, a_grid=HS_A, n_paths=32,
+                       x0=(0.5,), master_seed=44),
+    "halfline-penalization": dict(kind="halfline-penalization", model="half-line", horizon=1.0, steps=2000,
+                                  a_grid=HS_A, n_paths=32, x0=(0.5,), master_seed=42),
+    "sp-convergence": dict(kind="sp-convergence", model="disk", horizon=DISK_HORIZON, steps=DISK_STEPS,
+                           a_grid=DISK_A, n_paths=DISK_PATHS, p=2.0, x0=(0.5, 0.0), master_seed=DISK_SEED),
+    "projection": dict(kind="projection", model="disk", horizon=DISK_HORIZON, steps=DISK_STEPS,
+                       a_grid=DISK_A, n_paths=DISK_PATHS, x0=(0.5, 0.0), master_seed=DISK_SEED),
+    "norm-bound": dict(kind="norm-bound", model=f"cap:theta0={math.pi / 3}", horizon=0.1, steps=200,
+                       a_grid=(0.05, 0.0125), n_paths=200, x0=(math.pi / 3 - 0.15, 0.0), master_seed=45),
+    "eps-cauchy": dict(kind="eps-cauchy", model=f"cap:theta0={THETA0}", horizon=HORIZON, steps=STEPS,
+                       eps_grid=EPS_GRID, n_paths=PATHS, x0=(THETA0 - 0.15, 0.0), master_seed=SEED),
+}
+# the acceptance runs whose wall time and peak RSS ROADMAP item 2 gates
+ACCEPTANCE = {
+    "criterion_3_disk": dict(kind="sp-convergence", model="disk", horizon=1.0, steps=10_000,
+                             a_grid=(0.1, 0.05, 0.025, 0.0125), n_paths=1000, p=2.0, master_seed=43, x0=(0.5, 0.0)),
+    "criterion_4_tv_finest": dict(kind="local-time", model="half-line", horizon=0.25, steps=160_000,
+                                  a_grid=(0.025,), n_paths=50, master_seed=44, x0=(0.1,)),
+}
+_ACCEPTANCE_RUN = """
+import json, resource, time
+from rbmlab import harness
+from rbmlab.harness import ExperimentConfig
+cfg = ExperimentConfig(**{fields!r})
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+t0 = time.perf_counter()
+harness.run_experiment(cfg)
+wall = time.perf_counter() - t0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak, "import_rss_mb": base}}))
+"""
 
 
 def _quartiles(values):
@@ -79,13 +130,30 @@ def _time(fn):
     return out
 
 
-def measure() -> dict:
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _acceptance(fields) -> dict:
+    """One acceptance run in a fresh interpreter (its own peak RSS)."""
+    code = _ACCEPTANCE_RUN.format(fields=fields)
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def measure(acceptance: bool = True) -> dict:
     import numpy as np
     import scipy
 
+    from rbmlab import damped
     from rbmlab import estimators as est
     from rbmlab import geometry as geo
-    from rbmlab import stepping
+    from rbmlab import harness, stepping
     from rbmlab.damped import _damped_engine
     from rbmlab.grids import TimeGrid, driver_block
     from rbmlab.reflected import close_events, default_contact_threshold
@@ -106,8 +174,22 @@ def measure() -> dict:
         for eps in EPS_GRID:
             _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=closes & (dur >= eps), collect="series")
 
+    def eps_levels():
+        levels = [closes & (dur >= eps) for eps in EPS_GRID]
+        if "cauchy" in getattr(damped, "_COLLECTS", ()):
+            return _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=levels, collect="cauchy")["cauchy"]
+        prev, gaps = None, []
+        for flags in levels:
+            series = _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=flags, collect="series")["series"]
+            if prev is not None:
+                diff = prev - series
+                gaps.append(np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1))
+            prev = series
+        return np.stack(gaps, axis=1)
+
     transport_s = _time(lambda: transport_batch(cap, points))
     engine_s = [t / len(EPS_GRID) for t in _time(engine_levels)]
+    eps_levels_s = [t / len(EPS_GRID) for t in _time(eps_levels)]
 
     hs_grid = TimeGrid(HS_HORIZON, HS_STEPS)
     hs_dB = driver_block(hs_grid, 1, HS_SEED, 0, HS_PATHS)
@@ -139,7 +221,12 @@ def measure() -> dict:
         est._path_record.cache_clear()
     else:
         exact_law = {"exact_law.record": _time(one_start)}
+    traced = {name: _traced_peak_mb(lambda f=fields: harness.run_experiment(harness.ExperimentConfig(**f)))
+              for name, f in SWEEPS.items()}
+    runs = {name: _acceptance(fields) for name, fields in ACCEPTANCE.items()} if acceptance else {}
     return {
+        "traced_peak_mb": traced,
+        "acceptance": {name: {**run, "config": ACCEPTANCE[name]} for name, run in runs.items()},
         "input": {
             "model": "cap:theta0=pi/2", "horizon": HORIZON, "steps": STEPS, "paths": PATHS,
             "master_seed": SEED, "eps_grid": list(EPS_GRID), "min_theta": float(points[..., 0].min()),
@@ -155,6 +242,7 @@ def measure() -> dict:
         "ns_per_path_step": {
             "transport.transport_batch": _quartiles([1e9 * t / path_steps for t in transport_s]),
             "damped.engine": _quartiles([1e9 * t / path_steps for t in engine_s]),
+            "damped.eps_levels": _quartiles([1e9 * t / path_steps for t in eps_levels_s]),
             "stepping.penalized.half-line": _quartiles([1e9 * t / hs_steps for t in halfline_s]),
             "stepping.penalized.disk": _quartiles([1e9 * t / disk_steps for t in disk_s]),
             "skorohod1d.penalized_paths_1d": _quartiles([1e9 * t / hs_steps for t in survival_s]),
@@ -173,8 +261,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file to write; records under other labels are kept")
     parser.add_argument("--label", required=True, help="name of this record, e.g. parent or change")
+    parser.add_argument("--no-acceptance", action="store_true",
+                        help="skip the acceptance runs (criterion 3 on the disk takes minutes)")
     args = parser.parse_args(argv)
-    record = measure()
+    record = measure(acceptance=not args.no_acceptance)
     data = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -183,7 +273,8 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps({args.label: record["ns_per_path_step"]}, indent=2))
+    print(json.dumps({args.label: {key: record[key] for key in ("ns_per_path_step", "traced_peak_mb", "acceptance")}},
+                     indent=2))
     return 0
 
 
