@@ -155,8 +155,9 @@ def _damped_engine(
     n^T w).  Reduced over the nodes: "terminal" (the matrices at node N,
     (P, levels, d, d)), "cauchy" (the sup over nodes of the Frobenius gap
     between consecutive levels, (P, levels - 1)) or "bound" (the sup over
-    nodes of |w|^2 - 2 exp(-t - 2 int kappa dL), one level).  The transported
-    normals come back as "carrier".  Any other collect raises ValueError.
+    nodes 1..N of |w|^2 - 2 exp(-t - 2 int kappa dL), one level).  The
+    transported normals come back as "carrier".  Any other collect raises
+    ValueError.
     """
     if collect not in _COLLECTS:
         raise ValueError(f"unknown collect {collect!r}")
@@ -186,7 +187,7 @@ def _damped_engine(
         gaps = np.zeros((len(levels) - 1, P))
     elif collect == "bound":
         log_bound = np.zeros(P)
-        worst = np.sum(blk[0, 0] * blk[0, 0], axis=(1, 2)) - 2.0 * np.exp(log_bound)
+        worst = np.full(P, -np.inf)  # node 0, where |W|^2 = d, does not count
 
     for i0 in range(0, N, _NODE_BLOCK):
         i1 = min(i0 + _NODE_BLOCK, N)
