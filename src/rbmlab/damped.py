@@ -19,9 +19,11 @@ The system is linear, so one step is a matrix: w_{i+1} = M_i w_i with
 
 coefficients frozen at the left node, s_i = 1 - exp(-int c) the damping
 factor and j_i = 1 where the step enters an excursion right end.  The engine
-builds M for every node and path at once, applying each rank-one factor only
-where its coefficient is nonzero, and then runs the node loop as one stacked
-matrix product per node.
+builds M for every path in blocks of nodes, applying each rank-one factor
+only where its coefficient is nonzero, and runs the node loop as one stacked
+matrix product per node.  Jump levels that differ only in j_i (the eps
+levels of one path set) share one pass: the other factors are built once
+and each level's product runs in the same stacked call.
 """
 from __future__ import annotations
 
@@ -126,7 +128,7 @@ def _rank_one(M, fac, vecs):
 # at a time, so that no call holds an (N, P, d, d) stack but "series".
 _NODE_BLOCK = 32
 
-_COLLECTS = ("series", "norm2", "normal", "terminal", "cauchy", "bound")
+_COLLECTS = ("series", "normal", "terminal", "cauchy", "bound")
 
 
 def _damped_engine(
@@ -150,14 +152,13 @@ def _damped_engine(
     flagged node (jump variants), None, or a list of such arrays: one
     level each, all run in one pass over the nodes, which builds the shared
     factors once and applies each level's erasure to its own copy.
-    collect, per node for one level: "series" (the matrices, (P, N+1, d, d)),
-    "norm2" (their squared Frobenius norms) or "normal" (their normal rows
-    n^T w).  Reduced over the nodes: "terminal" (the matrices at node N,
-    (P, levels, d, d)), "cauchy" (the sup over nodes of the Frobenius gap
-    between consecutive levels, (P, levels - 1)) or "bound" (the sup over
-    nodes 1..N of |w|^2 - 2 exp(-t - 2 int kappa dL), one level).  The
-    transported normals come back as "carrier".  Any other collect raises
-    ValueError.
+    collect, per node for one level: "series" (the matrices, (P, N+1, d, d))
+    or "normal" (their normal rows n^T w, (P, N+1, d)).  Reduced over the
+    nodes: "terminal" (the matrices at node N, (P, levels, d, d)), "cauchy"
+    (the sup over nodes of the Frobenius gap between consecutive levels,
+    (P, levels - 1)) or "bound" (the sup over nodes 1..N of
+    |w|^2 - 2 exp(-t - 2 int kappa dL), one level).  The transported normals
+    come back as "carrier".  Any other collect raises ValueError.
     """
     if collect not in _COLLECTS:
         raise ValueError(f"unknown collect {collect!r}")
@@ -177,10 +178,7 @@ def _damped_engine(
     blk = np.empty((_NODE_BLOCK + 1, len(levels), P, d, d)) if series is None else series
     blk[0] = np.eye(d)
     out = {"carrier": nu}
-    if collect == "norm2":
-        out["norm2"] = np.empty((P, n))
-        out["norm2"][:, 0] = np.sum(blk[0, 0] * blk[0, 0], axis=(1, 2))
-    elif collect == "normal":
+    if collect == "normal":
         out["normal"] = np.empty((P, n, d))
         out["normal"][:, 0] = _vec_mat(nu[:, 0], blk[0, 0])
     elif collect == "cauchy":
@@ -197,10 +195,7 @@ def _damped_engine(
         _rank_one(M, np.where(dL[:, s] > 0, kappa[:, s] * dL[:, s], 0.0), q[:, s])
         if c_increments is not None:
             _rank_one(M, np.maximum(-np.expm1(-c_increments[:, s]), 0.0), nu[:, s])  # 1 - exp(-int c), exact
-        if len(levels) > 1:
-            M = np.repeat(M[:, None], len(levels), axis=1)
-        else:
-            M = M[:, None]
+        M = np.repeat(M[:, None], len(levels), axis=1) if len(levels) > 1 else M[:, None]
         for k, flags in enumerate(levels):
             if flags is not None:
                 _rank_one(M[:, k], flags[:, s1].astype(float), nu[:, s1])
@@ -209,9 +204,7 @@ def _damped_engine(
         for k in range(i1 - i0):
             np.matmul(M[k], W[k], out=W[k + 1])
         W = W[1 : i1 - i0 + 1]
-        if collect == "norm2":
-            out["norm2"][:, s1] = np.sum(W[:, 0] * W[:, 0], axis=(2, 3)).T
-        elif collect == "normal":
+        if collect == "normal":
             out["normal"][:, s1] = _vec_mat(nu[:, s1], W[:, 0].swapaxes(0, 1))
         elif collect == "cauchy":
             diff = W[:, :-1] - W[:, 1:]

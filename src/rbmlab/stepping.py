@@ -38,6 +38,8 @@ _MAX_NEWTON = 100
 _MAX_BISECT = 20  # bridge-halving depth of an off-collar curved step
 _FLAT_BLOCK = 256  # nodes per block of the streamed flat reflected paths
 _REDUCE_BLOCK = 64  # steps per block of the runs that a reducer is handed
+_PENALIZED_KEYS = ("points", "R", "L", "C")
+_REFLECTED_KEYS = ("points", "R", "L")
 
 
 def _squares(a):
@@ -321,6 +323,18 @@ def _checked_inputs(model, x0, dB, grid):
     return dB, x0, float(geo.boundary_distance(model, x0))
 
 
+def _stacked(start, nodes, N):
+    """Arrays (rows, N+1, ...), one per entry of the state tuple ``start``,
+    holding ``start`` at node 0 and the states ``nodes`` yields after it."""
+    out = [np.empty((v.shape[0], N + 1, *v.shape[1:])) for v in start]
+    for v, x in zip(out, start):
+        v[:, 0] = x
+    for i, state in enumerate(nodes, 1):
+        for v, x in zip(out, state):
+            v[:, i] = x
+    return out
+
+
 def _penalized_nodes(model, a_rows, paths, x, dB, dt, aux_seed):
     """The penalized rows' (points, R, L, C) after each step, node 1 to N:
     row j steps on driver path ``paths[j]`` at ``a_rows[j]`` from x[j]."""
@@ -373,39 +387,28 @@ def integrate_penalized_grid(
     P, N, _ = dB.shape
     a_rows, paths = _grid_rows(a_grid, P)
     G = np.size(a_grid)
-    d = model.dim
-    nodes = _penalized_nodes(model, a_rows, paths, np.tile(x0, (G * P, 1)), dB, grid.dt, aux_seed)
-    n = N + 1 if reduce is None else min(N, _REDUCE_BLOCK) + 1
+    start = (np.tile(x0, (G * P, 1)), np.full(G * P, R0), np.zeros(G * P), np.zeros(G * P))
+    nodes = _penalized_nodes(model, a_rows, paths, start[0], dB, grid.dt, aux_seed)
 
-    def stack(rows, *keys):
-        out = {key: np.empty((rows, n, d) if key == "points" else (rows, n)) for key in keys}
-        out["points"][:, 0] = x0
-        out["R"][:, 0] = R0
-        out["L"][:, 0] = 0.0
-        if "C" in out:
-            out["C"][:, 0] = 0.0
-        return out
+    def penalized(arrays):
+        return {key: v.reshape(G, P, *v.shape[1:]) for key, v in zip(_PENALIZED_KEYS, arrays)}
 
-    pen = stack(G * P, "points", "R", "L", "C")
     if reduce is None:
-        for i, state in enumerate(nodes, 1):
-            for v, x in zip(pen.values(), state):
-                v[:, i] = x
-        return {key: v.reshape(G, P, *v.shape[1:]) for key, v in pen.items()}
+        return penalized(_stacked(start, nodes, N))
 
-    ref = stack(P, "points", "R", "L")
+    # node blocks: column 0 holds the last node of the block before
+    B = min(N, _REDUCE_BLOCK)
+    pen = _stacked(start, (), B)
+    ref = _stacked(_reflected_start(x0, R0, P), (), B)
     i0 = 0
     for i, (pen_i, ref_i) in enumerate(zip(nodes, _reflected_nodes(model, x0, R0, dB, grid.dt)), 1):
         k = i - i0
-        for v, x in zip(pen.values(), pen_i):
+        for v, x in zip((*pen, *ref), (*pen_i, *ref_i)):
             v[:, k] = x
-        for v, x in zip(ref.values(), ref_i):
-            v[:, k] = x
-        if k == n - 1 or i == N:
-            block = {key: v[:, : k + 1] for key, v in pen.items()}
-            reduce(i0, {key: v.reshape(G, P, *v.shape[1:]) for key, v in block.items()},
-                   {key: v[:, : k + 1] for key, v in ref.items()})
-            for v in (*pen.values(), *ref.values()):
+        if k == B or i == N:
+            reduce(i0, penalized([v[:, : k + 1] for v in pen]),
+                   {key: v[:, : k + 1] for key, v in zip(_REFLECTED_KEYS, ref)})
+            for v in (*pen, *ref):
                 v[:, 0] = v[:, k]
             i0 = i
     return None
@@ -446,13 +449,18 @@ def _project_to_domain(model, pts, R):
     return out, np.where(neg, 0.0, R), push
 
 
+def _reflected_start(x0, R0, P):
+    """The reflected paths' (points, R, L) at node 0."""
+    return np.tile(x0, (P, 1)), np.full(P, R0), np.zeros(P)
+
+
 def _reflected_nodes(model, x0, R0, dB, dt):
     """The reflected paths' (points, R, L) after each step, node 1 to N.
 
-    Flat-boundary models take the running infimum of the driver in blocks of
-    _FLAT_BLOCK nodes, whose cumulative sums and maxima, seeded with the last
-    node of the previous block, add in the order of
-    :func:`integrate_reflected_batch`'s; curved models take an Euler step and
+    Flat-boundary models take the running infimum of the driver, with the
+    arithmetic of ``skorohod1d.skorohod_map`` on each path, in blocks of
+    _FLAT_BLOCK nodes whose cumulative sums and maxima are seeded with the
+    last node of the previous block; curved models take an Euler step and
     project back into the domain, the push distance feeding the local time.
     """
     P, N, _ = dB.shape
@@ -494,34 +502,13 @@ def integrate_reflected_batch(
 ):
     """Reference reflected paths on a shared driver; returns dict of arrays.
 
-    Flat-boundary models solve the normal coordinate exactly as the running
-    infimum of the discretized driver; curved models take an Euler step and
-    project back into the domain, the push distance feeding the local time.
+    dB has shape (P, N, m).  Output: points (P, N+1, d), R (P, N+1) and the
+    local time L (P, N+1).  Flat-boundary models solve the normal coordinate
+    exactly as the running infimum of the discretized driver; curved models
+    take an Euler step and project back into the domain, the push distance
+    feeding the local time.
     """
     dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
     P, N, _ = dB.shape
-    d = model.dim
-
-    if model.id in (geo.HALF_LINE, geo.HALF_SPACE):
-        # identical arithmetic to skorohod1d.skorohod_map on each path
-        f = np.concatenate([np.zeros((P, 1)), np.cumsum(dB[:, :, 0], axis=1)], axis=1)
-        h = np.maximum.accumulate(np.maximum(0.0, -(R0 + f)), axis=1)
-        g = R0 + f + h
-        points = np.empty((P, N + 1, d))
-        points[..., d - 1] = g
-        if d > 1:
-            points[:, 0, : d - 1] = x0[: d - 1]
-            points[:, 1:, : d - 1] = x0[: d - 1] + np.cumsum(dB[:, :, 1:], axis=1)
-        return {"points": points, "R": g, "L": h}
-
-    points = np.empty((P, N + 1, d))
-    R_out = np.empty((P, N + 1))
-    L_out = np.empty((P, N + 1))
-    points[:, 0] = x0
-    R_out[:, 0] = R0
-    L_out[:, 0] = 0.0
-    for i, (x, R, L) in enumerate(_reflected_nodes(model, x0, R0, dB, grid.dt), 1):
-        points[:, i] = x
-        R_out[:, i] = R
-        L_out[:, i] = L
-    return {"points": points, "R": R_out, "L": L_out}
+    runs = _stacked(_reflected_start(x0, R0, P), _reflected_nodes(model, x0, R0, dB, grid.dt), N)
+    return dict(zip(_REFLECTED_KEYS, runs))

@@ -312,12 +312,9 @@ def _frozen_engine(model, points, frames, dt, dL, *, c_increments=None, jump_fla
     nu, q, kappa = _frozen_node_geometry(model, points, frames)
     w = np.broadcast_to(np.eye(d), (P, d, d)).copy()
     series = np.empty((P, n, d, d)) if collect == "series" else None
-    norm2 = np.empty((P, n)) if collect == "norm2" else None
     normal_rows = np.empty((P, n, d)) if collect in ("series", "normal") else None
     if series is not None:
         series[:, 0] = w
-    if norm2 is not None:
-        norm2[:, 0] = np.sum(w * w, axis=(1, 2))
     if normal_rows is not None:
         normal_rows[:, 0] = np.einsum("pi,pij->pj", nu[:, 0], w)
     for i in range(N):
@@ -345,15 +342,11 @@ def _frozen_engine(model, points, frames, dt, dL, *, c_increments=None, jump_fla
                 w = w - flagged[:, None, None] * (ni[:, :, None] * fw[:, None, :])
         if series is not None:
             series[:, i + 1] = w
-        if norm2 is not None:
-            norm2[:, i + 1] = np.sum(w * w, axis=(1, 2))
         if normal_rows is not None:
             normal_rows[:, i + 1] = np.einsum("pi,pij->pj", nu[:, i + 1], w)
     out = {"carrier": nu}
     if series is not None:
         out["series"] = series
-    if norm2 is not None:
-        out["norm2"] = norm2
     if normal_rows is not None:
         out["normal"] = normal_rows
     return out
@@ -392,7 +385,7 @@ def test_engine_matches_node_by_node_engine(model, x0, horizon):
     for run, extra in runs:
         frames = None if model.is_flat_chart else transport_batch(model, run["points"])
         args = (model, run["points"], frames, grid.dt, np.diff(run["L"], axis=1))
-        for collect in ("series", "norm2", "normal"):
+        for collect in ("series", "normal"):
             new = _damped_engine(*args, collect=collect, **extra)
             old = _frozen_engine(*args, collect=collect, **extra)
             if collect == "series":  # the normal rows a DampedState reads off the series
@@ -445,7 +438,8 @@ def test_engine_reductions_match_the_series_bit_for_bit(model, x0, horizon):
     dL = np.diff(pen["L"], axis=1)
     args = (model, pen["points"], frames, grid.dt, dL)
     kw = dict(c_increments=np.diff(pen["C"], axis=1))
-    norm2 = _damped_engine(*args, collect="norm2", **kw)["norm2"]
+    series = _damped_engine(*args, collect="series", **kw)["series"]
+    norm2 = np.sum(series * series, axis=(2, 3))
     log_bound = np.zeros_like(pen["L"])
     kappa = geo._level_curvature(model, pen["points"][:, :-1])
     np.cumsum(-1.0 * grid.dt - 2.0 * kappa * dL, axis=1, out=log_bound[:, 1:])

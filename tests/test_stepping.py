@@ -576,3 +576,20 @@ def test_reducer_sees_the_stored_runs_block_by_block(model, x0, steps):
             assert np.array_equal(pen_i[key], pen[key][:, :, i0 : i1 + 1]), (i0, key)
         for key in ref:
             assert np.array_equal(ref_i[key], ref[key][:, i0 : i1 + 1]), (i0, key)
+
+
+@pytest.mark.parametrize("model,x0", [(geo.half_line(), (0.05,)), (geo.half_space(3), (0.3, -0.2, 0.05))],
+                         ids=["half-line", "half-space-d3"])
+def test_flat_reflected_paths_are_the_skorohod_map_of_their_driver(model, x0):
+    grid = TimeGrid(0.2, 2 * stepping._FLAT_BLOCK + 88)  # node blocks, and a short last one
+    dB = driver_block(grid, model.frame_count, seed=33, first_path=0, n_paths=5)
+    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
+    assert ref["L"][:, -1].max() > 0
+    for p in range(5):
+        driven = sk.RealPath(grid.times, np.concatenate([[0.0], np.cumsum(dB[p, :, 0])]))
+        sol = sk.skorohod_map(x0[-1], driven)
+        assert np.array_equal(ref["R"][p], sol.reflected.values)
+        assert np.array_equal(ref["points"][p, :, -1], sol.reflected.values)
+        assert np.array_equal(ref["L"][p], sol.local_time.values)
+        assert np.array_equal(ref["points"][p, 0, :-1], x0[:-1])
+        assert np.array_equal(ref["points"][p, 1:, :-1], x0[:-1] + np.cumsum(dB[p, :, 1:], axis=0))

@@ -41,7 +41,8 @@ Memory: the tracemalloc peak of one ``run_experiment`` call of each sweep of
 the ``sweeps`` benchmark (and of ``projection`` on its disk input), in MB of
 numpy buffers.  Acceptance runs: criterion 3 on the disk and criterion 4's
 finest variation rung (tests/test_acceptance.py), each once in a fresh
-interpreter, with its wall time and the peak RSS of that interpreter.
+interpreter, with its wall time and the peak RSS of that interpreter (Linux:
+read from /proc).
 
 Run from the root of a checkout, with the rbmlab to measure on the path:
 
@@ -99,17 +100,23 @@ ACCEPTANCE = {
     "criterion_4_tv_finest": dict(kind="local-time", model="half-line", horizon=0.25, steps=160_000,
                                   a_grid=(0.025,), n_paths=50, master_seed=44, x0=(0.1,)),
 }
+# The peak RSS is the interpreter's VmHWM: Linux keeps ru_maxrss across
+# fork and exec, so a child's ru_maxrss starts at this process's size.
 _ACCEPTANCE_RUN = """
-import json, resource, time
+import json, time
 from rbmlab import harness
 from rbmlab.harness import ExperimentConfig
+
+def peak_rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
 cfg = ExperimentConfig(**{fields!r})
-base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+base = peak_rss_mb()
 t0 = time.perf_counter()
 harness.run_experiment(cfg)
 wall = time.perf_counter() - t0
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak, "import_rss_mb": base}}))
+print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak_rss_mb(), "import_rss_mb": base}}))
 """
 
 
@@ -222,7 +229,7 @@ def measure(acceptance: bool = True) -> dict:
     else:
         exact_law = {"exact_law.record": _time(one_start)}
     traced = {name: _traced_peak_mb(lambda f=fields: harness.run_experiment(harness.ExperimentConfig(**f)))
-              for name, f in SWEEPS.items()}
+              for name, fields in SWEEPS.items()}
     runs = {name: _acceptance(fields) for name, fields in ACCEPTANCE.items()} if acceptance else {}
     return {
         "traced_peak_mb": traced,
