@@ -252,7 +252,6 @@ def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, reflected=True, pen
         runs = iter(()) if penalized is False else pens(dB)
         del dB
         yield slice(first, first + c), ref, runs
-        del ref, runs
 
 
 def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer):
@@ -397,14 +396,12 @@ def _run_eps_cauchy(cfg: ExperimentConfig):
     grid = cfg.grid
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
     n_pairs = len(cfg.eps_grid) - 1
-    gaps = [np.empty(cfg.n_paths) for _ in range(n_pairs)]
+    gaps = np.empty((n_pairs, cfg.n_paths))
     for chunk, ref, _ in _chunk_runs(cfg, model, penalized=False):
         closes, dur = close_events(ref["R"], grid.times, eta)
         levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
         del closes, dur
-        gap = _damped_along(model, ref, grid.dt)(jump_flags=levels, collect="cauchy")["cauchy"]
-        for k in range(n_pairs):
-            gaps[k][chunk] = gap[:, k]
+        gaps[:, chunk] = _damped_along(model, ref, grid.dt)(jump_flags=levels, collect="cauchy")["cauchy"].T
     rows = []
     for k in range(n_pairs):
         m, e = _mean_stderr(gaps[k])
