@@ -128,7 +128,7 @@ def _rank_one(M, fac, vecs):
 # at a time, so that no call holds an (N, P, d, d) stack but "series".
 _NODE_BLOCK = 32
 
-_COLLECTS = ("series", "normal", "terminal", "cauchy", "bound")
+_COLLECTS = ("series", "normal", "cauchy", "bound")
 
 
 def _damped_engine(
@@ -154,9 +154,8 @@ def _damped_engine(
     factors once and applies each level's erasure to its own copy.
     collect, per node for one level: "series" (the matrices, (P, N+1, d, d))
     or "normal" (their normal rows n^T w, (P, N+1, d)).  Reduced over the
-    nodes: "terminal" (the matrices at node N, (P, levels, d, d)), "cauchy"
-    (the sup over nodes of the Frobenius gap between consecutive levels,
-    (P, levels - 1)) or "bound" (the sup over nodes 1..N of
+    nodes: "cauchy" (the sup over nodes of the Frobenius gap between
+    consecutive levels, (P, levels - 1)) or "bound" (the sup over nodes 1..N of
     |w|^2 - 2 exp(-t - 2 int kappa dL), one level).  The transported normals
     come back as "carrier".  Any other collect raises ValueError.
     """
@@ -165,7 +164,7 @@ def _damped_engine(
     levels = list(jump_flags) if isinstance(jump_flags, (list, tuple)) else [jump_flags]
     if collect == "cauchy" and len(levels) < 2:
         raise ValueError("collect 'cauchy' needs at least two levels")
-    if collect not in ("terminal", "cauchy") and len(levels) > 1:
+    if collect != "cauchy" and len(levels) > 1:
         raise ValueError(f"collect {collect!r} takes one level")
     P, n, d = points.shape
     N = n - 1
@@ -222,8 +221,6 @@ def _damped_engine(
 
     if collect == "series":
         out["series"] = series[:, 0].swapaxes(0, 1)
-    elif collect == "terminal":
-        out["terminal"] = blk[0].swapaxes(0, 1).copy()
     elif collect == "cauchy":
         out["cauchy"] = gaps.T
     elif collect == "bound":

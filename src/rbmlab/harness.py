@@ -231,8 +231,7 @@ def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, reflected=True, pen
     iterator of (a, penalized run) in grid order.  The iterator makes one call
     ``penalized(group, x0, dB)`` per _a_groups slice as it is consumed, and
     none when it is not; a call returns the group's runs in order, and the
-    default is the model's penalized integrator.  ``penalized=False`` makes no
-    penalized runs, and lets the chunk's driver go before the chunk is yielded.
+    default is the model's penalized integrator.
     """
     grid = cfg.grid
     x0 = _start_point(cfg, model)
@@ -249,32 +248,57 @@ def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, reflected=True, pen
     for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
         dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
         ref = stepping.integrate_reflected_batch(model, x0, dB, grid) if reflected else None
-        runs = iter(()) if penalized is False else pens(dB)
-        del dB
-        yield slice(first, first + c), ref, runs
+        yield slice(first, first + c), ref, pens(dB)
+
+
+# Steps per block of the coupled runs that a streamed kind's reducer is handed.
+_REDUCE_BLOCK = 64
+
+
+def _held_blocks(run: dict, steps: int):
+    """A stored run in the node blocks of stepping._reflected_blocks."""
+    for i0 in range(0, steps, _REDUCE_BLOCK):
+        i1 = min(i0 + _REDUCE_BLOCK, steps)
+        yield i0, {key: v[:, i0 : i1 + 1] for key, v in run.items()}
 
 
 def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer):
     """Coupled node loops on the shared driver, one chunk of paths at a time.
 
-    For each chunk and each _a_groups slice, one integrator call steps the
-    slice's penalized rows and the chunk's reflected rows in one node loop
-    and hands the runs, block by block, to the reducer that
-    ``reducer(chunk, rows)`` returns (see ``stepping.integrate_penalized_grid``):
-    ``chunk`` is the chunk's slice of the paths and ``rows`` the slice's
-    positions in the a-grid.  A chunk's driver is let go before the next one
-    is drawn.
+    For each chunk and each _a_groups slice, the slice's penalized rows and
+    the chunk's reflected rows are stepped in blocks of _REDUCE_BLOCK steps,
+    and each pair of blocks goes to the reducer that ``reducer(chunk, rows)``
+    returns: ``chunk`` is the chunk's slice of the paths and ``rows`` the
+    slice's positions in the a-grid.  A call ``reduce(i0, pen, ref)`` gets
+    nodes i0..i1 of the penalized runs (points (G, P, n, d), R, L and C
+    (G, P, n), n = i1 - i0 + 1) and of the reflected ones (points (P, n, d),
+    R and L (P, n)), equal bit for bit to those nodes of the stored runs; the
+    next call starts at node i1, and the arrays may be reused once it
+    returns.  The reflected rows step beside the penalized ones when the
+    a-grid is one slice, and once per chunk, held whole, when it splits.
     """
-    grid = cfg.grid
     x0 = _start_point(cfg, model)
     for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
-        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
-        k = 0
-        for group in _a_groups(cfg, c):
-            stepping.integrate_penalized_grid(model, group, x0, dB, grid, aux_seed=cfg.master_seed + 1,
-                                              reduce=reducer(slice(first, first + c), slice(k, k + len(group))))
-            k += len(group)
-        del dB
+        _stream_chunk(cfg, model, x0, slice(first, first + c), reducer)
+
+
+def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice, reducer):
+    """One chunk of _streams; its driver goes when it returns."""
+    grid = cfg.grid
+    dB = driver_block(grid, model.frame_count, cfg.master_seed, chunk.start, chunk.stop - chunk.start)
+    groups = _a_groups(cfg, dB.shape[0])
+    held = stepping.integrate_reflected_batch(model, x0, dB, grid) if len(groups) > 1 else None
+    k = 0
+    for group in groups:
+        reduce = reducer(chunk, slice(k, k + len(group)))
+        pens = stepping._penalized_blocks(model, group, x0, dB, grid, cfg.master_seed + 1, _REDUCE_BLOCK)
+        if held is None:
+            refs = stepping._reflected_blocks(model, x0, dB, grid, _REDUCE_BLOCK)
+        else:
+            refs = _held_blocks(held, grid.steps)
+        for (i0, pen), (_, ref) in zip(pens, refs):
+            reduce(i0, pen, ref)
+        k += len(group)
 
 
 def _damped_along(model: ManifoldModel, run: dict, dt: float):
@@ -396,12 +420,16 @@ def _run_eps_cauchy(cfg: ExperimentConfig):
     grid = cfg.grid
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
     n_pairs = len(cfg.eps_grid) - 1
+    x0 = _start_point(cfg, model)
     gaps = np.empty((n_pairs, cfg.n_paths))
-    for chunk, ref, _ in _chunk_runs(cfg, model, penalized=False):
+    for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
+        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
+        ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
+        del dB  # the engine needs the reflected run only
         closes, dur = close_events(ref["R"], grid.times, eta)
         levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
         del closes, dur
-        gaps[:, chunk] = _damped_along(model, ref, grid.dt)(jump_flags=levels, collect="cauchy")["cauchy"].T
+        gaps[:, first : first + c] = _damped_along(model, ref, grid.dt)(jump_flags=levels, collect="cauchy")["cauchy"].T
     rows = []
     for k in range(n_pairs):
         m, e = _mean_stderr(gaps[k])

@@ -36,10 +36,6 @@ _NEWTON_TOL = 1e-10  # bound on a Newton correction, relative to the iterate
 _ROOT_TOL = 1e-6  # the same for a step that returns only the root
 _MAX_NEWTON = 100
 _MAX_BISECT = 20  # bridge-halving depth of an off-collar curved step
-_FLAT_BLOCK = 256  # nodes per block of the streamed flat reflected paths
-_REDUCE_BLOCK = 64  # steps per block of the runs that a reducer is handed
-_PENALIZED_KEYS = ("points", "R", "L", "C")
-_REFLECTED_KEYS = ("points", "R", "L")
 
 
 def _squares(a):
@@ -323,31 +319,54 @@ def _checked_inputs(model, x0, dB, grid):
     return dB, x0, float(geo.boundary_distance(model, x0))
 
 
-def _stacked(start, nodes, N):
-    """Arrays (rows, N+1, ...), one per entry of the state tuple ``start``,
-    holding ``start`` at node 0 and the states ``nodes`` yields after it."""
-    out = [np.empty((v.shape[0], N + 1, *v.shape[1:])) for v in start]
-    for v, x in zip(out, start):
-        v[:, 0] = x
-    for i, state in enumerate(nodes, 1):
-        for v, x in zip(out, state):
-            v[:, i] = x
-    return out
+def _penalized_blocks(model, a_grid, x0, dB, grid, aux_seed, block):
+    """The runs of :func:`integrate_penalized_grid` in node blocks.
 
+    Yields (i0, runs) per block of at most ``block`` steps: runs[key] holds
+    nodes i0..i0+n of the stored run's entry (points (G, P, n+1, d), R, L and
+    C (G, P, n+1)), bit for bit, and the next block starts at node i0+n.  The
+    arrays are reused for the next block.
+    """
+    dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
+    if not R0 > 0:
+        raise ValueError("start point must lie in the interior")
+    P, N, _ = dB.shape
+    a_rows, paths = _grid_rows(a_grid, P)
+    G = np.size(a_grid)
+    dt = grid.dt
+    B = min(N, block)
 
-def _penalized_nodes(model, a_rows, paths, x, dB, dt, aux_seed):
-    """The penalized rows' (points, R, L, C) after each step, node 1 to N:
-    row j steps on driver path ``paths[j]`` at ``a_rows[j]`` from x[j]."""
+    points = np.empty((G * P, B + 1, model.dim))
+    R_out = np.empty((G * P, B + 1))
+    L_out = np.empty((G * P, B + 1))
+    C_out = np.empty((G * P, B + 1))
+    out = {"points": points, "R": R_out, "L": L_out, "C": C_out}
+    points[:, 0] = x0
+    R_out[:, 0] = R0
+    L_out[:, 0] = 0.0
+    C_out[:, 0] = 0.0
+
     streams = SeedStreams(aux_seed)
     flat = model.id in (geo.HALF_LINE, geo.HALF_SPACE)
     step = _step_flat_penalized if flat else _step_curved_penalized
-    L = np.zeros(x.shape[0])
-    C = np.zeros(x.shape[0])
-    for i in range(dB.shape[1]):
-        x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, streams, i, paths)
-        L = L + dL
-        C = C + dC
-        yield x, geo.raw_boundary_distance(model, x), L, C
+    x = np.tile(x0, (G * P, 1))
+    L = np.zeros(G * P)
+    C = np.zeros(G * P)
+    for i0 in range(0, N, B):
+        if i0:
+            for v in out.values():
+                v[:, 0] = v[:, B]
+        n = min(B, N - i0)
+        for k in range(1, n + 1):
+            i = i0 + k - 1
+            x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, streams, i, paths)
+            L += dL
+            C += dC
+            points[:, k] = x
+            R_out[:, k] = geo.raw_boundary_distance(model, x)
+            L_out[:, k] = L
+            C_out[:, k] = C
+        yield i0, {key: v[:, : n + 1].reshape(G, P, n + 1, *v.shape[2:]) for key, v in out.items()}
 
 
 def integrate_penalized_grid(
@@ -357,7 +376,6 @@ def integrate_penalized_grid(
     dB: np.ndarray,
     grid: TimeGrid,
     aux_seed: int = 0,
-    reduce=None,
 ):
     """Euler-Maruyama with boundary-repelling drift for every a of ``a_grid``
     on one shared driver; returns dict of arrays with a leading a axis.
@@ -371,47 +389,9 @@ def integrate_penalized_grid(
     other paths of the batch (except through the bridge-halving draws of an
     off-collar curved step that leaves the domain, keyed by batch row, which
     only coarse grids need).
-
-    With a reducer ``reduce`` no output is stored and None is returned: the
-    reflected paths on the same driver step in the same node loop, and the
-    runs are handed over in blocks of at most _REDUCE_BLOCK steps.  A call
-    ``reduce(i0, pen, ref)`` gets nodes i0..i1 of the penalized runs (points
-    (G, P, n, d), R, L and C (G, P, n), n = i1 - i0 + 1) and of the reflected
-    ones (points (P, n, d), R and L (P, n)), each equal bit for bit to those
-    nodes of the stored runs; the next call starts at node i1.  The arrays
-    are reused once the call returns.
     """
-    dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
-    if not R0 > 0:
-        raise ValueError("start point must lie in the interior")
-    P, N, _ = dB.shape
-    a_rows, paths = _grid_rows(a_grid, P)
-    G = np.size(a_grid)
-    start = (np.tile(x0, (G * P, 1)), np.full(G * P, R0), np.zeros(G * P), np.zeros(G * P))
-    nodes = _penalized_nodes(model, a_rows, paths, start[0], dB, grid.dt, aux_seed)
-
-    def penalized(arrays):
-        return {key: v.reshape(G, P, *v.shape[1:]) for key, v in zip(_PENALIZED_KEYS, arrays)}
-
-    if reduce is None:
-        return penalized(_stacked(start, nodes, N))
-
-    # node blocks: column 0 holds the last node of the block before
-    B = min(N, _REDUCE_BLOCK)
-    pen = _stacked(start, (), B)
-    ref = _stacked(_reflected_start(x0, R0, P), (), B)
-    i0 = 0
-    for i, (pen_i, ref_i) in enumerate(zip(nodes, _reflected_nodes(model, x0, R0, dB, grid.dt)), 1):
-        k = i - i0
-        for v, x in zip((*pen, *ref), (*pen_i, *ref_i)):
-            v[:, k] = x
-        if k == B or i == N:
-            reduce(i0, penalized([v[:, : k + 1] for v in pen]),
-                   {key: v[:, : k + 1] for key, v in zip(_REFLECTED_KEYS, ref)})
-            for v in (*pen, *ref):
-                v[:, 0] = v[:, k]
-            i0 = i
-    return None
+    _, runs = next(_penalized_blocks(model, a_grid, x0, dB, grid, aux_seed, grid.steps))
+    return runs
 
 
 def integrate_penalized_batch(
@@ -449,49 +429,66 @@ def _project_to_domain(model, pts, R):
     return out, np.where(neg, 0.0, R), push
 
 
-def _reflected_start(x0, R0, P):
-    """The reflected paths' (points, R, L) at node 0."""
-    return np.tile(x0, (P, 1)), np.full(P, R0), np.zeros(P)
+def _reflected_blocks(model, x0, dB, grid, block):
+    """The runs of :func:`integrate_reflected_batch` in node blocks.
 
-
-def _reflected_nodes(model, x0, R0, dB, dt):
-    """The reflected paths' (points, R, L) after each step, node 1 to N.
-
-    Flat-boundary models take the running infimum of the driver, with the
-    arithmetic of ``skorohod1d.skorohod_map`` on each path, in blocks of
-    _FLAT_BLOCK nodes whose cumulative sums and maxima are seeded with the
-    last node of the previous block; curved models take an Euler step and
-    project back into the domain, the push distance feeding the local time.
+    Yields (i0, runs) per block of at most ``block`` steps: runs[key] holds
+    nodes i0..i0+n of the stored run's entry (points (P, n+1, d), R and L
+    (P, n+1)), bit for bit, and the next block starts at node i0+n.  Flat
+    blocks carry the cumulative sum and maximum of the block before; curved
+    blocks reuse their arrays for the next block.
     """
+    dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
     P, N, _ = dB.shape
+    dt = grid.dt
     d = model.dim
+    B = min(N, block)
+
     if model.id in (geo.HALF_LINE, geo.HALF_SPACE):
-        # the driver's normal component moves to the last axis, as in points
+        # the arithmetic of skorohod1d.skorohod_map on each path, with the
+        # driver's normal component moved to the last axis, as in points
         order = np.r_[1:d, 0]
         drift = np.zeros((P, 1, d))
         h = np.zeros((P, 1))
-        for i0 in range(0, N, _FLAT_BLOCK):
-            n = min(_FLAT_BLOCK, N - i0)
+        for i0 in range(0, N, B):
+            n = min(B, N - i0)
             drift = np.cumsum(np.concatenate([drift[:, -1:], dB[:, i0 : i0 + n, order]], axis=1), axis=1)
-            f = drift[:, 1:, -1]
-            h = np.maximum.accumulate(np.concatenate([h[:, -1:], np.maximum(0.0, -(R0 + f))], axis=1), axis=1)
-            points = x0 + drift[:, 1:]
-            points[..., -1] = R0 + f + h[:, 1:]
-            for k in range(n):
-                yield points[:, k], points[:, k, -1], h[:, k + 1]
+            f = drift[..., -1]
+            h = np.maximum.accumulate(np.concatenate([h[:, -1:], np.maximum(0.0, -(R0 + f[:, 1:]))], axis=1), axis=1)
+            g = R0 + f + h
+            points = x0 + drift
+            points[..., -1] = g
+            yield i0, {"points": points, "R": g, "L": h}
         return
+
+    points = np.empty((P, B + 1, d))
+    R_out = np.empty((P, B + 1))
+    L_out = np.empty((P, B + 1))
+    out = {"points": points, "R": R_out, "L": L_out}
+    points[:, 0] = x0
+    R_out[:, 0] = R0
+    L_out[:, 0] = 0.0
 
     x = np.tile(x0, (P, 1))
     L = np.zeros(P)
-    for i in range(N):
-        R = geo.raw_boundary_distance(model, x)
-        regions = _regions(model, x, R)
-        edge = regions[0]
-        R_edge = R[edge] + dB[edge, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[edge]) * dt
-        x = _chart_step(model, x, R, dB[:, i], dt, regions, R_edge)
-        x, R_new, push = _project_to_domain(model, x, geo.raw_boundary_distance(model, x))
-        L = L + push
-        yield x, R_new, L
+    for i0 in range(0, N, B):
+        if i0:
+            for v in out.values():
+                v[:, 0] = v[:, B]
+        n = min(B, N - i0)
+        for k in range(1, n + 1):
+            i = i0 + k - 1
+            R = geo.raw_boundary_distance(model, x)
+            regions = _regions(model, x, R)
+            edge = regions[0]
+            R_edge = R[edge] + dB[edge, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[edge]) * dt
+            x = _chart_step(model, x, R, dB[:, i], dt, regions, R_edge)
+            x, R_new, push = _project_to_domain(model, x, geo.raw_boundary_distance(model, x))
+            L += push
+            points[:, k] = x
+            R_out[:, k] = R_new
+            L_out[:, k] = L
+        yield i0, {key: v[:, : n + 1] for key, v in out.items()}
 
 
 def integrate_reflected_batch(
@@ -508,7 +505,5 @@ def integrate_reflected_batch(
     take an Euler step and project back into the domain, the push distance
     feeding the local time.
     """
-    dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
-    P, N, _ = dB.shape
-    runs = _stacked(_reflected_start(x0, R0, P), _reflected_nodes(model, x0, R0, dB, grid.dt), N)
-    return dict(zip(_REFLECTED_KEYS, runs))
+    _, runs = next(_reflected_blocks(model, x0, dB, grid, grid.steps))
+    return runs

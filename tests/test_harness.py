@@ -487,8 +487,9 @@ def test_sweeps_make_only_the_runs_they_use(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((harness, "_chunks"), (stepping, "integrate_reflected_batch"),
-                         (stepping, "integrate_penalized_grid"), (sk1d, "penalized_paths_1d_grid")):
+    # the block generators make every stored and every streamed run
+    for module, name in ((harness, "_chunks"), (stepping, "_reflected_blocks"),
+                         (stepping, "_penalized_blocks"), (sk1d, "penalized_paths_1d_grid")):
         spy(module, name)
     monkeypatch.setattr(harness, "_CHUNK_PATHS", 7)
     for case, (fields, _) in sorted(_KIND_CASES.items()):
@@ -496,12 +497,9 @@ def test_sweeps_make_only_the_runs_they_use(monkeypatch):
         cfg = ExperimentConfig(master_seed=5, **fields)
         harness.run_experiment(cfg)
         chunks = -(-cfg.n_paths // 7)
-        penalized = calls["integrate_penalized_grid"] + calls["penalized_paths_1d_grid"]
+        penalized = calls["_penalized_blocks"] + calls["penalized_paths_1d_grid"]
         assert calls["_chunks"] == 1, case
-        # norm-bound needs no reflected run, and the streamed kinds step their
-        # reflected rows in the penalized call's node loop
-        no_reflected = cfg.kind == "norm-bound" or cfg.kind in harness._STREAMED
-        assert calls["integrate_reflected_batch"] == (0 if no_reflected else chunks), case
+        assert calls["_reflected_blocks"] == (0 if cfg.kind == "norm-bound" else chunks), case
         assert penalized == (0 if cfg.kind == "eps-cauchy" else chunks), case
 
 
@@ -510,9 +508,15 @@ def test_a_grid_kinds_keep_their_bytes_however_the_grid_is_split(kind, monkeypat
     fields, digest = _A_KIND_CASES[kind]
     cfg = ExperimentConfig(kind=kind, master_seed=5, **fields)
     one_call = cfg.n_paths * harness._row_nodes(cfg)
+    reflected_runs = []
+    real_blocks = stepping._reflected_blocks
+    monkeypatch.setattr(stepping, "_reflected_blocks", lambda *a: reflected_runs.append(1) or real_blocks(*a))
     # the three values of a in one call, then two values a call, then one
     for limit, calls in ((harness._MAX_ROW_NODES, 1), (2 * one_call, 2), (one_call, 3)):
         monkeypatch.setattr(harness, "_MAX_ROW_NODES", limit)
         assert len(harness._a_groups(cfg, cfg.n_paths)) == calls
+        reflected_runs.clear()
         text = harness.render_csv(harness.run_experiment(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # one reflected run for the one chunk, however the grid is split
+        assert len(reflected_runs) == (0 if kind == "norm-bound" else 1)

@@ -540,13 +540,13 @@ def test_grid_rejects_bad_a():
         sk.penalized_paths_1d_grid((0.1, -0.1), 0.5, dB[..., 0], 0.1)
 
 
-# -- the per-node reducer -----------------------------------------------------
+# -- node blocks --------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "model,x0,steps",
     [
-        (geo.half_line(), (0.05,), 600),  # more than two flat reflected blocks
+        (geo.half_line(), (0.05,), 600),
         (geo.half_space(3), (0.3, -0.2, 0.05), 300),
         (geo.flat_disk(), (0.9, 0.0), 200),
         (_CAP, (np.pi / 3 - 0.05, 0.0), 200),
@@ -554,34 +554,31 @@ def test_grid_rejects_bad_a():
     ],
     ids=["half-line", "half-space-d3", "disk", "cap", "disk-coarse"],
 )
-def test_reducer_sees_the_stored_runs_block_by_block(model, x0, steps):
+def test_node_blocks_are_the_stored_runs(model, x0, steps):
     grid = TimeGrid(0.2 if steps > 40 else 1.0, steps)
     a_grid = (0.1, 0.025, 0.0125)
     dB = driver_block(grid, model.frame_count, seed=31, first_path=0, n_paths=9)
-    pen = stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid, aux_seed=32)
-    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-    blocks = []
-
-    def reduce(i0, pen_i, ref_i):
-        blocks.append((i0, {k: v.copy() for k, v in pen_i.items()}, {k: v.copy() for k, v in ref_i.items()}))
-
-    assert stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid, aux_seed=32, reduce=reduce) is None
-    # blocks of at most _REDUCE_BLOCK steps, each starting at the last node of the one before
-    starts = [i0 for i0, _, _ in blocks]
-    ends = starts[1:] + [steps]
-    assert starts[0] == 0 and all(0 < i1 - i0 <= stepping._REDUCE_BLOCK for i0, i1 in zip(starts, ends))
-    for (i0, pen_i, ref_i), i1 in zip(blocks, ends):
-        assert pen_i.keys() == pen.keys() and ref_i.keys() == ref.keys()
-        for key in pen:
-            assert np.array_equal(pen_i[key], pen[key][:, :, i0 : i1 + 1]), (i0, key)
-        for key in ref:
-            assert np.array_equal(ref_i[key], ref[key][:, i0 : i1 + 1]), (i0, key)
+    stored = (stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid, aux_seed=32),
+              stepping.integrate_reflected_batch(model, x0, dB, grid))
+    block = 64
+    for runs, blocks in zip(stored, (stepping._penalized_blocks(model, a_grid, x0, dB, grid, 32, block),
+                                     stepping._reflected_blocks(model, x0, dB, grid, block))):
+        i0 = 0
+        for start, run in blocks:
+            # each block starts at the last node of the one before
+            assert start == i0 and run.keys() == runs.keys()
+            n = run["L"].shape[-1] - 1
+            assert 0 < n <= block
+            for key, v in runs.items():
+                assert np.array_equal(run[key], v[..., i0 : i0 + n + 1, :] if key == "points" else v[..., i0 : i0 + n + 1]), (i0, key)
+            i0 += n
+        assert i0 == steps
 
 
 @pytest.mark.parametrize("model,x0", [(geo.half_line(), (0.05,)), (geo.half_space(3), (0.3, -0.2, 0.05))],
                          ids=["half-line", "half-space-d3"])
 def test_flat_reflected_paths_are_the_skorohod_map_of_their_driver(model, x0):
-    grid = TimeGrid(0.2, 2 * stepping._FLAT_BLOCK + 88)  # node blocks, and a short last one
+    grid = TimeGrid(0.2, 600)
     dB = driver_block(grid, model.frame_count, seed=33, first_path=0, n_paths=5)
     ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
     assert ref["L"][:, -1].max() > 0

@@ -153,7 +153,7 @@ def _acceptance(fields) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def measure(acceptance: bool = True) -> dict:
+def measure() -> dict:
     import numpy as np
     import scipy
 
@@ -230,7 +230,7 @@ def measure(acceptance: bool = True) -> dict:
         exact_law = {"exact_law.record": _time(one_start)}
     traced = {name: _traced_peak_mb(lambda f=fields: harness.run_experiment(harness.ExperimentConfig(**f)))
               for name, fields in SWEEPS.items()}
-    runs = {name: _acceptance(fields) for name, fields in ACCEPTANCE.items()} if acceptance else {}
+    runs = {name: _acceptance(fields) for name, fields in ACCEPTANCE.items()}
     return {
         "traced_peak_mb": traced,
         "acceptance": {name: {**run, "config": ACCEPTANCE[name]} for name, run in runs.items()},
@@ -268,10 +268,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file to write; records under other labels are kept")
     parser.add_argument("--label", required=True, help="name of this record, e.g. parent or change")
-    parser.add_argument("--no-acceptance", action="store_true",
-                        help="skip the acceptance runs (criterion 3 on the disk takes minutes)")
     args = parser.parse_args(argv)
-    record = measure(acceptance=not args.no_acceptance)
+    record = measure()
     data = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
