@@ -11,12 +11,11 @@ class TubularZoneError(ValueError):
 
 class IntegrationError(RuntimeError):
     """A time stepper could not complete a step: a non-finite increment or
-    an implicit step that did not converge, or an off-collar curved step
-    still leaving the domain after the deepest bridge halving.
+    an implicit step that did not converge.
 
     Carries, where known, the grid node, the penalization parameter ``a``,
     the batch row of the first failing path and that path's boundary
-    distance at the start of the failing (sub-)step; the message names them.
+    distance at the start of the failing step; the message names them.
     """
 
     def __init__(self, message, node_index=None, a=None, path_index=None, boundary_distance=None):

@@ -143,8 +143,7 @@ def _chunks(n: int, size: int):
 
 
 # Paths a sweep runs per chunk.  Every path draws its own driver and every
-# integrator steps each row on its own, so the width moves no byte of a sweep
-# (but on coarse grids that take the bridge-halving branch).
+# integrator steps each row on its own, so the width moves no byte of a sweep.
 _CHUNK_PATHS = 250
 
 # Row-nodes one penalized integrator call may hold: the largest one-a call of
@@ -238,7 +237,7 @@ def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, reflected=True, pen
     if penalized is None:
 
         def penalized(group, x0, dB):
-            runs = stepping.integrate_penalized_grid(model, group, x0, dB, grid, aux_seed=cfg.master_seed + 1)
+            runs = stepping.integrate_penalized_grid(model, group, x0, dB, grid)
             return [{key: v[j] for key, v in runs.items()} for j in range(len(group))]
 
     def pens(dB):
@@ -291,7 +290,7 @@ def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice,
     k = 0
     for group in groups:
         reduce = reducer(chunk, slice(k, k + len(group)))
-        pens = stepping._penalized_blocks(model, group, x0, dB, grid, cfg.master_seed + 1, _REDUCE_BLOCK)
+        pens = stepping._penalized_blocks(model, group, x0, dB, grid, _REDUCE_BLOCK)
         if held is None:
             refs = stepping._reflected_blocks(model, x0, dB, grid, _REDUCE_BLOCK)
         else:

@@ -63,7 +63,6 @@ def integrate_penalized(
     x0,
     driver: DriverPath,
     grid: TimeGrid,
-    aux_seed: int = 0,
 ) -> PenalizedPath:
     """Integrate the penalized SDE along one driver.
 
@@ -72,9 +71,7 @@ def integrate_penalized(
     reflected reference.  The smoothed local time accumulates the drift
     magnitude with a left-endpoint rule.
     """
-    out = stepping.integrate_penalized_batch(
-        model, a, x0, driver.increments[None], grid, aux_seed=aux_seed
-    )
+    out = stepping.integrate_penalized_batch(model, a, x0, driver.increments[None], grid)
     R = out["R"][0]
     return PenalizedPath(
         grid=grid,

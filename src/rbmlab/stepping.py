@@ -18,8 +18,9 @@ Numer. Math. 2014).  The other rows take plain Euler steps with the blended
 frame (disk, cap mid region) or an ambient step on the embedded sphere (cap
 far region, where the polar chart degenerates), moved inward by the drift
 displacement in the penalized flow.  A penalized off-collar step that leaves
-the domain (on coarse grids only) is redone in two Brownian-bridge halves,
-whose normals are keyed by node, halving depth and batch row.
+the domain (on coarse grids only) keeps its direction and lands at the
+drift-implicit root from its start, so no step draws anything beyond the
+driver.
 """
 from __future__ import annotations
 
@@ -29,13 +30,12 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import IntegrationError
-from .grids import SeedStreams, TimeGrid
+from .grids import TimeGrid
 from .grids import guard_stream  # noqa: F401  (bound for perfbench/spans.py, which wraps it by name)
 
 _NEWTON_TOL = 1e-10  # bound on a Newton correction, relative to the iterate
 _ROOT_TOL = 1e-6  # the same for a step that returns only the root
 _MAX_NEWTON = 100
-_MAX_BISECT = 20  # bridge-halving depth of an off-collar curved step
 
 
 def _squares(a):
@@ -241,10 +241,16 @@ def _chart_step(model, x, R, dB, dt, regions, R_edge, inward=None):
             prop = prop - inward[far][:, None] * geo.cap_basis(x[far])[..., 0]
         prop /= np.linalg.norm(prop, axis=-1, keepdims=True)
         new[far] = geo.cap_from_ambient(prop)
+    if model.id == geo.SPHERICAL_CAP:
+        # a step across the pole lands at theta < 0: the point (-theta, phi + pi)
+        over = new[:, 0] < 0
+        if over.any():
+            new[over, 0] = -new[over, 0]
+            new[over, 1] += np.pi
     return new
 
 
-def _step_flat_penalized(model, a, x, dB_i, dt, streams, node, rows):
+def _step_flat_penalized(model, a, x, dB_i, dt, node, rows):
     """One penalized step for a flat-boundary model; returns (x_new, dL, dC).
     The last coordinate is the boundary distance, the others move with the
     driver."""
@@ -253,11 +259,17 @@ def _step_flat_penalized(model, a, x, dB_i, dt, streams, node, rows):
     return np.column_stack([x[:, :-1] + dB_i[:, 1:], R]), dL, dC
 
 
-def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, depth=0):
+def _step_curved_penalized(model, a, x, dB_i, dt, node, rows):
     """One penalized step for a curved-chart model; returns (x_new, dL, dC).
     ``a`` is one value or one per row and ``rows`` are the paths' batch rows,
-    which an ``IntegrationError`` names and which key the bridge-halving
-    draws."""
+    which an ``IntegrationError`` names.
+
+    An off-collar row that lands at boundary distance R_land <= 0 (possible on
+    coarse grids only) keeps its direction, the disk's ray or the cap's phi,
+    and moves to the root of r - dt b(r) = R_land with the collar drift b
+    from its start, with that step's increments.  The root has b(r) > 0, so
+    it lies inside the chart, short of the centre or the pole.
+    """
     n = x.shape[0]
     a = a if isinstance(a, np.ndarray) else np.full(n, float(a))
     R = geo.raw_boundary_distance(model, x)
@@ -273,24 +285,15 @@ def _step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, depth=0):
     dC[rest] = damp * dt
     new = _chart_step(model, x, R, dB_i, dt, regions, R_edge, inward=dL)
 
-    bad = geo.raw_boundary_distance(model, new) <= 0
-    if bad.any():
-        idx = np.nonzero(bad)[0]
-        if depth >= _MAX_BISECT:
-            raise IntegrationError("positivity guard exhausted", node_index=node, a=float(a[idx[0]]),
-                                   path_index=int(rows[idx[0]]), boundary_distance=float(R[idx[0]]))
-        # redo escaped steps (possible only on coarse grids, off the collar)
-        # in two bridge halves; batch path k takes row k of the draw
-        k = rows[idx]
-        z = streams.guard(node, 4096 + depth).standard_normal((k.max() + 1, dB_i.shape[1]))[k]
-        half1 = 0.5 * dB_i[idx] + 0.5 * np.sqrt(dt) * z
-        half2 = dB_i[idx] - half1
-        sub = (streams, node, k, depth + 1)
-        x1, dl1, dc1 = _step_curved_penalized(model, a[idx], x[idx], half1, dt / 2, *sub)
-        x2, dl2, dc2 = _step_curved_penalized(model, a[idx], x1, half2, dt / 2, *sub)
-        new[idx] = x2
-        dL[idx] = dl1 + dl2
-        dC[idx] = dc1 + dc2
+    R_land = geo.raw_boundary_distance(model, new)
+    out = R_land <= 0
+    if out.any():
+        r, (dL[out], dC[out]) = implicit_step(R[out], R_land[out] - R[out], dt, a[out], rates, node, rows[out])
+        if model.id == geo.FLAT_DISK:
+            ray = new[out] / np.linalg.norm(new[out], axis=-1, keepdims=True)
+            new[out] = (1.0 - r)[:, None] * ray
+        else:
+            new[out, 0] = model.theta0 - r
     return new, dL, dC
 
 
@@ -319,7 +322,7 @@ def _checked_inputs(model, x0, dB, grid):
     return dB, x0, float(geo.boundary_distance(model, x0))
 
 
-def _penalized_blocks(model, a_grid, x0, dB, grid, aux_seed, block):
+def _penalized_blocks(model, a_grid, x0, dB, grid, block):
     """The runs of :func:`integrate_penalized_grid` in node blocks.
 
     Yields (i0, runs) per block of at most ``block`` steps: runs[key] holds
@@ -346,7 +349,6 @@ def _penalized_blocks(model, a_grid, x0, dB, grid, aux_seed, block):
     L_out[:, 0] = 0.0
     C_out[:, 0] = 0.0
 
-    streams = SeedStreams(aux_seed)
     flat = model.id in (geo.HALF_LINE, geo.HALF_SPACE)
     step = _step_flat_penalized if flat else _step_curved_penalized
     x = np.tile(x0, (G * P, 1))
@@ -359,7 +361,7 @@ def _penalized_blocks(model, a_grid, x0, dB, grid, aux_seed, block):
         n = min(B, N - i0)
         for k in range(1, n + 1):
             i = i0 + k - 1
-            x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, streams, i, paths)
+            x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, i, paths)
             L += dL
             C += dC
             points[:, k] = x
@@ -375,7 +377,6 @@ def integrate_penalized_grid(
     x0: np.ndarray,
     dB: np.ndarray,
     grid: TimeGrid,
-    aux_seed: int = 0,
 ):
     """Euler-Maruyama with boundary-repelling drift for every a of ``a_grid``
     on one shared driver; returns dict of arrays with a leading a axis.
@@ -386,11 +387,9 @@ def integrate_penalized_grid(
     (the same for the damping rate), G = len(a_grid).  All G * P rows share
     one node loop, and every row is stepped on its own, so entry k equals the
     one-a run at ``a_grid[k]`` bit for bit and a path does not depend on the
-    other paths of the batch (except through the bridge-halving draws of an
-    off-collar curved step that leaves the domain, keyed by batch row, which
-    only coarse grids need).
+    other paths of the batch.
     """
-    _, runs = next(_penalized_blocks(model, a_grid, x0, dB, grid, aux_seed, grid.steps))
+    _, runs = next(_penalized_blocks(model, a_grid, x0, dB, grid, grid.steps))
     return runs
 
 
@@ -400,7 +399,6 @@ def integrate_penalized_batch(
     x0: np.ndarray,
     dB: np.ndarray,
     grid: TimeGrid,
-    aux_seed: int = 0,
 ):
     """Euler-Maruyama with boundary-repelling drift; returns dict of arrays.
 
@@ -408,7 +406,7 @@ def integrate_penalized_batch(
     L (P, N+1) (accumulated drift magnitude) and C (P, N+1) (accumulated
     damping rate): the one-a case of :func:`integrate_penalized_grid`.
     """
-    out = integrate_penalized_grid(model, (a,), x0, dB, grid, aux_seed)
+    out = integrate_penalized_grid(model, (a,), x0, dB, grid)
     return {key: v[0] for key, v in out.items()}
 
 

@@ -77,7 +77,6 @@ def transport_convergence_check(
     grid: TimeGrid,
     v,
     x0=None,
-    aux_seed: int = 0,
 ):
     """Sup-norm gap between transported vectors along coupled penalized and
     reflected paths, one row per smoothing level a."""
@@ -90,7 +89,7 @@ def transport_convergence_check(
     ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
     ref_frames = transport_batch(model, ref["points"])
     ref_v = ref_frames[0] @ v
-    pen = stepping.integrate_penalized_grid(model, a_list, x0, dB, grid, aux_seed=aux_seed)
+    pen = stepping.integrate_penalized_grid(model, a_list, x0, dB, grid)
     pen_v = transport_batch(model, pen["points"][:, 0]) @ v
     gaps = np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=-1)
     return [{"a": float(a), "sup_gap": float(gap)} for a, gap in zip(a_list, gaps)]

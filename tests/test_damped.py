@@ -46,7 +46,8 @@ def test_smooth_normal_component_solves_scalar_equation():
     f = state.normal[:, 0]
     assert np.max(np.abs(f - np.exp(-pen.damping_integral))) < 1e-12
     assert np.all(np.diff(f) <= 0)
-    # on steps the guard never refines, the integral is the left-endpoint
+    # far from the boundary (2R/a > 57 at every node) the rate is below
+    # 1e-21, so the integral at the implicit points is the left-endpoint
     # quadrature of the stored nodal rate series
     hl2, grid2, driver2, pen2, _ = _halfline_run(seed=6, steps=500, a=0.05, x0=1.5)
     quadrature = np.concatenate([[0.0], np.cumsum(pen2.damping[:-1] * grid2.dt)])
@@ -373,7 +374,7 @@ def test_engine_matches_node_by_node_engine(model, x0, horizon):
     dB = driver_block(grid, model.frame_count, 21, 0, 12)
     x0 = np.array(x0)
     ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid, aux_seed=22)
+    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid)
     closes, dur = close_events(ref["R"], grid.times, 0.01)
     flags = closes & (dur >= 0.01)
     assert flags.any() and np.any(np.diff(ref["L"], axis=1) > 0)
@@ -431,7 +432,7 @@ def test_engine_reductions_match_the_series_bit_for_bit(model, x0, horizon):
         diff = series[k] - series[k + 1]
         assert np.array_equal(cauchy[:, k], np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1))
 
-    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid, aux_seed=24)
+    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid)
     frames = None if model.is_flat_chart else transport_batch(model, pen["points"])
     dL = np.diff(pen["L"], axis=1)
     args = (model, pen["points"], frames, grid.dt, dL)

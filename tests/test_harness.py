@@ -205,7 +205,7 @@ def test_norm_bound_runs_where_the_sub_step_walk_gave_up():
     assert max(r.value for r in harness.run_experiment(cfg)) <= 1e-6
     model = geo.parse_model(cfg.model)
     dB = driver_block(cfg.grid, model.frame_count, cfg.master_seed, 0, cfg.n_paths)
-    out = stepping.integrate_penalized_grid(model, cfg.a_grid, cfg.x0, dB, cfg.grid, aux_seed=cfg.master_seed + 1)
+    out = stepping.integrate_penalized_grid(model, cfg.a_grid, cfg.x0, dB, cfg.grid)
     assert (out["R"] > 0).all()
 
 
@@ -452,7 +452,7 @@ def test_streamed_kinds_read_their_statistics_off_the_stored_runs(kind):
     model = geo.parse_model(cfg.model)
     dB = driver_block(cfg.grid, model.frame_count, cfg.master_seed, 0, cfg.n_paths)
     ref = stepping.integrate_reflected_batch(model, cfg.x0, dB, cfg.grid)
-    pen = stepping.integrate_penalized_grid(model, cfg.a_grid, cfg.x0, dB, cfg.grid, aux_seed=cfg.master_seed + 1)
+    pen = stepping.integrate_penalized_grid(model, cfg.a_grid, cfg.x0, dB, cfg.grid)
     expected = {}
     for k, a in enumerate(cfg.a_grid):
         if kind == "local-time":

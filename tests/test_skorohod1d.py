@@ -297,7 +297,7 @@ def test_derivative_flow_l1_convergence_smoke():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_guard_exhaustion_raises():
+def test_nonfinite_increment_raises_naming_the_row():
     # a forced crossing (an enormous negative increment) lands inside; a
     # non-finite increment has no root, and the step raises at once
     assert 0 < sk.penalized_paths_1d(0.01, 0.1, np.array([[-50.0]]), 1e-4)[0, 1] < 1e-5

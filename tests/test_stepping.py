@@ -3,8 +3,10 @@
 ``_frozen_penalized_curved`` and ``_frozen_reflected_curved`` are the two
 curved-chart integrators, each with its own disk and cap region split, that
 ``stepping._chart_step`` replaced, pinned bit for bit; the penalized one
-moves its collar rows by ``stepping.implicit_step`` and keys its
-bridge-halving draws by batch path, as the integrator does.
+moves its collar rows by ``stepping.implicit_step`` and lands an off-collar
+row that left the domain at that step's root from its start, as the
+integrator does.  Both fold a cap step across the pole, theta < 0, to
+(-theta, phi + pi).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from rbmlab import geometry as geo
 from rbmlab import skorohod1d as sk
 from rbmlab import stepping
 from rbmlab.errors import IntegrationError
-from rbmlab.grids import SeedStreams, TimeGrid, driver_block
+from rbmlab.grids import TimeGrid, driver_block
 
 # -- frozen references --------------------------------------------------------
 
@@ -58,9 +60,12 @@ def _frozen_cap_chart_noise(x, dB, beta_sqrt, comp_sqrt):
     return beta_sqrt[:, None] * collar_part + comp_sqrt[:, None] * interior
 
 
-def _frozen_step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, depth=0, calls=None):
-    if calls is not None and depth > 0:
-        calls.append(depth)
+def _frozen_cap_pole_fold(new):
+    over = new[:, 0] < 0
+    new[over] = np.column_stack([-new[over, 0], new[over, 1] + np.pi])
+
+
+def _frozen_step_curved_penalized(model, a, x, dB_i, dt, node, rows, landings):
     R = geo.raw_boundary_distance(model, x)
     delta0 = model.tubular_radius
     collar = R < delta0
@@ -122,37 +127,33 @@ def _frozen_step_curved_penalized(model, a, x, dB_i, dt, streams, node, rows, de
             new[far] = geo.cap_from_ambient(prop)
             dL[far] = mag * dt
             dC[far] = damp * dt
+        _frozen_cap_pole_fold(new)
 
-    bad = geo.raw_boundary_distance(model, new) <= 0
-    if bad.any():
-        idx = np.nonzero(bad)[0]
-        if depth >= 20:
-            raise IntegrationError("positivity guard exhausted", node_index=node, a=a,
-                                   path_index=int(rows[idx[0]]), boundary_distance=float(R[idx[0]]))
-        k = rows[idx]
-        z = streams.guard(node, 4096 + depth).standard_normal((k.max() + 1, dB_i.shape[1]))[k]
-        half1 = 0.5 * dB_i[idx] + 0.5 * np.sqrt(dt) * z
-        half2 = dB_i[idx] - half1
-        x1, dl1, dc1 = _frozen_step_curved_penalized(
-            model, a, x[idx], half1, dt / 2, streams, node, rows[idx], depth + 1, calls)
-        x2, dl2, dc2 = _frozen_step_curved_penalized(
-            model, a, x1, half2, dt / 2, streams, node, rows[idx], depth + 1, calls)
-        new[idx] = x2
-        dL[idx] = dl1 + dl2
-        dC[idx] = dc1 + dc2
+    R_land = geo.raw_boundary_distance(model, new)
+    out = R_land <= 0
+    if out.any():
+        landings.append(int(out.sum()))
+        r, (dl, dc) = stepping.implicit_step(R[out], R_land[out] - R[out], dt, a, rates, node, rows[out])
+        if model.id == geo.FLAT_DISK:
+            ray = new[out] / np.linalg.norm(new[out], axis=-1, keepdims=True)
+            new[out] = (1.0 - r)[:, None] * ray
+        else:
+            new[out, 0] = model.theta0 - r
+        dL[out] = dl
+        dC[out] = dc
     return new, dL, dC
 
 
-def _frozen_penalized_curved(model, a, x0, dB, grid, aux_seed, calls):
+def _frozen_penalized_curved(model, a, x0, dB, grid, landings):
     P, N, _ = dB.shape
     x = np.tile(np.asarray(x0, dtype=float), (P, 1))
     out = {key: np.zeros((P, N + 1)) for key in ("R", "L", "C")}
     out["points"] = np.empty((P, N + 1, 2))
     out["points"][:, 0] = x
     out["R"][:, 0] = geo.boundary_distance(model, x[0])
-    streams, rows = SeedStreams(aux_seed), np.arange(P)
+    rows = np.arange(P)
     for i in range(N):
-        x, dL, dC = _frozen_step_curved_penalized(model, a, x, dB[:, i], grid.dt, streams, i, rows, calls=calls)
+        x, dL, dC = _frozen_step_curved_penalized(model, a, x, dB[:, i], grid.dt, i, rows, landings)
         out["points"][:, i + 1] = x
         out["R"][:, i + 1] = geo.raw_boundary_distance(model, x)
         out["L"][:, i + 1] = out["L"][:, i] + dL
@@ -207,6 +208,7 @@ def _frozen_reflected_curved(model, x0, dB, grid):
                 prop = p + noise - p * dt
                 prop /= np.linalg.norm(prop, axis=-1, keepdims=True)
                 new[far] = geo.cap_from_ambient(prop)
+            _frozen_cap_pole_fold(new)
         R_new = geo.raw_boundary_distance(model, new)
         new, R_new, push = stepping._project_to_domain(model, new, R_new)
         x = new
@@ -235,74 +237,135 @@ def _random_steps(R_max, n, seed):
     return R0, w, dt, a
 
 
-@pytest.mark.parametrize(
-    "model", [geo.half_line(), geo.flat_disk(), geo.spherical_cap(np.pi / 3), None],
-    ids=["half-line", "disk", "cap", "survival"],
-)
-def test_implicit_root_residual(model):
-    # the root r > 0 of r - dt b(r) = R0 + w: for the collar up to a few
-    # roundings of that sum, with its increments the rates at the root to
-    # the solver's tolerance; for the survival drift (no increments) within
-    # 1e-11 r
-    if model is None:
-        rates = sk._survival_rates
-        R0, w, dt, a = _random_steps(1.0, 20_000, 4)
-    else:
-        rates = partial(stepping._collar_rates, model)
-        R0, w, dt, a = _random_steps(model.tubular_radius, 20_000, 4)
-    R, incs = stepping.implicit_step(R0, w, dt, a, rates)
-    assert np.all(R > 0)
-    y = R0 + w
-    drift, slope, *vals = rates(a, R)
-    residual = R - dt * drift - y
-    if model is None:
-        assert np.all(np.abs(residual / (1.0 - dt * slope)) <= 1e-11 * R)
-    else:
-        assert np.all(np.abs(residual) <= 8 * np.finfo(float).eps * (np.abs(R) + np.abs(y) + dt * np.abs(drift)))
-    assert len(incs) == len(vals)
-    for inc, v in zip(incs, vals):
-        assert np.allclose(inc, v * dt, rtol=1e-7, atol=0)
-    # the same rows one by one: no row depends on its batch-mates
-    for j in range(0, R.size, 997):
-        alone, alone_incs = stepping.implicit_step(R0[j : j + 1], w[j : j + 1], dt, a[j : j + 1], rates)
-        assert alone[0] == R[j]
-        assert [v[0] for v in alone_incs] == [v[j] for v in incs]
+def _chart_end(model):
+    """Boundary distance of the disk's centre or the cap's pole."""
+    return 1.0 if model.id == geo.FLAT_DISK else model.theta0
+
+
+def _landing_steps(model, n, seed, dt):
+    """Off-collar states from the collar's edge to just short of the centre
+    or the pole, landings y = R0 + w <= 0 up to several sqrt(dt) outside the
+    domain, and a as in _random_steps."""
+    rng = np.random.default_rng(seed)
+    d0 = model.tubular_radius
+    R0 = d0 + (_chart_end(model) - d0) * (1.0 - 1e-9) * rng.uniform(0.0, 1.0, n)
+    y = -np.sqrt(dt) * np.abs(rng.standard_normal(n)) * rng.uniform(0.0, 3.0, n)
+    a = 10.0 ** rng.uniform(-3.5, -0.5, n)
+    return R0, y - R0, dt, a
 
 
 _CAP = geo.spherical_cap(np.pi / 3)
 
 
 @pytest.mark.parametrize(
-    "model,grid,x0,a_grid,coarse",
-    [
-        (geo.flat_disk(), TimeGrid(0.1, 200), (0.5, 0.0), (0.1, 0.0125), False),
-        (_CAP, TimeGrid(0.1, 200), (np.pi / 3 - 0.15, 0.0), (0.05, 0.0125), False),
-        (geo.flat_disk(), TimeGrid(1.0, 40), (0.2, 0.1), (0.2, 0.05), True),
-        (_CAP, TimeGrid(1.0, 40), (0.3, 0.0), (0.2, 0.05), True),
-    ],
-    ids=["disk", "cap", "disk-coarse", "cap-coarse"],
+    "model,landing",
+    [(geo.half_line(), False), (geo.flat_disk(), False), (_CAP, False), (None, False),
+     (geo.flat_disk(), True), (_CAP, True)],
+    ids=["half-line", "disk", "cap", "survival", "disk-landing", "cap-landing"],
 )
-def test_curved_integrators_match_frozen_region_splits(model, grid, x0, a_grid, coarse):
+def test_implicit_root_residual(model, landing):
+    # the root r > 0 of r - dt b(r) = R0 + w: for the collar up to a few
+    # roundings of that sum, with its increments the rates at the root to
+    # the solver's tolerance; for the survival drift (no increments) and for
+    # the landing of an off-collar curved step that left the domain (y <= 0,
+    # on fine to coarse grids) within 1e-11 r
+    if model is None:
+        rates = sk._survival_rates
+        cases = [_random_steps(1.0, 20_000, 4)]
+    elif landing:
+        rates = partial(stepping._collar_rates, model)
+        cases = [_landing_steps(model, 20_000, 4, dt) for dt in (1e-3, 0.025, 0.4)]
+    else:
+        rates = partial(stepping._collar_rates, model)
+        cases = [_random_steps(model.tubular_radius, 20_000, 4)]
+    for R0, w, dt, a in cases:
+        R, incs = stepping.implicit_step(R0, w, dt, a, rates)
+        assert np.all(R > 0)
+        y = R0 + w
+        drift, slope, *vals = rates(a, R)
+        residual = R - dt * drift - y
+        if model is None or landing:
+            assert np.all(np.abs(residual / (1.0 - dt * slope)) <= 1e-11 * R)
+        else:
+            assert np.all(np.abs(residual) <= 8 * np.finfo(float).eps * (np.abs(R) + np.abs(y) + dt * np.abs(drift)))
+        if landing:
+            # below the zero of the drift, so inside the chart
+            assert np.all(drift > 0) and np.all(R < _chart_end(model))
+        assert len(incs) == len(vals)
+        for inc, v in zip(incs, vals):
+            assert np.allclose(inc, v * dt, rtol=1e-7, atol=0)
+        # the same rows one by one: no row depends on its batch-mates
+        for j in range(0, R.size, 997):
+            alone, alone_incs = stepping.implicit_step(R0[j : j + 1], w[j : j + 1], dt, a[j : j + 1], rates)
+            assert alone[0] == R[j]
+            assert [v[0] for v in alone_incs] == [v[j] for v in incs]
+
+
+def _landed_rows(monkeypatch, model):
+    """Spy on stepping.implicit_step: the batch rows it is handed off the
+    collar, which only the landing of a curved step that left the domain
+    does."""
+    landed = set()
+    step = stepping.implicit_step
+
+    def spy(R0, w, dt, a, rates, node=None, rows=None):
+        landed.update(np.asarray(rows)[np.asarray(R0) >= model.tubular_radius].tolist())
+        return step(R0, w, dt, a, rates, node, rows)
+
+    monkeypatch.setattr(stepping, "implicit_step", spy)
+    return landed
+
+
+@pytest.mark.parametrize(
+    "model,grid,x0,a_grid,paths,coarse",
+    [
+        (geo.flat_disk(), TimeGrid(0.1, 200), (0.5, 0.0), (0.1, 0.0125), 60, False),
+        (_CAP, TimeGrid(0.1, 200), (np.pi / 3 - 0.15, 0.0), (0.05, 0.0125), 60, False),
+        (geo.flat_disk(), TimeGrid(1.0, 40), (0.2, 0.1), (0.2, 0.05), 60, True),
+        (_CAP, TimeGrid(1.0, 40), (0.3, 0.0), (0.2, 0.05), 60, True),
+        (geo.flat_disk(), TimeGrid(4.0, 10), (0.0, 0.0), (0.3, 0.01), 2000, True),
+        (_CAP, TimeGrid(4.0, 10), (0.0, 0.0), (0.3, 0.01), 2000, True),
+    ],
+    ids=["disk", "cap", "disk-coarse", "cap-coarse", "disk-centre", "cap-pole"],
+)
+def test_curved_integrators_match_frozen_region_splits(model, grid, x0, a_grid, paths, coarse):
     # the coarse grids push off-collar steps out of the domain, so the
-    # penalized step bisects, and on the cap they reach the far region
-    dB = driver_block(grid, model.frame_count, seed=6, first_path=0, n_paths=60)
+    # penalized step lands them at the implicit root, and on the cap they
+    # reach the far region; from the disk's centre or the cap's pole a row
+    # lands where 1 / (1 - R) or 1 / sin(theta) has no value at its start
+    dB = driver_block(grid, model.frame_count, seed=6, first_path=0, n_paths=paths)
     new = stepping.integrate_reflected_batch(model, x0, dB, grid)
     old = _frozen_reflected_curved(model, x0, dB, grid)
     assert new.keys() == old.keys()
     _assert_same([new[k] for k in old], [old[k] for k in old])
     assert old["L"][:, -1].max() > 0
-    calls = []
+    assert np.all((old["R"] >= 0) & (old["R"] <= _chart_end(model)))
+    landings = []
     for a in a_grid:
-        new = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=8)
-        old = _frozen_penalized_curved(model, a, x0, dB, grid, 8, calls)
+        new = stepping.integrate_penalized_batch(model, a, x0, dB, grid)
+        old = _frozen_penalized_curved(model, a, x0, dB, grid, landings)
         assert new.keys() == old.keys()
         _assert_same([new[k] for k in old], [old[k] for k in old])
+        assert np.all((old["R"] > 0) & (old["R"] <= _chart_end(model)))
         if model.id == geo.SPHERICAL_CAP:
             pts = old["points"][:, :-1].reshape(-1, 2)
             edge, mid, far = stepping._regions(model, pts, geo.raw_boundary_distance(model, pts))
             assert edge.any() and mid.any()
             assert far.any() or not coarse
-    assert (len(calls) > 0) == coarse
+    assert (len(landings) > 0) == coarse
+
+
+def test_cap_steps_across_the_pole_stay_in_the_chart():
+    # sqrt(dt) = 0.1: a mid-region step can cross the pole to theta < 0, the
+    # point (-theta, phi + pi), whose boundary distance is at most theta0
+    grid = TimeGrid(1.0, 100)
+    dB = driver_block(grid, _CAP.frame_count, seed=6, first_path=0, n_paths=2000)
+    for x0 in ((0.0, 0.0), (np.pi / 3 - 0.15, 0.0)):
+        runs = (stepping.integrate_penalized_batch(_CAP, 0.1, x0, dB, grid),
+                stepping.integrate_reflected_batch(_CAP, x0, dB, grid))
+        for run in runs:
+            assert run["R"].max() <= _CAP.theta0
+            assert np.array_equal(run["R"], geo.raw_boundary_distance(_CAP, run["points"]))
 
 
 @pytest.mark.parametrize(
@@ -318,26 +381,33 @@ def test_reflected_curved_paths_do_not_depend_on_their_chunk(model, x0):
             assert np.array_equal(alone[key][0], batch[key][row])
 
 
-class _NoBridgeStreams(SeedStreams):
-    """Seed streams whose bridge-halving draws fail the test."""
-
-    def guard(self, node, attempt):
-        raise AssertionError(f"bridge halving at node {node}")
+_STIFF, _COARSE = (TimeGrid(0.5, 250), 0.01, 12, (0, 17, 59)), (TimeGrid(1.0, 40), 0.05, 6)
 
 
-_STIFF_STARTS = [(geo.half_line(), (0.02,)), (geo.flat_disk(), (0.98, 0.0)), (_CAP, (np.pi / 3 - 0.02, 0.0))]
-
-
-@pytest.mark.parametrize("model,x0", _STIFF_STARTS, ids=["half-line", "disk", "cap"])
-def test_penalized_paths_do_not_depend_on_their_chunk(monkeypatch, model, x0):
-    # a/sqrt(dt) = 0.22, a stiff boundary layer; no step of this grid leaves
-    # the domain, so no bridge-halving draw (keyed by batch row) is made
-    monkeypatch.setattr(stepping, "SeedStreams", _NoBridgeStreams)
-    grid, m, a = TimeGrid(0.5, 250), model.frame_count, 0.01
-    batch = stepping.integrate_penalized_batch(model, a, x0, driver_block(grid, m, 12, 0, 60), grid, aux_seed=3)
-    assert (batch["L"][:, -1] > 1.0).any()
-    for row in (0, 17, 59):
-        alone = stepping.integrate_penalized_batch(model, a, x0, driver_block(grid, m, 12, row, 1), grid, aux_seed=3)
+@pytest.mark.parametrize(
+    "model,x0,grid,a,seed,rows",
+    [
+        (geo.half_line(), (0.02,), *_STIFF),
+        (geo.flat_disk(), (0.98, 0.0), *_STIFF),
+        (_CAP, (np.pi / 3 - 0.02, 0.0), *_STIFF),
+        (geo.flat_disk(), (0.2, 0.1), *_COARSE, (6, 36, 49, 55)),
+        (_CAP, (0.3, 0.0), *_COARSE, (59,)),
+    ],
+    ids=["half-line", "disk", "cap", "disk-coarse", "cap-coarse"],
+)
+def test_penalized_paths_do_not_depend_on_their_chunk(monkeypatch, model, x0, grid, a, seed, rows):
+    # stiff: a/sqrt(dt) = 0.22, a stiff boundary layer; coarse: each checked
+    # row takes an off-collar step out of the domain and lands at the
+    # implicit root
+    m, coarse = model.frame_count, grid.steps == 40
+    landed = _landed_rows(monkeypatch, model) if coarse else set()
+    batch = stepping.integrate_penalized_batch(model, a, x0, driver_block(grid, m, seed, 0, 60), grid)
+    if coarse:
+        assert landed.issuperset(rows)
+    else:
+        assert (batch["L"][:, -1] > 1.0).any()
+    for row in rows:
+        alone = stepping.integrate_penalized_batch(model, a, x0, driver_block(grid, m, seed, row, 1), grid)
         for key in batch:
             assert np.array_equal(alone[key][0], batch[key][row])
 
@@ -364,7 +434,7 @@ def test_small_a_runs_with_positive_R(model, x0, a, dt):
     # a about sqrt(dt) / 10, where the guarded sub-step walk ran out of its budget
     grid = TimeGrid(1000 * dt, 1000)
     dB = driver_block(grid, model.frame_count, seed=8, first_path=0, n_paths=100)
-    out = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=9)
+    out = stepping.integrate_penalized_batch(model, a, x0, dB, grid)
     assert np.all(out["R"] > 0)
     assert np.all(np.isfinite(out["L"])) and out["L"][:, -1].min() > 0
     if model.id == geo.HALF_LINE:
@@ -426,12 +496,12 @@ def test_integrate_penalized_batch_error_names_path_and_state():
     grid, a, node = TimeGrid(1.0, 1000), 0.0015, 400
     for model, x0 in ((geo.half_line(), [0.01]), (geo.flat_disk(), [0.99, 0.0])):
         dB = driver_block(grid, model.frame_count, seed=8, first_path=0, n_paths=6)
-        clean = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=9)
+        clean = stepping.integrate_penalized_batch(model, a, x0, dB, grid)
         path = int(np.argmin(clean["R"][:, node]))
         assert clean["R"][path, node] < model.tubular_radius
         dB[path, node, 0] = np.nan
         with pytest.raises(IntegrationError) as exc:
-            stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed=9)
+            stepping.integrate_penalized_batch(model, a, x0, dB, grid)
         err = exc.value
         assert (err.node_index, err.a, err.path_index) == (node, a, path)
         for field in ("node=", "a=", "path=", "R="):
@@ -453,21 +523,21 @@ def test_curved_error_maps_collar_subset_to_batch_row(model, theta):
     dB[:, 0] = -0.03
     dB[2, 0] = np.nan
     with pytest.raises(IntegrationError, match="non-finite increment") as exc:
-        stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, SeedStreams(9), 0, np.arange(3))
+        stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, 0, np.arange(3))
     assert exc.value.path_index == 2
     assert exc.value.boundary_distance == geo.raw_boundary_distance(model, x)[2]
     dB[2, 0] = -0.03  # a << sqrt(dt) and a step far across the boundary: the root is inside
-    new, dL, dC = stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, SeedStreams(9), 0, np.arange(3))
+    new, dL, dC = stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, 0, np.arange(3))
     assert geo.raw_boundary_distance(model, new)[2] > 0 and dL[2] > 0.02
 
 
 # -- the a-grid stepped as one batch ------------------------------------------
 
 
-def _assert_grid_matches_one_a(model, a_grid, x0, dB, grid, aux_seed):
-    stacked = stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid, aux_seed)
+def _assert_grid_matches_one_a(model, a_grid, x0, dB, grid):
+    stacked = stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid)
     for k, a in enumerate(a_grid):
-        alone = stepping.integrate_penalized_batch(model, a, x0, dB, grid, aux_seed)
+        alone = stepping.integrate_penalized_batch(model, a, x0, dB, grid)
         assert stacked.keys() == alone.keys()
         for key in alone:
             assert stacked[key].shape == (len(a_grid), *alone[key].shape)
@@ -480,7 +550,7 @@ def test_halfline_grid_matches_one_a_runs():
     # each with its own number of Newton iterates
     a_grid, grid = (0.05, 0.025, 0.0125, 0.00625), TimeGrid(0.1, 200)
     dB = driver_block(grid, 1, seed=44, first_path=0, n_paths=16)
-    stacked = _assert_grid_matches_one_a(geo.half_line(), a_grid, [0.02], dB, grid, 45)
+    stacked = _assert_grid_matches_one_a(geo.half_line(), a_grid, [0.02], dB, grid)
     assert stacked["L"][-1, :, -1].max() > 0.01  # the paths did work the boundary layer
 
 
@@ -496,20 +566,13 @@ def test_halfline_grid_matches_one_a_runs():
 )
 def test_curved_grid_matches_one_a_runs(monkeypatch, model, grid, x0, a_grid, coarse):
     dB = driver_block(grid, model.frame_count, seed=6, first_path=0, n_paths=60)
-    step_dts = []
-    step = stepping._step_curved_penalized
-
-    def spy(model, a, x, dB_i, dt, *args, **kw):
-        step_dts.append(dt)
-        return step(model, a, x, dB_i, dt, *args, **kw)
-
-    monkeypatch.setattr(stepping, "_step_curved_penalized", spy)
-    stacked = _assert_grid_matches_one_a(model, a_grid, x0, dB, grid, 8)
+    landed = _landed_rows(monkeypatch, model)
+    stacked = _assert_grid_matches_one_a(model, a_grid, x0, dB, grid)
     pts = stacked["points"][:, :, :-1].reshape(-1, 2)
     edge, mid, far = stepping._regions(model, pts, geo.raw_boundary_distance(model, pts))
     assert edge.any() and mid.any()
-    if coarse:  # the bridge-halving recursion runs, and the cap reaches its far region
-        assert min(step_dts) < grid.dt
+    assert bool(landed) == coarse
+    if coarse:  # the cap reaches its far region
         assert far.any() or model.id == geo.FLAT_DISK
 
 
@@ -522,13 +585,13 @@ def test_grid_error_names_the_rows_own_a_and_path(monkeypatch):
     for model, x0 in ((geo.half_line(), [0.01]), (geo.flat_disk(), [0.99, 0.0])):
         dB = driver_block(grid, model.frame_count, seed=8, first_path=0, n_paths=6)
         with pytest.raises(IntegrationError) as alone:
-            stepping.integrate_penalized_batch(model, 0.0015, x0, dB, grid, aux_seed=9)
+            stepping.integrate_penalized_batch(model, 0.0015, x0, dB, grid)
         with pytest.raises(IntegrationError) as stacked:
-            stepping.integrate_penalized_grid(model, (0.1, 0.0015, 0.05), x0, dB, grid, aux_seed=9)
+            stepping.integrate_penalized_grid(model, (0.1, 0.0015, 0.05), x0, dB, grid)
         assert stacked.value.a == 0.0015
         assert str(stacked.value) == str(alone.value)
         assert 0 <= stacked.value.path_index < 6
-        stepping.integrate_penalized_grid(model, (0.1, 0.05), x0, dB, grid, aux_seed=9)
+        stepping.integrate_penalized_grid(model, (0.1, 0.05), x0, dB, grid)
 
 
 def test_grid_rejects_bad_a():
@@ -550,7 +613,7 @@ def test_grid_rejects_bad_a():
         (geo.half_space(3), (0.3, -0.2, 0.05), 300),
         (geo.flat_disk(), (0.9, 0.0), 200),
         (_CAP, (np.pi / 3 - 0.05, 0.0), 200),
-        (geo.flat_disk(), (0.2, 0.1), 40),  # a coarse grid: the bridge-halving branch
+        (geo.flat_disk(), (0.2, 0.1), 40),  # a coarse grid: rows land at the implicit root
     ],
     ids=["half-line", "half-space-d3", "disk", "cap", "disk-coarse"],
 )
@@ -558,10 +621,10 @@ def test_node_blocks_are_the_stored_runs(model, x0, steps):
     grid = TimeGrid(0.2 if steps > 40 else 1.0, steps)
     a_grid = (0.1, 0.025, 0.0125)
     dB = driver_block(grid, model.frame_count, seed=31, first_path=0, n_paths=9)
-    stored = (stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid, aux_seed=32),
+    stored = (stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid),
               stepping.integrate_reflected_batch(model, x0, dB, grid))
     block = 64
-    for runs, blocks in zip(stored, (stepping._penalized_blocks(model, a_grid, x0, dB, grid, 32, block),
+    for runs, blocks in zip(stored, (stepping._penalized_blocks(model, a_grid, x0, dB, grid, block),
                                      stepping._reflected_blocks(model, x0, dB, grid, block))):
         i0 = 0
         for start, run in blocks:

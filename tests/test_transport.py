@@ -204,7 +204,7 @@ def test_convergence_check_rows_equal_one_call_per_a():
         ref_v = transport_batch(cap, stepping.integrate_reflected_batch(cap, x0, dB, grid)["points"])[0] @ v
         loop = []
         for a in a_list:
-            pen = stepping.integrate_penalized_batch(cap, a, x0, dB, grid, aux_seed=9)
+            pen = stepping.integrate_penalized_batch(cap, a, x0, dB, grid)
             pen_v = transport_batch(cap, pen["points"])[0] @ v
             loop.append({"a": float(a), "sup_gap": float(np.linalg.norm(pen_v - ref_v, axis=-1).max())})
-        assert transport_convergence_check(cap, a_list, driver, grid, v, aux_seed=9) == loop
+        assert transport_convergence_check(cap, a_list, driver, grid, v) == loop
