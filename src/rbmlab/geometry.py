@@ -129,13 +129,30 @@ def _points(model: ManifoldModel, x) -> np.ndarray:
     return x
 
 
+def norm(x) -> np.ndarray:
+    """Euclidean norm over the last axis: ``np.linalg.norm(x, axis=-1)`` bit
+    for bit.  Two or three components are summed as that sum of squares adds
+    them, (x0^2 + x1^2) + x2^2, in a quarter of its numpy calls; other counts
+    go to ``np.linalg.norm``."""
+    x = np.asarray(x, dtype=float)
+    m = x.shape[-1]
+    if m not in (2, 3):
+        return np.linalg.norm(x, axis=-1)
+    x0, x1 = x[..., 0], x[..., 1]
+    sq = x0 * x0 + x1 * x1
+    if m == 3:
+        x2 = x[..., 2]
+        sq += x2 * x2
+    return np.sqrt(sq)
+
+
 def contains(model: ManifoldModel, x) -> np.ndarray:
     """Whether points lie in the (closed) chart domain."""
     x = _points(model, x)
     if model.id in (HALF_LINE, HALF_SPACE):
         return x[..., -1] >= 0
     if model.id == FLAT_DISK:
-        return np.linalg.norm(x, axis=-1) <= 1.0
+        return norm(x) <= 1.0
     theta = x[..., 0]
     return (theta >= 0) & (theta <= model.theta0)
 
@@ -148,7 +165,7 @@ def boundary_distance(model: ManifoldModel, x) -> np.ndarray | float:
     if model.id in (HALF_LINE, HALF_SPACE):
         r = x[..., -1]
     elif model.id == FLAT_DISK:
-        r = 1.0 - np.linalg.norm(x, axis=-1)
+        r = 1.0 - norm(x)
     else:
         r = model.theta0 - x[..., 0]
     return float(r) if r.ndim == 0 else r
@@ -160,7 +177,7 @@ def raw_boundary_distance(model: ManifoldModel, x) -> np.ndarray:
     if model.id in (HALF_LINE, HALF_SPACE):
         return x[..., -1]
     if model.id == FLAT_DISK:
-        return 1.0 - np.linalg.norm(x, axis=-1)
+        return 1.0 - norm(x)
     return model.theta0 - x[..., 0]
 
 
@@ -185,8 +202,7 @@ def _normal_components(model: ManifoldModel, x) -> np.ndarray:
         nu[..., -1] = 1.0
         return nu
     if model.id == FLAT_DISK:
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return -x / r
+        return -x / norm(x)[..., None]
     nu = np.zeros_like(x)
     nu[..., 0] = -1.0  # -e_theta: inward means decreasing polar angle
     return nu
@@ -199,7 +215,7 @@ def _level_curvature(model: ManifoldModel, x) -> np.ndarray:
     if model.id in (HALF_LINE, HALF_SPACE):
         return np.zeros(x.shape[:-1])
     if model.id == FLAT_DISK:
-        return 1.0 / np.maximum(np.linalg.norm(x, axis=-1), 1e-300)
+        return 1.0 / np.maximum(norm(x), 1e-300)
     return 1.0 / np.tan(np.clip(x[..., 0], 1e-12, None))
 
 
@@ -263,11 +279,13 @@ def laplacian_R_of_R_slope(model: ManifoldModel, R) -> np.ndarray:
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
-    """C^inf monotone step, identically 0 for u <= 0 and 1 for u >= 1."""
+    """C^inf monotone step, identically 0 for u <= 0 and 1 for u >= 1: a / (a + b)
+    with a = exp(-1/u) and b = exp(-1/(1 - u)) for u clipped to [0, 1].  At
+    either end the floor 1e-300 makes the exponential underflow to exactly 0,
+    with no division by zero."""
     u = np.clip(u, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-        b = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
+    a = np.exp(-1.0 / np.maximum(u, 1e-300))
+    b = np.exp(-1.0 / np.maximum(1.0 - u, 1e-300))
     return a / (a + b)
 
 
@@ -281,8 +299,9 @@ def blend(model: ManifoldModel, R) -> np.ndarray:
         return np.ones_like(R)
     d0 = model.tubular_radius
     u = (R - d0) / d0
+    # cos(0)^2 is exactly 1 for u <= 0; cos(pi/2)^2 is not 0
     val = np.cos(0.5 * math.pi * _smoothstep(u)) ** 2
-    return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, val))
+    return np.where(u >= 1.0, 0.0, val)
 
 
 # -- cap chart <-> ambient sphere helpers -----------------------------------
@@ -290,28 +309,66 @@ def blend(model: ManifoldModel, R) -> np.ndarray:
 
 def cap_to_ambient(x) -> np.ndarray:
     """(theta, phi) -> point on the unit sphere in R^3."""
-    x = np.asarray(x, dtype=float)
-    theta, phi = x[..., 0], x[..., 1]
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    return _cap_ambient(_cap_trig(np.asarray(x, dtype=float)))
 
 
 def cap_from_ambient(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    theta = np.arccos(np.clip(p[..., 2], -1.0, 1.0))
-    phi = np.arctan2(p[..., 1], p[..., 0])
-    return np.stack([theta, phi], axis=-1)
+    out = np.empty(p.shape[:-1] + (2,))
+    np.arccos(np.clip(p[..., 2], -1.0, 1.0), out=out[..., 0])
+    np.arctan2(p[..., 1], p[..., 0], out=out[..., 1])
+    return out
 
 
 def cap_basis(x) -> np.ndarray:
     """Ambient components of (e_theta, e_phi_hat) at chart point(s) x, (..., 3, 2)."""
-    x = np.asarray(x, dtype=float)
+    ct, st, cp, sp = _cap_trig(np.asarray(x, dtype=float))
+    out = np.empty(ct.shape + (3, 2))
+    out[..., :, 0] = _cap_e_theta((ct, st, cp, sp))
+    np.negative(sp, out=out[..., 0, 1])
+    out[..., 1, 1] = cp
+    out[..., 2, 1] = 0.0
+    return out
+
+
+# The helpers below take the trig of chart points once, so that a stepper
+# evaluates it once per point; cap_to_ambient and cap_basis are built on them.
+
+
+def _cap_trig(x):
+    """cos and sin of theta, then of phi, at chart points x."""
     theta, phi = x[..., 0], x[..., 1]
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return np.stack([e_theta, e_phi], axis=-1)
+    return np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+
+
+def _cap_ambient(trig) -> np.ndarray:
+    """The points of _cap_trig on the unit sphere in R^3."""
+    ct, st, cp, sp = trig
+    out = np.empty(ct.shape + (3,))
+    np.multiply(st, cp, out=out[..., 0])
+    np.multiply(st, sp, out=out[..., 1])
+    out[..., 2] = ct
+    return out
+
+
+def _cap_e_theta(trig) -> np.ndarray:
+    """Ambient components of e_theta at the points of _cap_trig, (..., 3)."""
+    ct, st, cp, sp = trig
+    out = np.empty(ct.shape + (3,))
+    np.multiply(ct, cp, out=out[..., 0])
+    np.multiply(ct, sp, out=out[..., 1])
+    np.negative(st, out=out[..., 2])
+    return out
+
+
+def _cap_tangent(trig, v):
+    """(e_theta, e_phi_hat) components of the ambient vectors v (..., 3) at the
+    points of _cap_trig: ``einsum("pkc,pk->pc", cap_basis(x), v)`` bit for
+    bit wherever a component is not zero (einsum also adds e_phi_hat's zero
+    third entry times v2, which can only turn a sum of -0.0 into +0.0)."""
+    ct, st, cp, sp = trig
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return ((ct * cp) * v0 + (ct * sp) * v1) + (-st) * v2, (-sp) * v0 + cp * v1
 
 
 def frame(model: ManifoldModel, x):
@@ -347,7 +404,7 @@ def frame(model: ManifoldModel, x):
     ri = np.sqrt(1.0 - beta)[..., None]
 
     if model.id == FLAT_DISK:
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        r = norm(x)[..., None]
         safe_r = np.maximum(r, 1e-300)
         e_r = np.where(r > 0, x / safe_r, 0.0)
         e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
@@ -398,8 +455,8 @@ def chart_distance(model: ManifoldModel, x, y) -> np.ndarray:
     x = _points(model, x)
     y = _points(model, y)
     if model.is_flat_chart:
-        return np.linalg.norm(x - y, axis=-1)
-    return np.linalg.norm(cap_to_ambient(x) - cap_to_ambient(y), axis=-1)
+        return norm(x - y)
+    return norm(cap_to_ambient(x) - cap_to_ambient(y))
 
 
 def nearest_boundary_point(model: ManifoldModel, x) -> np.ndarray:
@@ -410,8 +467,7 @@ def nearest_boundary_point(model: ManifoldModel, x) -> np.ndarray:
         out[..., -1] = 0.0
         return out
     if model.id == FLAT_DISK:
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return x / np.maximum(r, 1e-300)
+        return x / np.maximum(norm(x)[..., None], 1e-300)
     out = x.copy()
     out[..., 0] = model.theta0
     return out

@@ -176,10 +176,21 @@ def _checked_drift_args(a, x):
     return x_arr
 
 
+def _survival_constants(a):
+    """a and sqrt(a), the factors of :func:`_survival_rates` that depend on a
+    alone: a tuple for one value of a, and for an array of values one array
+    with a new leading axis, so that a step compacts its rows' constants with
+    one index and computes them once per run."""
+    consts = (a, np.sqrt(a))
+    return consts if isinstance(a, float) else np.stack(consts)
+
+
 def _survival_rates(a, x):
     """The drift at x > 0 and its x-derivative (the second log derivative of
-    the survival factor), from one evaluation and without argument checks."""
-    root = np.sqrt(a)
+    the survival factor), from one evaluation and without argument checks.
+    ``a`` is one value, one per entry of x, or their
+    :func:`_survival_constants` (one more axis than x)."""
+    a, root = a if np.ndim(a) > np.ndim(x) else _survival_constants(a)
     y = x / root
     num = np.exp(-0.5 * y * y)
     den = np.where(y > 6.0, SQRT_HALF_PI, _phi(np.minimum(y, 6.0)))
@@ -221,11 +232,16 @@ def penalized_paths_1d_grid(a_grid, x: float, dW: np.ndarray, dt: float) -> np.n
     n_paths, n_steps = dW.shape
     a_rows, paths = _grid_rows(a_grid, n_paths)
     G = np.size(a_grid)
+    consts = _survival_constants(a_rows)
     out = np.empty((G * n_paths, n_steps + 1))
     out[:, 0] = x
     state = np.full(G * n_paths, float(x))
+    # one node's driver, row by row: the paths' increments once per value of a
+    node_dW = np.empty((G, n_paths))
+    w = node_dW.reshape(G * n_paths)
     for i in range(n_steps):
-        state, _ = implicit_step(state, dW[paths, i], dt, a_rows, _survival_rates, i, paths)
+        np.copyto(node_dW, dW[:, i])
+        state, _ = implicit_step(state, w, dt, consts, _survival_rates, i, paths)
         out[:, i + 1] = state
     return out.reshape(G, n_paths, n_steps + 1)
 

@@ -46,22 +46,34 @@ def _squares(a):
     return a**2 if isinstance(a, float) else np.float_power(a, 2.0)
 
 
+def _tanh_constants(a):
+    """a, 4/a^2, 8/a^2 and 4/a, the factors of :func:`_tanh_rates` that depend
+    on a alone: a tuple for one value of a, and for an array of values one
+    array with a new leading axis, so that a step compacts its rows' constants
+    with one index and computes them once per run."""
+    a_sq = _squares(a)
+    consts = (a, 4.0 / a_sq, 8.0 / a_sq, 4.0 / a)
+    return consts if isinstance(a, float) else np.stack(consts)
+
+
 def _tanh_rates(a, R):
     """Drift magnitude 2 / (a sinh z) and damping rate (4/a^2) cosh z / sinh^2 z
     at z = 2R/a, from one sinh (z <= 30) or exp(-z) (beyond) evaluation.
-    ``a`` is one value or one per entry of R."""
-    z = np.asarray(2.0 * np.asarray(R, dtype=float) / a)
-    a_sq = _squares(a)
+    ``a`` is one value, one per entry of R, or their :func:`_tanh_constants`
+    (one more axis than R)."""
+    R = np.asarray(R, dtype=float)
+    a, c4, c8, c4a = a if np.ndim(a) > R.ndim else _tanh_constants(a)
+    z = np.asarray(2.0 * R / a)
     small = z <= 30.0
-    if small.all():
+    if np.count_nonzero(small) == small.size:
         s = np.sinh(z)
-        return 2.0 / (a * s), (4.0 / a_sq) * np.cosh(z) / s**2
+        return 2.0 / (a * s), c4 * np.cosh(z) / s**2
     zs = np.where(small, z, 1.0)
     s = np.sinh(zs)
     ez = np.exp(np.where(small, -np.inf, -z))
     gap = 1.0 - ez * ez
-    mag = np.where(small, 2.0 / (a * s), (4.0 / a) * ez / gap)
-    damp = np.where(small, (4.0 / a_sq) * np.cosh(zs) / s**2, (8.0 / a_sq) * (ez + ez**3) / gap**2)
+    mag = np.where(small, 2.0 / (a * s), c4a * ez / gap)
+    damp = np.where(small, c4 * np.cosh(zs) / s**2, c8 * (ez + ez**3) / gap**2)
     return mag, damp
 
 
@@ -77,18 +89,14 @@ def damping_rate(a: float, R):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _shared_value(a):
-    """The float every entry of a holds, else a: rows of one value of a are
-    then rated as a one-a step rates them, without a libm pow per row."""
-    return float(a[0]) if a.size and (a == a[0]).all() else a
-
-
 def implicit_step(R0, w, dt, a, rates, node=None, rows=None):
     """Drift-implicit Euler step of dR = b(R) dt + dW from positive states R0
     over increments w: the root r > 0 of r - dt b(r) = y, y = R0 + w, per row.
 
     ``rates(a, r)`` returns ``(b, b', *integrands)`` at states r > 0 and their
-    values of ``a`` (one value, or one per row).  The drifts stepped here are
+    values of ``a``: one value, one per row, or per-row constants of the
+    rates stacked on a leading axis, whose first row is a (such as
+    :func:`_tanh_constants` of the rows' a).  The drifts stepped here are
     decreasing and blow up at 0+ like 1/r, so F(r) = r - dt b(r) - y rises
     from -inf with slope F' = 1 - dt b' >= 1 and has exactly one positive
     root.  Newton's method starts at y where y > sqrt(dt) and elsewhere at the
@@ -110,10 +118,11 @@ def implicit_step(R0, w, dt, a, rates, node=None, rows=None):
     R0 = np.asarray(R0, dtype=float)
     y = R0 + w
     n = y.size
-    a = a if isinstance(a, np.ndarray) else np.full(n, float(a))
+    per_row = isinstance(a, np.ndarray)
 
     def error(message, j):
-        return IntegrationError(message, node_index=node, a=float(a[j]),
+        a_j = np.reshape(a, (-1, n))[0, j] if per_row else a
+        return IntegrationError(message, node_index=node, a=float(a_j),
                                 path_index=int(j if rows is None else rows[j]), boundary_distance=float(R0[j]))
 
     if not np.isfinite(y).all():
@@ -124,40 +133,43 @@ def implicit_step(R0, w, dt, a, rates, node=None, rows=None):
     incs = None
     pos = np.arange(n)
     root_dt = np.sqrt(dt)
-    # per row: the iterate, y, and the bracket ends lo (F < 0) and hi (F > 0)
-    state = np.empty((4, n))
+    # per row: the iterate, y, the bracket ends lo (F < 0) and hi (F > 0), F,
+    # the next iterate, then the row's a or its constants, so that one index
+    # compacts them all
+    a_rows = np.reshape(a, (-1, n)) if per_row else np.empty((0, n))
+    state = np.empty((6 + len(a_rows), n))
     state[0] = np.where(y > root_dt, y, 2.0 * dt / (np.sqrt(y * y + 4.0 * dt) - np.minimum(y, root_dt)))
     state[1] = y
     state[2] = 0.0
     state[3] = np.inf
-    a_rates = _shared_value(a)
+    state[6:] = a_rows
+    a_at = slice(6, None) if np.ndim(a) > 1 else 6
     for _ in range(_MAX_NEWTON):
-        r, y, lo, hi = state
-        b, slope, *vals = rates(a_rates, r)
+        r, y, lo, hi, F, nxt = state[:6]
+        b, slope, *vals = rates(state[a_at] if per_row else a, r)
         if incs is None:
             incs = [np.empty(n) for _ in vals]
             tol = _NEWTON_TOL if vals else _ROOT_TOL
-        F = r - dt * b - y
+        np.subtract(r - dt * b, y, out=F)
         c = F / (1.0 - dt * slope)
-        nxt = r - c
+        np.subtract(r, c, out=nxt)
         done = np.abs(c) <= tol * r
-        if done.any():
-            finished = pos[done]
-            out[finished] = nxt[done]
+        fin = done.nonzero()[0]
+        if fin.size:
+            finished = pos[fin]
+            out[finished] = nxt[fin]
             for total, v in zip(incs, vals):
-                total[finished] = v[done] * dt
-            if finished.size == pos.size:
+                total[finished] = v[fin] * dt
+            if fin.size == pos.size:
                 return out, incs
-            live = ~done
-            pos, state, F, nxt = pos[live], state[:, live], F[live], nxt[live]
-            r, y, lo, hi = state
-            if isinstance(a_rates, np.ndarray):
-                a_rates = _shared_value(a[pos])
+            live = (~done).nonzero()[0]
+            pos, state = pos[live], state.take(live, axis=1)
+            r, y, lo, hi, F, nxt = state[:6]
         np.copyto(lo, r, where=F < 0)
         np.copyto(hi, r, where=F > 0)
         np.maximum(nxt, 0.5 * r, out=r)
         outside = (r <= lo) | (r >= hi)
-        if outside.any():
+        if np.count_nonzero(outside):
             r[outside] = 0.5 * (lo[outside] + hi[outside])
     raise error("implicit step did not converge", pos[0])
 
@@ -168,24 +180,11 @@ def _collar_rates(model, a, R):
     times dt are the local-time and damping increments.  The damping rate is
     exactly -d(magnitude)/dR."""
     mag, damp = _tanh_rates(a, R)
+    if model.id in (geo.HALF_LINE, geo.HALF_SPACE):
+        # the Laplacian of R is 0, and mag + 0.0, 0.0 - damp are mag, -damp
+        return mag, -damp, mag, damp
     drift = mag + 0.5 * geo.laplacian_R_of_R(model, R)
     return drift, 0.5 * geo.laplacian_R_of_R_slope(model, R) - damp, mag, damp
-
-
-def _disk_noise(e_r, dB, beta_sqrt, comp_sqrt):
-    """Blended-frame noise displacement for the disk, Cartesian components,
-    at points with radial unit vectors e_r."""
-    e_t = np.stack([-e_r[..., 1], e_r[..., 0]], axis=-1)
-    collar_part = -e_r * dB[:, 0:1] + e_t * dB[:, 1:2]
-    return beta_sqrt[:, None] * collar_part + comp_sqrt[:, None] * dB[:, 2:4]
-
-
-def _cap_chart_noise(x, dB, beta_sqrt, comp_sqrt):
-    """Blended-frame noise in (theta, phi-hat) orthonormal components."""
-    grad = geo.cap_basis(x)  # (..., 3, 2)
-    interior = np.einsum("pkc,pk->pc", grad, dB[:, 2:5])
-    collar_part = np.stack([-dB[:, 0], dB[:, 1]], axis=-1)
-    return beta_sqrt[:, None] * collar_part + comp_sqrt[:, None] * interior
 
 
 def _regions(model, x, R):
@@ -200,9 +199,15 @@ def _regions(model, x, R):
     return collar & near, near & ~collar, ~near
 
 
+def _region_rows(model, x, R):
+    """The rows of :func:`_regions` as index arrays (edge, mid, far)."""
+    return tuple(rows.nonzero()[0] for rows in _regions(model, x, R))
+
+
 def _chart_step(model, x, R, dB, dt, regions, R_edge, inward=None):
     """New chart points after one step of a curved-chart model.
 
+    ``regions`` holds the rows (edge, mid, far) of :func:`_region_rows`.
     Edge rows move to boundary distance ``R_edge`` and along the boundary by
     dB[:, 1]; mid rows take an Euler step in the blended frame, far rows one
     on the embedded sphere.  ``inward`` (one entry per row, read off the edge
@@ -210,59 +215,79 @@ def _chart_step(model, x, R, dB, dt, regions, R_edge, inward=None):
     """
     edge, mid, far = regions
     new = np.empty_like(x)
-    if edge.any():
+    # the chart coordinates one by one: (x, y) on the disk, (theta, phi) on the cap
+    x0, x1 = x[:, 0], x[:, 1]
+    new0, new1 = new[:, 0], new[:, 1]
+    dB1 = dB[:, 1]
+    if edge.size:
         if model.id == geo.FLAT_DISK:
-            ang = np.arctan2(x[edge, 1], x[edge, 0]) + dB[edge, 1] / (1.0 - R[edge])
-            new[edge, 0] = (1.0 - R_edge) * np.cos(ang)
-            new[edge, 1] = (1.0 - R_edge) * np.sin(ang)
+            ang = np.arctan2(x1[edge], x0[edge]) + dB1[edge] / (1.0 - R[edge])
+            r_edge = 1.0 - R_edge
+            new0[edge] = r_edge * np.cos(ang)
+            new1[edge] = r_edge * np.sin(ang)
         else:
-            new[edge, 0] = model.theta0 - R_edge
-            new[edge, 1] = x[edge, 1] + dB[edge, 1] / np.sin(x[edge, 0])
-    if mid.any():
-        xm, beta = x[mid], geo.blend(model, R[mid])
+            new0[edge] = model.theta0 - R_edge
+            new1[edge] = x1[edge] + dB1[edge] / np.sin(x0[edge])
+    if mid.size:
+        beta = geo.blend(model, R[mid])
         bs, ci = np.sqrt(beta), np.sqrt(1.0 - beta)
+        dBm = dB.take(mid, axis=0)
         if model.id == geo.FLAT_DISK:
-            r = np.linalg.norm(xm, axis=-1, keepdims=True)
+            # noise: beta^1/2 (-e_r dB_0 + e_t dB_1) + (1 - beta)^1/2 (dB_2, dB_3),
+            # e_t = (-e_r[1], e_r[0])
+            xm = x.take(mid, axis=0)
+            r = geo.norm(xm)[:, None]
             e_r = np.where(r > 0, xm / np.maximum(r, 1e-300), 0.0)
-            step = xm + _disk_noise(e_r, dB[mid], bs, ci)
+            e_t = e_r[:, ::-1] * (-1.0, 1.0)
+            noise = bs[:, None] * (-e_r * dBm[:, 0:1] + e_t * dBm[:, 1:2]) + ci[:, None] * dBm[:, 2:4]
+            step = xm + noise
             new[mid] = step if inward is None else step - inward[mid][:, None] * e_r
         else:
-            theta = xm[:, 0]
-            noise = _cap_chart_noise(xm, dB[mid], bs, ci)
+            # noise in (theta, phi-hat) components: beta^1/2 (-dB_0, dB_1) plus
+            # (1 - beta)^1/2 times the tangent part of the ambient (dB_2..dB_4)
+            theta = x0[mid]
+            trig = geo._cap_trig(x.take(mid, axis=0))
+            tan0, tan1 = geo._cap_tangent(trig, dBm[:, 2:5])
             cot = 1.0 / np.tan(theta)
-            step = theta + noise[:, 0] + 0.5 * cot * dt
-            new[mid, 0] = step if inward is None else step - inward[mid]
-            new[mid, 1] = xm[:, 1] + noise[:, 1] / np.sin(theta)
-    if far.any():
-        p = geo.cap_to_ambient(x[far])
-        dBv = dB[far, 2:5]
+            step = theta + (bs * -dBm[:, 0] + ci * tan0) + 0.5 * cot * dt
+            new0[mid] = step if inward is None else step - inward[mid]
+            new1[mid] = x1[mid] + (bs * dBm[:, 1] + ci * tan1) / trig[1]
+    if far.size:
+        trig = geo._cap_trig(x.take(far, axis=0))
+        p = geo._cap_ambient(trig)
+        dBv = dB.take(far, axis=0)[:, 2:5]
         prop = p + (dBv - p * np.sum(p * dBv, axis=-1, keepdims=True)) - p * dt
         if inward is not None:
-            prop = prop - inward[far][:, None] * geo.cap_basis(x[far])[..., 0]
-        prop /= np.linalg.norm(prop, axis=-1, keepdims=True)
+            prop = prop - inward[far][:, None] * geo._cap_e_theta(trig)
+        prop /= geo.norm(prop)[:, None]
         new[far] = geo.cap_from_ambient(prop)
     if model.id == geo.SPHERICAL_CAP:
         # a step across the pole lands at theta < 0: the point (-theta, phi + pi)
-        over = new[:, 0] < 0
-        if over.any():
-            new[over, 0] = -new[over, 0]
-            new[over, 1] += np.pi
+        over = (new0 < 0).nonzero()[0]
+        if over.size:
+            new0[over] = -new0[over]
+            new1[over] += np.pi
     return new
 
 
-def _step_flat_penalized(model, a, x, dB_i, dt, node, rows):
-    """One penalized step for a flat-boundary model; returns (x_new, dL, dC).
-    The last coordinate is the boundary distance, the others move with the
-    driver."""
+def _step_flat_penalized(model, a, x, R, dB_i, dt, node, rows):
+    """One penalized step for a flat-boundary model from points x, whose last
+    coordinate is the boundary distance R; returns (x_new, R_new, dL, dC).
+    The other coordinates move with the driver."""
     rates = partial(_collar_rates, model)
-    R, (dL, dC) = implicit_step(x[:, -1], dB_i[:, 0], dt, a, rates, node, rows)
-    return np.column_stack([x[:, :-1] + dB_i[:, 1:], R]), dL, dC
+    R, (dL, dC) = implicit_step(R, dB_i[:, 0], dt, a, rates, node, rows)
+    new = np.empty_like(x)
+    np.add(x[:, :-1], dB_i[:, 1:], out=new[:, :-1])
+    new[:, -1] = R
+    return new, R, dL, dC
 
 
-def _step_curved_penalized(model, a, x, dB_i, dt, node, rows):
-    """One penalized step for a curved-chart model; returns (x_new, dL, dC).
-    ``a`` is one value or one per row and ``rows`` are the paths' batch rows,
-    which an ``IntegrationError`` names.
+def _step_curved_penalized(model, a, x, R, dB_i, dt, node, rows):
+    """One penalized step for a curved-chart model from points x at raw
+    boundary distance R; returns (x_new, R_new, dL, dC), R_new the raw
+    boundary distance of x_new.  ``a`` is one value, or the rows'
+    :func:`_tanh_constants`, and ``rows`` are the paths' batch rows, which an
+    ``IntegrationError`` names.
 
     An off-collar row that lands at boundary distance R_land <= 0 (possible on
     coarse grids only) keeps its direction, the disk's ray or the cap's phi,
@@ -271,30 +296,32 @@ def _step_curved_penalized(model, a, x, dB_i, dt, node, rows):
     it lies inside the chart, short of the centre or the pole.
     """
     n = x.shape[0]
-    a = a if isinstance(a, np.ndarray) else np.full(n, float(a))
-    R = geo.raw_boundary_distance(model, x)
-    regions = _regions(model, x, R)
-    edge = regions[0]
-    rest = ~edge
+    if not isinstance(a, np.ndarray):
+        a = _tanh_constants(np.full(n, float(a)))
+    edge, mid, far = regions = _region_rows(model, x, R)
+    rest = np.concatenate([mid, far]) if far.size else mid
     dL = np.empty(n)
     dC = np.empty(n)
     rates = partial(_collar_rates, model)
-    R_edge, (dL[edge], dC[edge]) = implicit_step(R[edge], dB_i[edge, 0], dt, a[edge], rates, node, rows[edge])
-    mag, damp = _tanh_rates(a[rest], R[rest])
+    R_edge, (dL[edge], dC[edge]) = implicit_step(R[edge], dB_i[:, 0][edge], dt, a.take(edge, axis=1), rates,
+                                                 node, rows[edge])
+    mag, damp = _tanh_rates(a.take(rest, axis=1), R[rest])
     dL[rest] = mag * dt
     dC[rest] = damp * dt
     new = _chart_step(model, x, R, dB_i, dt, regions, R_edge, inward=dL)
 
-    R_land = geo.raw_boundary_distance(model, new)
-    out = R_land <= 0
-    if out.any():
-        r, (dL[out], dC[out]) = implicit_step(R[out], R_land[out] - R[out], dt, a[out], rates, node, rows[out])
+    R_new = geo.raw_boundary_distance(model, new)
+    out = (R_new <= 0).nonzero()[0]
+    if out.size:
+        r, (dL[out], dC[out]) = implicit_step(R[out], R_new[out] - R[out], dt, a.take(out, axis=1), rates, node,
+                                              rows[out])
         if model.id == geo.FLAT_DISK:
-            ray = new[out] / np.linalg.norm(new[out], axis=-1, keepdims=True)
-            new[out] = (1.0 - r)[:, None] * ray
+            landed = new[out]
+            new[out] = (1.0 - r)[:, None] * (landed / geo.norm(landed)[:, None])
         else:
             new[out, 0] = model.theta0 - r
-    return new, dL, dC
+        R_new[out] = geo.raw_boundary_distance(model, new[out])
+    return new, R_new, dL, dC
 
 
 def _grid_rows(a_grid, n_paths):
@@ -351,9 +378,14 @@ def _penalized_blocks(model, a_grid, x0, dB, grid, block):
 
     flat = model.id in (geo.HALF_LINE, geo.HALF_SPACE)
     step = _step_flat_penalized if flat else _step_curved_penalized
+    consts = _tanh_constants(a_rows)
     x = np.tile(x0, (G * P, 1))
+    R = geo.raw_boundary_distance(model, x)
     L = np.zeros(G * P)
     C = np.zeros(G * P)
+    # one node's driver, row by row: the paths' increments once per value of a
+    node_dB = np.empty((G, P, dB.shape[2]))
+    dB_i = node_dB.reshape(G * P, dB.shape[2])
     for i0 in range(0, N, B):
         if i0:
             for v in out.values():
@@ -361,11 +393,12 @@ def _penalized_blocks(model, a_grid, x0, dB, grid, block):
         n = min(B, N - i0)
         for k in range(1, n + 1):
             i = i0 + k - 1
-            x, dL, dC = step(model, a_rows, x, dB[paths, i], dt, i, paths)
+            np.copyto(node_dB, dB[:, i])
+            x, R, dL, dC = step(model, consts, x, R, dB_i, dt, i, paths)
             L += dL
             C += dC
             points[:, k] = x
-            R_out[:, k] = geo.raw_boundary_distance(model, x)
+            R_out[:, k] = R
             L_out[:, k] = L
             C_out[:, k] = C
         yield i0, {key: v[:, : n + 1].reshape(G, P, n + 1, *v.shape[2:]) for key, v in out.items()}
@@ -411,20 +444,24 @@ def integrate_penalized_batch(
 
 
 def _project_to_domain(model, pts, R):
-    """Push points with negative boundary distance back onto the boundary."""
-    neg = R < 0
-    if not np.any(neg):
-        return pts, R, np.zeros_like(R)
-    push = np.where(neg, -R, 0.0)
+    """Push points with negative boundary distance back onto the boundary;
+    returns the points, their boundary distance and the push distance."""
+    neg = (R < 0).nonzero()[0]
+    push = np.zeros_like(R)
+    if not neg.size:
+        return pts, R, push
+    push[neg] = -R[neg]
     out = pts.copy()
+    R = R.copy()
+    R[neg] = 0.0
     if model.id == geo.FLAT_DISK:
-        nrm = np.linalg.norm(out, axis=-1, keepdims=True)
-        out = np.where(neg[:, None], out / np.maximum(nrm, 1e-300), out)
+        p = out[neg]
+        out[neg] = p / np.maximum(geo.norm(p)[:, None], 1e-300)
     elif model.id == geo.SPHERICAL_CAP:
-        out[:, 0] = np.where(neg, model.theta0, out[:, 0])
+        out[neg, 0] = model.theta0
     else:
-        out[:, -1] = np.where(neg, 0.0, out[:, -1])
-    return out, np.where(neg, 0.0, R), push
+        out[neg, -1] = 0.0
+    return out, R, push
 
 
 def _reflected_blocks(model, x0, dB, grid, block):
@@ -468,6 +505,7 @@ def _reflected_blocks(model, x0, dB, grid, block):
     L_out[:, 0] = 0.0
 
     x = np.tile(x0, (P, 1))
+    R = geo.raw_boundary_distance(model, x)
     L = np.zeros(P)
     for i0 in range(0, N, B):
         if i0:
@@ -475,14 +513,18 @@ def _reflected_blocks(model, x0, dB, grid, block):
                 v[:, 0] = v[:, B]
         n = min(B, N - i0)
         for k in range(1, n + 1):
-            i = i0 + k - 1
+            dB_i = dB[:, i0 + k - 1]
+            regions = _region_rows(model, x, R)
+            R_e = R[regions[0]]
+            R_edge = R_e + dB_i[:, 0][regions[0]] + 0.5 * geo.laplacian_R_of_R(model, R_e) * dt
+            x = _chart_step(model, x, R, dB_i, dt, regions, R_edge)
             R = geo.raw_boundary_distance(model, x)
-            regions = _regions(model, x, R)
-            edge = regions[0]
-            R_edge = R[edge] + dB[edge, i, 0] + 0.5 * geo.laplacian_R_of_R(model, R[edge]) * dt
-            x = _chart_step(model, x, R, dB[:, i], dt, regions, R_edge)
-            x, R_new, push = _project_to_domain(model, x, geo.raw_boundary_distance(model, x))
-            L += push
+            x, R_new, push = _project_to_domain(model, x, R)
+            if R_new is not R:  # some rows were projected
+                L += push
+                # a point projected onto the cap's boundary is at distance 0
+                # at the next step, one on the disk's only near 0
+                R = geo.raw_boundary_distance(model, x) if model.id == geo.FLAT_DISK else R_new
             points[:, k] = x
             R_out[:, k] = R_new
             L_out[:, k] = L

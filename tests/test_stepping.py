@@ -522,13 +522,15 @@ def test_curved_error_maps_collar_subset_to_batch_row(model, theta):
     dB = np.zeros((3, model.frame_count))
     dB[:, 0] = -0.03
     dB[2, 0] = np.nan
+    R = geo.raw_boundary_distance(model, x)
     with pytest.raises(IntegrationError, match="non-finite increment") as exc:
-        stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, 0, np.arange(3))
+        stepping._step_curved_penalized(model, 0.0005, x, R, dB, 1e-3, 0, np.arange(3))
     assert exc.value.path_index == 2
-    assert exc.value.boundary_distance == geo.raw_boundary_distance(model, x)[2]
+    assert exc.value.boundary_distance == R[2]
     dB[2, 0] = -0.03  # a << sqrt(dt) and a step far across the boundary: the root is inside
-    new, dL, dC = stepping._step_curved_penalized(model, 0.0005, x, dB, 1e-3, 0, np.arange(3))
-    assert geo.raw_boundary_distance(model, new)[2] > 0 and dL[2] > 0.02
+    new, R_new, dL, dC = stepping._step_curved_penalized(model, 0.0005, x, R, dB, 1e-3, 0, np.arange(3))
+    assert np.array_equal(R_new, geo.raw_boundary_distance(model, new))
+    assert R_new[2] > 0 and dL[2] > 0.02
 
 
 # -- the a-grid stepped as one batch ------------------------------------------
