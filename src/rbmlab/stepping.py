@@ -188,26 +188,21 @@ def _collar_rates(model, a, R):
 
 
 def _regions(model, x, R):
-    """Row masks (edge, mid, far) of a curved chart step: the collar rows whose
-    boundary distance the flow's radial update sets, the rows stepped in the
-    blended frame, and the rows stepped on the embedded sphere (cap only,
+    """Row indices (edge, mid, far) of a curved chart step: the collar rows
+    whose boundary distance the flow's radial update sets, the rows stepped in
+    the blended frame, and the rows stepped on the embedded sphere (cap only,
     where the polar chart degenerates)."""
     collar = R < model.tubular_radius
     if model.id == geo.FLAT_DISK:
-        return collar, ~collar, np.zeros_like(collar)
+        return collar.nonzero()[0], (~collar).nonzero()[0], np.empty(0, dtype=np.intp)
     near = x[:, 0] >= model.theta0 - 2.0 * model.tubular_radius
-    return collar & near, near & ~collar, ~near
-
-
-def _region_rows(model, x, R):
-    """The rows of :func:`_regions` as index arrays (edge, mid, far)."""
-    return tuple(rows.nonzero()[0] for rows in _regions(model, x, R))
+    return (collar & near).nonzero()[0], (near & ~collar).nonzero()[0], (~near).nonzero()[0]
 
 
 def _chart_step(model, x, R, dB, dt, regions, R_edge, inward=None):
     """New chart points after one step of a curved-chart model.
 
-    ``regions`` holds the rows (edge, mid, far) of :func:`_region_rows`.
+    ``regions`` holds the rows (edge, mid, far) of :func:`_regions`.
     Edge rows move to boundary distance ``R_edge`` and along the boundary by
     dB[:, 1]; mid rows take an Euler step in the blended frame, far rows one
     on the embedded sphere.  ``inward`` (one entry per row, read off the edge
@@ -285,9 +280,9 @@ def _step_flat_penalized(model, a, x, R, dB_i, dt, node, rows):
 def _step_curved_penalized(model, a, x, R, dB_i, dt, node, rows):
     """One penalized step for a curved-chart model from points x at raw
     boundary distance R; returns (x_new, R_new, dL, dC), R_new the raw
-    boundary distance of x_new.  ``a`` is one value, or the rows'
-    :func:`_tanh_constants`, and ``rows`` are the paths' batch rows, which an
-    ``IntegrationError`` names.
+    boundary distance of x_new.  ``a`` holds the rows' :func:`_tanh_constants`
+    and ``rows`` are the paths' batch rows, which an ``IntegrationError``
+    names.
 
     An off-collar row that lands at boundary distance R_land <= 0 (possible on
     coarse grids only) keeps its direction, the disk's ray or the cap's phi,
@@ -296,9 +291,7 @@ def _step_curved_penalized(model, a, x, R, dB_i, dt, node, rows):
     it lies inside the chart, short of the centre or the pole.
     """
     n = x.shape[0]
-    if not isinstance(a, np.ndarray):
-        a = _tanh_constants(np.full(n, float(a)))
-    edge, mid, far = regions = _region_rows(model, x, R)
+    edge, mid, far = regions = _regions(model, x, R)
     rest = np.concatenate([mid, far]) if far.size else mid
     dL = np.empty(n)
     dC = np.empty(n)
@@ -514,19 +507,22 @@ def _reflected_blocks(model, x0, dB, grid, block):
         n = min(B, N - i0)
         for k in range(1, n + 1):
             dB_i = dB[:, i0 + k - 1]
-            regions = _region_rows(model, x, R)
+            regions = _regions(model, x, R)
             R_e = R[regions[0]]
             R_edge = R_e + dB_i[:, 0][regions[0]] + 0.5 * geo.laplacian_R_of_R(model, R_e) * dt
             x = _chart_step(model, x, R, dB_i, dt, regions, R_edge)
             R = geo.raw_boundary_distance(model, x)
             x, R_new, push = _project_to_domain(model, x, R)
-            if R_new is not R:  # some rows were projected
-                L += push
-                # a point projected onto the cap's boundary is at distance 0
-                # at the next step, one on the disk's only near 0
-                R = geo.raw_boundary_distance(model, x) if model.id == geo.FLAT_DISK else R_new
             points[:, k] = x
             R_out[:, k] = R_new
+            if R_new is not R:  # some rows were projected
+                L += push
+                if model.id == geo.FLAT_DISK:
+                    # a point projected onto the disk's boundary is at raw
+                    # distance near 0, one on the cap's at 0
+                    moved = push.nonzero()[0]
+                    R_new[moved] = geo.raw_boundary_distance(model, x[moved])
+                R = R_new
             L_out[:, k] = L
         yield i0, {key: v[:, : n + 1] for key, v in out.items()}
 

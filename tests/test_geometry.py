@@ -256,6 +256,85 @@ def test_blend_is_cutoff_with_smooth_roots():
         assert abs(slope) < 1e-3
 
 
+def _near_points(model, rng, n):
+    """Chart points at random, near the disk's centre or the cap's pole, and
+    near the boundary: n of each."""
+    if model.id == geo.FLAT_DISK:
+        r = np.concatenate([rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300, -1, n),
+                            1.0 - 10.0 ** rng.uniform(-16, -2, n)])
+        ang = rng.uniform(-np.pi, np.pi, 3 * n)
+        return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    theta = np.concatenate([rng.uniform(0.0, np.pi, n), 10.0 ** rng.uniform(-300, -1, n),
+                            model.theta0 - 10.0 ** rng.uniform(-16, -2, n)])
+    phi = np.concatenate([rng.uniform(-np.pi, np.pi, 2 * n), np.pi * rng.choice([-1.0, 0.0, 1.0], n)])
+    return np.stack([theta, phi], axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 4097])
+def test_norms_match_linalg_norm_bit_for_bit(n):
+    # geo.norm sums two or three squares in the order np.linalg.norm adds
+    # them; the disk's boundary distance is 1 minus that norm
+    rng = np.random.default_rng(n)
+    disk = MODELS["disk"]
+    pts = _near_points(disk, rng, n)
+    assert np.array_equal(geo.raw_boundary_distance(disk, pts), 1.0 - np.linalg.norm(pts, axis=-1))
+    assert np.array_equal(geo.boundary_distance(disk, pts), 1.0 - np.linalg.norm(pts, axis=-1))
+    for m in (2, 3):
+        v = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-150, 150, (n, 1))
+        assert np.array_equal(geo.norm(v), np.linalg.norm(v, axis=-1))
+        assert np.array_equal(geo.norm(v[None]), np.linalg.norm(v[None], axis=-1))
+
+
+def _frozen_cap_basis(x):
+    ct, st = np.cos(x[..., 0]), np.sin(x[..., 0])
+    cp, sp = np.cos(x[..., 1]), np.sin(x[..., 1])
+    e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+    return np.stack([e_theta, e_phi], axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 4097])
+def test_cap_helpers_match_stacked_forms_bit_for_bit(n):
+    # the chart step's trig-once helpers against the stacked basis and the
+    # einsum of its tangent components
+    rng = np.random.default_rng(n)
+    cap = MODELS["cap"]
+    pts = _near_points(cap, rng, n)
+    basis = _frozen_cap_basis(pts)
+    assert np.array_equal(geo.cap_basis(pts), basis)
+    st, ct = np.sin(pts[:, 0]), np.cos(pts[:, 0])
+    assert np.array_equal(geo.cap_to_ambient(pts), np.stack([st * np.cos(pts[:, 1]), st * np.sin(pts[:, 1]), ct], axis=-1))
+    trig = geo._cap_trig(pts)
+    assert np.array_equal(geo._cap_e_theta(trig), basis[..., 0])
+    v = rng.standard_normal((3 * n, 3))
+    tangent = np.einsum("pkc,pk->pc", basis, v)
+    assert np.array_equal(np.stack(geo._cap_tangent(trig, v), axis=-1), tangent)
+    p = geo.cap_to_ambient(pts) + 1e-3 * v
+    assert np.array_equal(geo.cap_from_ambient(p), np.stack([np.arccos(np.clip(p[:, 2], -1.0, 1.0)),
+                                                             np.arctan2(p[:, 1], p[:, 0])], axis=-1))
+
+
+def _frozen_blend(model, R):
+    d0 = model.tubular_radius
+    u = (R - d0) / d0
+    uc = np.clip(u, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.where(uc > 0.0, np.exp(-1.0 / np.maximum(uc, 1e-300)), 0.0)
+        b = np.where(uc < 1.0, np.exp(-1.0 / np.maximum(1.0 - uc, 1e-300)), 0.0)
+    val = np.cos(0.5 * np.pi * (a / (a + b))) ** 2
+    return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, val))
+
+
+@pytest.mark.parametrize("name", ["disk", "cap"])
+def test_blend_matches_its_frozen_form_bit_for_bit(name):
+    model = MODELS[name]
+    d0 = model.tubular_radius
+    ends = [0.0, d0, 2 * d0, *np.nextafter([d0, d0, 2 * d0, 2 * d0], [0.0, 1.0, 0.0, 1.0])]
+    for n in (1, 7, 65, 4097):
+        R = np.concatenate([np.random.default_rng(n).uniform(0.0, 3 * d0, n), ends])
+        assert np.array_equal(geo.blend(model, R), _frozen_blend(model, R))
+
+
 def test_parse_model_strings():
     assert geo.parse_model("half-line").id == geo.HALF_LINE
     m = geo.parse_model("half-space:d=3")

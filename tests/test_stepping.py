@@ -301,6 +301,35 @@ def test_implicit_root_residual(model, landing):
             assert [v[0] for v in alone_incs] == [v[j] for v in incs]
 
 
+def _rounds(R0, w, dt, a, rates):
+    """The Newton rounds of one implicit_step call: its rates evaluations."""
+    calls = []
+    stepping.implicit_step(R0, w, dt, a, lambda a, r: calls.append(r.size) or rates(a, r))
+    return len(calls)
+
+
+def test_rows_of_one_a_step_as_a_float_and_alone():
+    # an a-grid row array of one value and its per-row constants rate each
+    # row as a float a does, and a row that leaves the iteration in round 1
+    # gets the bits of its one-row call as a row that needs 5 or more rounds
+    rates, a, dt = partial(stepping._collar_rates, geo.half_line()), 0.00625, 5e-4
+    rng = np.random.default_rng(7)
+    R0 = np.concatenate([[2.0, 0.3], 10.0 ** rng.uniform(-6, -1, 200)])
+    w = np.sqrt(dt) * rng.standard_normal(R0.size)
+    rounds = np.array([_rounds(R0[j : j + 1], w[j : j + 1], dt, a, rates) for j in range(R0.size)])
+    assert (rounds == 1).any() and (rounds >= 5).any()
+    R, incs = stepping.implicit_step(R0, w, dt, a, rates)
+    a_rows = np.full(R0.size, a)
+    for a_batch in (a_rows, stepping._tanh_constants(a_rows)):
+        R_rows, incs_rows = stepping.implicit_step(R0, w, dt, a_batch, rates)
+        assert np.array_equal(R_rows, R)
+        assert all(np.array_equal(x, y) for x, y in zip(incs_rows, incs))
+    for j in range(R0.size):
+        alone, alone_incs = stepping.implicit_step(R0[j : j + 1], w[j : j + 1], dt, a, rates)
+        assert alone[0] == R[j]
+        assert [v[0] for v in alone_incs] == [v[j] for v in incs]
+
+
 def _landed_rows(monkeypatch, model):
     """Spy on stepping.implicit_step: the batch rows it is handed off the
     collar, which only the landing of a curved step that left the domain
@@ -350,8 +379,8 @@ def test_curved_integrators_match_frozen_region_splits(model, grid, x0, a_grid, 
         if model.id == geo.SPHERICAL_CAP:
             pts = old["points"][:, :-1].reshape(-1, 2)
             edge, mid, far = stepping._regions(model, pts, geo.raw_boundary_distance(model, pts))
-            assert edge.any() and mid.any()
-            assert far.any() or not coarse
+            assert edge.size and mid.size
+            assert far.size or not coarse
     assert (len(landings) > 0) == coarse
 
 
@@ -522,13 +551,13 @@ def test_curved_error_maps_collar_subset_to_batch_row(model, theta):
     dB = np.zeros((3, model.frame_count))
     dB[:, 0] = -0.03
     dB[2, 0] = np.nan
-    R = geo.raw_boundary_distance(model, x)
+    R, consts = geo.raw_boundary_distance(model, x), stepping._tanh_constants(np.full(3, 0.0005))
     with pytest.raises(IntegrationError, match="non-finite increment") as exc:
-        stepping._step_curved_penalized(model, 0.0005, x, R, dB, 1e-3, 0, np.arange(3))
-    assert exc.value.path_index == 2
+        stepping._step_curved_penalized(model, consts, x, R, dB, 1e-3, 0, np.arange(3))
+    assert exc.value.path_index == 2 and exc.value.a == 0.0005
     assert exc.value.boundary_distance == R[2]
     dB[2, 0] = -0.03  # a << sqrt(dt) and a step far across the boundary: the root is inside
-    new, R_new, dL, dC = stepping._step_curved_penalized(model, 0.0005, x, R, dB, 1e-3, 0, np.arange(3))
+    new, R_new, dL, dC = stepping._step_curved_penalized(model, consts, x, R, dB, 1e-3, 0, np.arange(3))
     assert np.array_equal(R_new, geo.raw_boundary_distance(model, new))
     assert R_new[2] > 0 and dL[2] > 0.02
 
@@ -572,10 +601,10 @@ def test_curved_grid_matches_one_a_runs(monkeypatch, model, grid, x0, a_grid, co
     stacked = _assert_grid_matches_one_a(model, a_grid, x0, dB, grid)
     pts = stacked["points"][:, :, :-1].reshape(-1, 2)
     edge, mid, far = stepping._regions(model, pts, geo.raw_boundary_distance(model, pts))
-    assert edge.any() and mid.any()
+    assert edge.size and mid.size
     assert bool(landed) == coarse
     if coarse:  # the cap reaches its far region
-        assert far.any() or model.id == geo.FLAT_DISK
+        assert far.size or model.id == geo.FLAT_DISK
 
 
 def test_grid_error_names_the_rows_own_a_and_path(monkeypatch):

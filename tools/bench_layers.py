@@ -1,5 +1,6 @@
-"""Per-layer timings of the penalized collar step, cap parallel transport,
-the damped engine and the flat exact-law sampler.
+"""Per-layer timings of the penalized collar step, the reflected curved
+step, cap parallel transport, the damped engine and the flat exact-law
+sampler.
 
 Collar layer: ``stepping.integrate_penalized_grid`` and
 ``skorohod1d.penalized_paths_1d_grid`` on the inputs of the ``sweeps``
@@ -7,7 +8,16 @@ benchmark's penalized calls, in ns per path-step (a-grid rows x paths x
 steps): the half-line sweeps (x0=0.5, T=1, dt=5e-4, 32 paths, a-grid
 0.05/0.025/0.0125/0.00625, master seeds 44 for the collar and 42 for the
 survival-drift flow) and the disk sweep (x0=(0.5, 0), T=0.1, dt=1e-4, one
-250-path chunk, a-grid 0.1/0.05/0.025/0.0125, master seed 43).
+250-path chunk, a-grid 0.1/0.05/0.025/0.0125, master seed 43).  Newton
+rounds: for each of these three inputs, the rounds (rates evaluations) of
+``stepping.implicit_step`` per node, mean and max over the nodes, and the
+rates evaluations per row handed to it, counted in one untimed call by a
+wrapper around the ``rates`` callable that each step is given.
+
+Reflected curved step: ``stepping.integrate_reflected_batch`` in ns per
+path-step (paths x steps), on the input of the ``eps-cauchy`` sweep below
+(``stepping.reflected.cap``) and on the disk sweep's input above
+(``stepping.reflected.disk``).
 
 Transport and engine: ``transport.transport_batch`` and
 ``damped._damped_engine`` on the input of the ``eps-cauchy`` sweep of the
@@ -33,9 +43,9 @@ the three pairwise differences that its harness made.
 Each layer is called once to warm up and then nine times; the record keeps
 the median and the quartiles over the repeats, with numpy, scipy and Python
 versions and ``nproc``.  BLAS and OpenMP pools are pinned to one thread.
-The calls use only names and arguments that the penalized integrators have
-had since the a-grid became one batch, so one copy of this script measures
-an older tree as well.
+The calls use only names and arguments that the integrators have had since
+their ``aux_seed`` argument was removed, so one copy of this script measures
+an older tree back to that change as well.
 
 Memory: the tracemalloc peak of one ``run_experiment`` call of each sweep of
 the ``sweeps`` benchmark (and of ``projection`` on its disk input), in MB of
@@ -137,6 +147,37 @@ def _time(fn):
     return out
 
 
+def _newton_rounds(fn) -> dict:
+    """Newton rounds of ``stepping.implicit_step`` in one call of fn: rates
+    evaluations per node (mean and max over the nodes) and per row handed to
+    the step, counted by wrapping the ``rates`` callable of every step."""
+    import numpy as np
+
+    from rbmlab import skorohod1d, stepping
+
+    step = stepping.implicit_step
+    per_node = {}
+    evaluated, handed = [0], [0]
+
+    def spy(R0, w, dt, a, rates, node=None, rows=None):
+        def counted(a_, r):
+            per_node[node] = per_node.get(node, 0) + 1
+            evaluated[0] += r.size
+            return rates(a_, r)
+
+        handed[0] += np.size(R0)
+        return step(R0, w, dt, a, counted, node, rows)
+
+    stepping.implicit_step = skorohod1d.implicit_step = spy
+    try:
+        fn()
+    finally:
+        stepping.implicit_step = skorohod1d.implicit_step = step
+    counts = list(per_node.values())
+    return {"rounds_per_node_mean": sum(counts) / len(counts), "rounds_per_node_max": max(counts),
+            "rates_per_row": evaluated[0] / handed[0]}
+
+
 def _traced_peak_mb(fn) -> float:
     tracemalloc.start()
     try:
@@ -206,11 +247,24 @@ def measure() -> dict:
     disk_dB = driver_block(disk_grid, disk.frame_count, DISK_SEED, 0, DISK_PATHS)
     hs_steps = len(HS_A) * HS_PATHS * HS_STEPS
     disk_steps = len(DISK_A) * DISK_PATHS * DISK_STEPS
-    halfline_s = _time(lambda: stepping.integrate_penalized_grid(
-        geo.half_line(), HS_A, np.array([0.5]), hs_dB, hs_grid, HS_SEED + 1))
-    survival_s = _time(lambda: penalized_paths_1d_grid(HS_A, 0.5, hs_dW, hs_grid.dt))
-    disk_s = _time(lambda: stepping.integrate_penalized_grid(
-        disk, DISK_A, np.array([0.5, 0.0]), disk_dB, disk_grid, DISK_SEED + 1))
+    collar = {
+        "stepping.penalized.half-line": lambda: stepping.integrate_penalized_grid(
+            geo.half_line(), HS_A, np.array([0.5]), hs_dB, hs_grid),
+        "skorohod1d.penalized_paths_1d": lambda: penalized_paths_1d_grid(HS_A, 0.5, hs_dW, hs_grid.dt),
+        "stepping.penalized.disk": lambda: stepping.integrate_penalized_grid(
+            disk, DISK_A, np.array([0.5, 0.0]), disk_dB, disk_grid),
+    }
+    collar_steps = {"stepping.penalized.half-line": hs_steps, "skorohod1d.penalized_paths_1d": hs_steps,
+                    "stepping.penalized.disk": disk_steps}
+    collar_s = {name: _time(fn) for name, fn in collar.items()}
+    rounds = {name: _newton_rounds(fn) for name, fn in collar.items()}
+    reflected_s = {
+        "stepping.reflected.cap": _time(lambda: stepping.integrate_reflected_batch(
+            cap, np.array([THETA0 - 0.15, 0.0]), dB, grid)),
+        "stepping.reflected.disk": _time(lambda: stepping.integrate_reflected_batch(
+            disk, np.array([0.5, 0.0]), disk_dB, disk_grid)),
+    }
+    reflected_steps = {"stepping.reflected.cap": path_steps, "stepping.reflected.disk": DISK_PATHS * DISK_STEPS}
 
     flat = geo.half_space(1)
     el_start = np.array([[EL_X]])
@@ -232,6 +286,7 @@ def measure() -> dict:
               for name, fields in SWEEPS.items()}
     runs = {name: _acceptance(fields) for name, fields in ACCEPTANCE.items()}
     return {
+        "newton_rounds": rounds,
         "traced_peak_mb": traced,
         "acceptance": {name: {**run, "config": ACCEPTANCE[name]} for name, run in runs.items()},
         "input": {
@@ -250,9 +305,9 @@ def measure() -> dict:
             "transport.transport_batch": _quartiles([1e9 * t / path_steps for t in transport_s]),
             "damped.engine": _quartiles([1e9 * t / path_steps for t in engine_s]),
             "damped.eps_levels": _quartiles([1e9 * t / path_steps for t in eps_levels_s]),
-            "stepping.penalized.half-line": _quartiles([1e9 * t / hs_steps for t in halfline_s]),
-            "stepping.penalized.disk": _quartiles([1e9 * t / disk_steps for t in disk_s]),
-            "skorohod1d.penalized_paths_1d": _quartiles([1e9 * t / hs_steps for t in survival_s]),
+            **{name: _quartiles([1e9 * t / collar_steps[name] for t in times]) for name, times in collar_s.items()},
+            **{name: _quartiles([1e9 * t / reflected_steps[name] for t in times])
+               for name, times in reflected_s.items()},
             **{name: _quartiles([1e9 * t / el_steps for t in times]) for name, times in exact_law.items()},
         },
         "environment": {
@@ -278,8 +333,8 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps({args.label: {key: record[key] for key in ("ns_per_path_step", "traced_peak_mb", "acceptance")}},
-                     indent=2))
+    keys = ("ns_per_path_step", "newton_rounds", "traced_peak_mb", "acceptance")
+    print(json.dumps({args.label: {key: record[key] for key in keys}}, indent=2))
     return 0
 
 
