@@ -308,26 +308,29 @@ def _rounds(R0, w, dt, a, rates):
     return len(calls)
 
 
-def test_rows_of_one_a_step_as_a_float_and_alone():
-    # an a-grid row array of one value and its per-row constants rate each
-    # row as a float a does, and a row that leaves the iteration in round 1
-    # gets the bits of its one-row call as a row that needs 5 or more rounds
-    rates, a, dt = partial(stepping._collar_rates, geo.half_line()), 0.00625, 5e-4
+def test_rows_step_as_their_one_row_calls_with_a_float():
+    # a batch whose rows carry their a as per-row constants (an a-grid run)
+    # gives each row the bits of its one-row call with a float a, also where
+    # some rows leave the iteration in round 1 and others need 5 or more;
+    # and rows that all hold one value of a step as that float does
+    rates, dt = partial(stepping._collar_rates, geo.half_line()), 5e-4
     rng = np.random.default_rng(7)
     R0 = np.concatenate([[2.0, 0.3], 10.0 ** rng.uniform(-6, -1, 200)])
     w = np.sqrt(dt) * rng.standard_normal(R0.size)
-    rounds = np.array([_rounds(R0[j : j + 1], w[j : j + 1], dt, a, rates) for j in range(R0.size)])
+    a = 10.0 ** rng.uniform(-2.5, -1.5, R0.size)
+    rounds = np.array([_rounds(R0[j : j + 1], w[j : j + 1], dt, float(a[j]), rates) for j in range(R0.size)])
     assert (rounds == 1).any() and (rounds >= 5).any()
-    R, incs = stepping.implicit_step(R0, w, dt, a, rates)
-    a_rows = np.full(R0.size, a)
+    R, incs = stepping.implicit_step(R0, w, dt, stepping._tanh_constants(a), rates)
+    for j in range(R0.size):
+        alone, alone_incs = stepping.implicit_step(R0[j : j + 1], w[j : j + 1], dt, float(a[j]), rates)
+        assert alone[0] == R[j]
+        assert [v[0] for v in alone_incs] == [v[j] for v in incs]
+    R, incs = stepping.implicit_step(R0, w, dt, 0.00625, rates)
+    a_rows = np.full(R0.size, 0.00625)
     for a_batch in (a_rows, stepping._tanh_constants(a_rows)):
         R_rows, incs_rows = stepping.implicit_step(R0, w, dt, a_batch, rates)
         assert np.array_equal(R_rows, R)
         assert all(np.array_equal(x, y) for x, y in zip(incs_rows, incs))
-    for j in range(R0.size):
-        alone, alone_incs = stepping.implicit_step(R0[j : j + 1], w[j : j + 1], dt, a, rates)
-        assert alone[0] == R[j]
-        assert [v[0] for v in alone_incs] == [v[j] for v in incs]
 
 
 def _landed_rows(monkeypatch, model):
