@@ -438,7 +438,8 @@ def integrate_penalized_batch(
 
 def _project_to_domain(model, pts, R):
     """Push points with negative boundary distance back onto the boundary;
-    returns the points, their boundary distance and the push distance."""
+    returns the points, their boundary distance and the push distance, and
+    ``pts`` and ``R`` themselves when no point was outside."""
     neg = (R < 0).nonzero()[0]
     push = np.zeros_like(R)
     if not neg.size:
