@@ -23,7 +23,10 @@ builds M for every path in blocks of nodes, applying each rank-one factor
 only where its coefficient is nonzero, and runs the node loop as one stacked
 matrix product per node.  Jump levels that differ only in j_i (the eps
 levels of one path set) share one pass: the other factors are built once
-and each level's product runs in the same stacked call.
+and each level's product runs in the same stacked call.  A run may also be
+fed to the engine in node blocks: a ``carry`` dict takes each level's running
+product and the running reductions from one call to the next, so a streamed
+sweep never holds a whole path.
 """
 from __future__ import annotations
 
@@ -141,6 +144,7 @@ def _damped_engine(
     c_increments=None,
     jump_flags=None,
     collect="series",
+    carry=None,
 ):
     """Shared integrator; see module docstring for the system and the step
     matrices.
@@ -158,6 +162,15 @@ def _damped_engine(
     consecutive levels, (P, levels - 1)) or "bound" (the sup over nodes 1..N of
     |w|^2 - 2 exp(-t - 2 int kappa dL), one level).  The transported normals
     come back as "carrier".  Any other collect raises ValueError.
+    carry: None for a run from node 0, or a dict that carries the state from
+    one node block of a run to the next: the running product W of each level
+    and the reduction ("cauchy": the gaps; "bound": the log-bound and the
+    worst value).  A call starts from the state it holds (W = I where it is
+    empty) and leaves in it the state at its last node, at which the next
+    block starts.  Fed node blocks, the calls give the whole run's rows of
+    "series" and "normal" block by block, and the last call its "cauchy"
+    and "bound", bit for bit: every node takes the same products and
+    running sums in the same order.
     """
     if collect not in _COLLECTS:
         raise ValueError(f"unknown collect {collect!r}")
@@ -175,16 +188,17 @@ def _damped_engine(
     # writes the blocks straight into its output
     series = np.empty((n, 1, P, d, d)) if collect == "series" else None
     blk = np.empty((_NODE_BLOCK + 1, len(levels), P, d, d)) if series is None else series
-    blk[0] = np.eye(d)
+    blk[0] = carry["W"] if carry else np.eye(d)
     out = {"carrier": nu}
     if collect == "normal":
         out["normal"] = np.empty((P, n, d))
         out["normal"][:, 0] = _vec_mat(nu[:, 0], blk[0, 0])
     elif collect == "cauchy":
-        gaps = np.zeros((len(levels) - 1, P))
+        gaps = carry["gaps"].copy() if carry else np.zeros((len(levels) - 1, P))
     elif collect == "bound":
-        log_bound = np.zeros(P)
-        worst = np.full(P, -np.inf)  # node 0, where |W|^2 = d, does not count
+        log_bound = carry["log_bound"] if carry else np.zeros(P)
+        # node 0, where |W|^2 = d, does not count
+        worst = carry["worst"].copy() if carry else np.full(P, -np.inf)
 
     for i0 in range(0, N, _NODE_BLOCK):
         i1 = min(i0 + _NODE_BLOCK, N)
@@ -225,6 +239,12 @@ def _damped_engine(
         out["cauchy"] = gaps.T
     elif collect == "bound":
         out["bound"] = worst
+    if carry is not None:
+        carry["W"] = (blk[0] if series is None else series[N]).copy()
+        if collect == "cauchy":
+            carry["gaps"] = gaps.copy()
+        elif collect == "bound":
+            carry.update(log_bound=log_bound, worst=worst.copy())
     return out
 
 

@@ -72,6 +72,20 @@ class SeedStreams:
     def guard(self, node: int, attempt: int) -> np.random.Generator:
         return self._at(attempt, node, _TAG_GUARD)
 
+    def own_driver(self, path_index: int) -> np.random.Generator:
+        """A generator of its own for ``driver(path_index)``'s stream, which
+        keeps its place between draws: its bit generator is built on a fixed
+        seed sequence (no OS entropy) and set to the stream's start."""
+        bits = np.random.Philox(_UNUSED_SEED)
+        self._counter[1:] = (0, path_index, _TAG_DRIVER)
+        bits.state = self._state
+        return np.random.Generator(bits)
+
+
+# Seeds the bit generators of SeedStreams.own_driver, whose state is set from
+# the stream's key and counter before any draw.
+_UNUSED_SEED = np.random.SeedSequence(0)
+
 
 def driver_stream(seed: int, path_index: int) -> np.random.Generator:
     """Fresh generator for the Gaussian increments of one path."""
@@ -124,6 +138,27 @@ def driver_block(grid: TimeGrid, m: int, seed: int, first_path: int, n_paths: in
         out[j] = streams.driver(first_path + j).standard_normal((grid.steps, m))
     out *= root
     return out
+
+
+def driver_blocks(grid: TimeGrid, m: int, seed: int, first_path: int, n_paths: int, block: int):
+    """The increments of :func:`driver_block` in node blocks of at most
+    ``block`` steps: yields (i0, (P, n, m)) for steps i0..i0+n-1, the next
+    block starting at step i0+n.  Each path draws from a generator of its own
+    that keeps its place in the path's stream, so the blocks join to
+    driver_block's array bit for bit; a block of all N steps is driver_block's
+    one re-keyed draw per path."""
+    if block >= grid.steps:
+        yield 0, driver_block(grid, m, seed, first_path, n_paths)
+        return
+    root = np.sqrt(grid.dt)
+    streams = SeedStreams(seed)
+    gens = [streams.own_driver(first_path + j) for j in range(n_paths)]
+    for i0 in range(0, grid.steps, block):
+        out = np.empty((n_paths, min(block, grid.steps - i0), m))
+        for j, gen in enumerate(gens):
+            gen.standard_normal(out=out[j])
+        out *= root
+        yield i0, out
 
 
 def bridge_uniform_block(grid: TimeGrid, seed: int, first_path: int, n_paths: int) -> np.ndarray:

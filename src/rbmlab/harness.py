@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from . import stepping
 from .damped import _damped_engine
 from .estimators import MCEstimate
 from .geometry import ManifoldModel, parse_model
-from .grids import TimeGrid, driver_block
+from .grids import TimeGrid, driver_block, driver_blocks  # noqa: F401  (driver_block: bound for perfbench/spans.py)
 from .hashing import canonical_digest
 from .reflected import close_events, default_contact_threshold
 from .transport import default_start, transport_batch
@@ -153,7 +154,8 @@ _MAX_ROW_NODES = _CHUNK_PATHS * 10_001
 
 # The kinds that reduce the coupled runs as they are stepped (_streams): a row
 # holds its state only, and, for local-time, its N variation terms.
-_STREAMED = ("sp-convergence", "local-time", "projection")
+# norm-bound reads the penalized rows only, eps-cauchy the reflected ones.
+_STREAMED = ("sp-convergence", "local-time", "projection", "norm-bound", "eps-cauchy")
 
 
 def _row_nodes(cfg: ExperimentConfig) -> int:
@@ -222,40 +224,63 @@ def _start_point(cfg: ExperimentConfig, model: ManifoldModel) -> np.ndarray:
     return default_start(model)
 
 
-def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, reflected=True, penalized=None):
-    """Coupled runs on the shared driver, one chunk of paths at a time.
+# Steps per block of the driver, of the coupled runs stepped on it, and of
+# the blocks a streamed kind's reducer is handed.
+_REDUCE_BLOCK = 64
+
+
+def _drivers(cfg: ExperimentConfig, model: ManifoldModel, chunk: slice):
+    """The chunk's driver in blocks of _REDUCE_BLOCK steps; every call draws
+    it afresh from the paths' keyed streams, so every call gives the same
+    bits."""
+    return driver_blocks(cfg.grid, model.frame_count, cfg.master_seed, chunk.start, chunk.stop - chunk.start,
+                         _REDUCE_BLOCK)
+
+
+def _stored(blocks, steps: int) -> dict:
+    """A stored run joined from the node blocks (i0, run) of a block stepper;
+    the node axis is the one after the paths (R's last)."""
+    run = None
+    for i0, part in blocks:
+        ax = part["R"].ndim - 1
+        if run is None:
+            run = {key: np.empty(v.shape[:ax] + (steps + 1,) + v.shape[ax + 1 :]) for key, v in part.items()}
+        at = (slice(None),) * ax + (slice(i0, i0 + part["R"].shape[-1]),)
+        for key, v in part.items():
+            run[key][at] = v
+    return run
+
+
+def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, penalized=None):
+    """Coupled stored runs on the shared driver, one chunk of paths at a time.
 
     Yields (chunk, ref, pens) per chunk: the chunk's slice of the paths, the
-    reflected run on its driver (None when ``reflected`` is false), and an
-    iterator of (a, penalized run) in grid order.  The iterator makes one call
-    ``penalized(group, x0, dB)`` per _a_groups slice as it is consumed, and
-    none when it is not; a call returns the group's runs in order, and the
-    default is the model's penalized integrator.
+    reflected run on its driver, and an iterator of (a, penalized run) in
+    grid order.  The iterator makes one call ``penalized(group, x0, dB)`` per
+    _a_groups slice as it is consumed, with the driver blocks of _drivers;
+    a call returns the group's runs in order, and the default is the model's
+    penalized integrator.
     """
     grid = cfg.grid
     x0 = _start_point(cfg, model)
     if penalized is None:
 
         def penalized(group, x0, dB):
-            runs = stepping.integrate_penalized_grid(model, group, x0, dB, grid)
+            runs = _stored(stepping._penalized_blocks(model, group, x0, dB, grid), grid.steps)
             return [{key: v[j] for key, v in runs.items()} for j in range(len(group))]
 
-    def pens(dB):
-        for group in _a_groups(cfg, dB.shape[0]):
-            yield from zip(group, penalized(group, x0, dB))
+    def pens(chunk):
+        for group in _a_groups(cfg, chunk.stop - chunk.start):
+            yield from zip(group, penalized(group, x0, _drivers(cfg, model, chunk)))
 
     for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
-        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
-        ref = stepping.integrate_reflected_batch(model, x0, dB, grid) if reflected else None
-        yield slice(first, first + c), ref, pens(dB)
-
-
-# Steps per block of the coupled runs that a streamed kind's reducer is handed.
-_REDUCE_BLOCK = 64
+        chunk = slice(first, first + c)
+        ref = _stored(stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid), grid.steps)
+        yield chunk, ref, pens(chunk)
 
 
 def _held_blocks(run: dict, steps: int):
-    """A stored run in the node blocks of stepping._reflected_blocks."""
+    """A stored run in the node blocks of _drivers."""
     for i0 in range(0, steps, _REDUCE_BLOCK):
         i1 = min(i0 + _REDUCE_BLOCK, steps)
         yield i0, {key: v[:, i0 : i1 + 1] for key, v in run.items()}
@@ -264,17 +289,22 @@ def _held_blocks(run: dict, steps: int):
 def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer):
     """Coupled node loops on the shared driver, one chunk of paths at a time.
 
-    For each chunk and each _a_groups slice, the slice's penalized rows and
-    the chunk's reflected rows are stepped in blocks of _REDUCE_BLOCK steps,
-    and each pair of blocks goes to the reducer that ``reducer(chunk, rows)``
-    returns: ``chunk`` is the chunk's slice of the paths and ``rows`` the
-    slice's positions in the a-grid.  A call ``reduce(i0, pen, ref)`` gets
-    nodes i0..i1 of the penalized runs (points (G, P, n, d), R, L and C
-    (G, P, n), n = i1 - i0 + 1) and of the reflected ones (points (P, n, d),
-    R and L (P, n)), equal bit for bit to those nodes of the stored runs; the
-    next call starts at node i1, and the arrays may be reused once it
-    returns.  The reflected rows step beside the penalized ones when the
-    a-grid is one slice, and once per chunk, held whole, when it splits.
+    The driver is drawn, and the runs are stepped on it, in blocks of
+    _REDUCE_BLOCK steps.  For each chunk and each _a_groups slice, the
+    slice's penalized rows and the chunk's reflected rows are stepped block by
+    block, and each pair of blocks goes to the reducer that
+    ``reducer(chunk, rows)`` returns: ``chunk`` is the chunk's slice of the
+    paths and ``rows`` the slice's positions in the a-grid.  A call
+    ``reduce(i0, pen, ref)`` gets nodes i0..i1 of the penalized runs (points
+    (G, P, n, d), R, L and C (G, P, n), n = i1 - i0 + 1) and of the reflected
+    ones (points (P, n, d), R and L (P, n)), equal bit for bit to those nodes
+    of the stored runs; the next call starts at node i1, and the arrays may
+    be reused once it returns.  Only the runs a kind reads are stepped:
+    norm-bound gets None for ``ref``, and eps-cauchy, which has no a-grid,
+    one reducer per chunk (``rows`` None) and None for ``pen``.  The
+    reflected rows step beside the penalized ones when the a-grid is one
+    slice, and once per chunk, held whole, when it splits; each slice then
+    draws the driver blocks again.
     """
     x0 = _start_point(cfg, model)
     for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
@@ -282,29 +312,42 @@ def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer):
 
 
 def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice, reducer):
-    """One chunk of _streams; its driver goes when it returns."""
+    """One chunk of _streams."""
     grid = cfg.grid
-    dB = driver_block(grid, model.frame_count, cfg.master_seed, chunk.start, chunk.stop - chunk.start)
-    groups = _a_groups(cfg, dB.shape[0])
-    held = stepping.integrate_reflected_batch(model, x0, dB, grid) if len(groups) > 1 else None
+    if cfg.kind == "eps-cauchy":
+        reduce = reducer(chunk, None)
+        for i0, ref in stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid):
+            reduce(i0, None, ref)
+        return
+    groups = _a_groups(cfg, chunk.stop - chunk.start)
+    reflected = cfg.kind != "norm-bound"
+    held = None
+    if reflected and len(groups) > 1:
+        held = _stored(stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid), grid.steps)
     k = 0
     for group in groups:
         reduce = reducer(chunk, slice(k, k + len(group)))
-        pens = stepping._penalized_blocks(model, group, x0, dB, grid, _REDUCE_BLOCK)
-        if held is None:
-            refs = stepping._reflected_blocks(model, x0, dB, grid, _REDUCE_BLOCK)
-        else:
+        dB = _drivers(cfg, model, chunk)
+        if held is not None:
             refs = _held_blocks(held, grid.steps)
-        for (i0, pen), (_, ref) in zip(pens, refs):
+        elif reflected:
+            # each driver block goes to both steppers, penalized first
+            dB, dB_ref = itertools.tee(dB)
+            refs = stepping._reflected_blocks(model, x0, dB_ref, grid)
+        else:
+            refs = itertools.repeat((None, None))
+        for (i0, pen), (_, ref) in zip(stepping._penalized_blocks(model, group, x0, dB, grid), refs):
             reduce(i0, pen, ref)
         k += len(group)
 
 
-def _damped_along(model: ManifoldModel, run: dict, dt: float):
-    """The damped engine along one run, its transport frames computed once:
-    call it with the engine's keyword options.  A penalized run (one with a
-    damping series C) brings its damping increments."""
-    frames = None if model.is_flat_chart else transport_batch(model, run["points"])
+def _damped_along(model: ManifoldModel, run: dict, dt: float, angle=None):
+    """The damped engine along one run, or one node block of a run, its
+    transport frames computed once: call it with the engine's keyword
+    options.  ``angle`` carries the cumulative transport angle from block to
+    block (see transport_batch).  A penalized run (one with a damping series
+    C) brings its damping increments."""
+    frames = None if model.is_flat_chart else transport_batch(model, run["points"], angle)
     dL = np.diff(run["L"], axis=1)
     dC = np.diff(run["C"], axis=1) if "C" in run else None
     return lambda **kw: _damped_engine(model, run["points"], frames, dt, dL, c_increments=dC, **kw)
@@ -317,7 +360,9 @@ def _run_halfline_penalization(cfg: ExperimentConfig):
     dflow_gap = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
 
     def flow(group, x0, dB):
-        return sk1d.penalized_paths_1d_grid(group, x0[0], dB[:, :, 0], dt)
+        # the 1-d flow steps a whole driver, joined from its blocks
+        dW = np.concatenate([block[:, :, 0] for _, block in dB], axis=1)
+        return sk1d.penalized_paths_1d_grid(group, x0[0], dW, dt)
 
     for chunk, ref, pens in _chunk_runs(cfg, geo.half_line(), penalized=flow):
         # R - L is x0 plus the driver up to the first hit: node-level t < tau
@@ -396,39 +441,62 @@ def _run_local_time(cfg: ExperimentConfig):
 
 
 def _run_norm_bound(cfg: ExperimentConfig):
-    """Node-wise decay bound of the smooth damped transport on the cap."""
+    """Node-wise decay bound of the smooth damped transport on the cap,
+    reduced block by block: each row carries its transport angle and its
+    engine state from one block to the next."""
     model = parse_model(cfg.model)
     if model.is_flat_chart:
         raise ValueError("norm-bound experiment targets the curved model")
     dt = cfg.grid.dt
-    worst = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    for chunk, _, pens in _chunk_runs(cfg, model, reflected=False):
-        for a, pen in pens:
-            worst[a][chunk] = _damped_along(model, pen, dt)(collect="bound")["bound"]
+    worst = np.empty((len(cfg.a_grid), cfg.n_paths))
+
+    def reducer(chunk, rows):
+        angles = np.zeros((rows.stop - rows.start, chunk.stop - chunk.start))
+        carries = [{} for _ in angles]
+
+        def reduce(i0, pen, _):
+            # the last block's running worst is the whole run's
+            for j, (angle, carry) in enumerate(zip(angles, carries)):
+                run = {key: v[j] for key, v in pen.items()}
+                out = _damped_along(model, run, dt, angle)(collect="bound", carry=carry)
+                worst[rows.start + j, chunk] = out["bound"]
+
+        return reduce
+
+    _streams(cfg, model, reducer)
     rows = []
-    for a in cfg.a_grid:
-        rows.append(
-            ResultRow(cfg.kind, {"a": a}, "max_bound_violation", float(worst[a].max()), math.nan, *_quantiles(worst[a]))
-        )
+    for a, vals in zip(cfg.a_grid, worst):
+        row = ResultRow(cfg.kind, {"a": a}, "max_bound_violation", float(vals.max()), math.nan, *_quantiles(vals))
+        rows.append(row)
     return rows
 
 
 def _run_eps_cauchy(cfg: ExperimentConfig):
-    """Inter-level sup gaps of the excursion-jump transport."""
+    """Inter-level sup gaps of the excursion-jump transport, reduced block by
+    block: each path carries its last contact node, its transport angle and
+    the engine's products and gaps from one block to the next."""
     model = parse_model(cfg.model)
     grid = cfg.grid
+    times = grid.times
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
     n_pairs = len(cfg.eps_grid) - 1
-    x0 = _start_point(cfg, model)
     gaps = np.empty((n_pairs, cfg.n_paths))
-    for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
-        dB = driver_block(grid, model.frame_count, cfg.master_seed, first, c)
-        ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-        del dB  # the engine needs the reflected run only
-        closes, dur = close_events(ref["R"], grid.times, eta)
-        levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
-        del closes, dur
-        gaps[:, first : first + c] = _damped_along(model, ref, grid.dt)(jump_flags=levels, collect="cauchy")["cauchy"].T
+
+    def reducer(chunk, _):
+        last = np.full(chunk.stop - chunk.start, -1)
+        angle = np.zeros(last.shape)
+        carry = {}
+
+        def reduce(i0, _, ref):
+            closes, dur = close_events(ref["R"], times[: i0 + ref["R"].shape[-1]], eta, last)
+            levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
+            # the last block's running gaps are the whole run's
+            gaps[:, chunk] = _damped_along(model, ref, grid.dt, angle)(
+                jump_flags=levels, collect="cauchy", carry=carry)["cauchy"].T
+
+        return reduce
+
+    _streams(cfg, model, reducer)
     rows = []
     for k in range(n_pairs):
         m, e = _mean_stderr(gaps[k])

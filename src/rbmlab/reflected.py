@@ -73,22 +73,32 @@ def integrate_reflected(
     )
 
 
-def close_events(R: np.ndarray, times: np.ndarray, eta: float):
-    """Vectorized excursion scan over (..., N+1) boundary-distance arrays.
+def close_events(R: np.ndarray, times: np.ndarray, eta: float, last=None):
+    """Vectorized excursion scan over (..., n) boundary-distance arrays.
 
     Returns (closes, durations): closes[..., i] is True when node i is the
     first contact after an off-boundary stretch; durations[..., i] measures
     that stretch from the last prior contact node (from t=0 for the initial
     stretch).
+
+    ``times`` runs from the grid's node 0 to R's last node, so R holds the
+    run's last n nodes: the whole run for one call, a node block of it when
+    the scan goes block by block.  ``last`` (...) then carries each path's
+    last contact node (-1 for none) from block to block: it holds the last
+    contact before R's first node on the call (none where ``last`` is None)
+    and is overwritten with the last contact before R's last node, at which
+    the next block starts.  The blocks' events are the whole run's, bit for
+    bit.
     """
     contact = R < eta
     n = R.shape[-1]
-    idx = np.arange(n)
-    last_contact = np.where(contact, idx, -1)
-    last_contact = np.maximum.accumulate(last_contact, axis=-1)
-    prev = np.concatenate(
-        [np.full(R.shape[:-1] + (1,), -1, dtype=int), last_contact[..., :-1]], axis=-1
-    )
+    idx = np.arange(len(times) - n, len(times))
+    prev = np.empty(R.shape, dtype=int)
+    prev[..., 0] = -1 if last is None else last
+    prev[..., 1:] = np.where(contact[..., :-1], idx[:-1], -1)
+    prev = np.maximum.accumulate(prev, axis=-1)
+    if last is not None:
+        last[...] = prev[..., -1]
     start_time = np.where(prev >= 0, times[np.maximum(prev, 0)], times[0])
     duration = times[idx] - start_time
     closes = contact & (prev < idx - 1)

@@ -58,9 +58,9 @@ def _tanh_constants(a):
 
 def _tanh_rates(a, R):
     """Drift magnitude 2 / (a sinh z) and damping rate (4/a^2) cosh z / sinh^2 z
-    at z = 2R/a, from one sinh (z <= 30) or exp(-z) (beyond) evaluation.
-    ``a`` is one value, one per entry of R, or their :func:`_tanh_constants`
-    (one more axis than R)."""
+    at z = 2R/a, from one sinh (z <= 30) or exp(-z) (beyond) evaluation, each
+    on its own entries only.  ``a`` is one value, one per entry of R, or their
+    :func:`_tanh_constants` (one more axis than R)."""
     R = np.asarray(R, dtype=float)
     a, c4, c8, c4a = a if np.ndim(a) > R.ndim else _tanh_constants(a)
     z = np.asarray(2.0 * R / a)
@@ -68,12 +68,22 @@ def _tanh_rates(a, R):
     if np.count_nonzero(small) == small.size:
         s = np.sinh(z)
         return 2.0 / (a * s), c4 * np.cosh(z) / s**2
-    zs = np.where(small, z, 1.0)
-    s = np.sinh(zs)
-    ez = np.exp(np.where(small, -np.inf, -z))
+    mag, damp = np.empty(z.shape), np.empty(z.shape)
+    # entry indices, or for one value the 0-d masks
+    near, far = (small.nonzero(), (~small).nonzero()) if z.ndim else (small, ~small)
+
+    def at(c, rows):
+        return c if np.ndim(c) == 0 else c[rows]
+
+    zs = z[near]
+    if zs.size:
+        s = np.sinh(zs)
+        mag[near] = 2.0 / (at(a, near) * s)
+        damp[near] = at(c4, near) * np.cosh(zs) / s**2
+    ez = np.exp(-z[far])
     gap = 1.0 - ez * ez
-    mag = np.where(small, 2.0 / (a * s), c4a * ez / gap)
-    damp = np.where(small, c4 * np.cosh(zs) / s**2, c8 * (ez + ez**3) / gap**2)
+    mag[far] = at(c4a, far) * ez / gap
+    damp[far] = at(c8, far) * (ez + ez**3) / gap**2
     return mag, damp
 
 
@@ -329,65 +339,86 @@ def _grid_rows(a_grid, n_paths):
     return np.repeat(a_grid, n_paths), np.tile(np.arange(n_paths), G)
 
 
-def _checked_inputs(model, x0, dB, grid):
-    """The driver as a float array (P, N, m), the start point and its boundary
-    distance, checked against the model and the grid."""
-    dB = np.asarray(dB, dtype=float)
-    _, N, m = dB.shape
-    if m != model.frame_count:
-        raise ValueError("driver component count does not match model frame count")
-    if N != grid.steps:
-        raise ValueError("driver length does not match grid")
+def _checked_start(model, x0):
+    """The start point and its boundary distance, checked against the model."""
     x0 = np.asarray(x0, dtype=float).reshape(model.dim)
-    return dB, x0, float(geo.boundary_distance(model, x0))
+    return x0, float(geo.boundary_distance(model, x0))
 
 
-def _penalized_blocks(model, a_grid, x0, dB, grid, block):
-    """The runs of :func:`integrate_penalized_grid` in node blocks.
+def _checked_blocks(model, blocks, grid):
+    """Driver blocks (i0, dB), dB (P, n, m) the increments of steps
+    i0..i0+n-1, as float arrays, checked against the model and the grid: each
+    block starts where the one before ends, holds the first block's paths and
+    at most its steps, and together they cover the grid."""
+    done = first = None
+    for i0, dB in blocks:
+        dB = np.asarray(dB, dtype=float)
+        P, n, m = dB.shape
+        if m != model.frame_count:
+            raise ValueError("driver component count does not match model frame count")
+        if first is None:
+            done, first = 0, (P, n)
+        if i0 != done or P != first[0] or n > first[1] or done + n > grid.steps:
+            raise ValueError("driver blocks do not join along the grid")
+        yield i0, dB
+        done += n
+    if done != grid.steps:
+        raise ValueError("driver length does not match grid")
 
-    Yields (i0, runs) per block of at most ``block`` steps: runs[key] holds
-    nodes i0..i0+n of the stored run's entry (points (G, P, n+1, d), R, L and
-    C (G, P, n+1)), bit for bit, and the next block starts at node i0+n.  The
-    arrays are reused for the next block.
+
+def _one_block(dB, grid):
+    """A whole driver (P, N, m) as the one block of the block steppers."""
+    dB = np.asarray(dB, dtype=float)
+    if dB.ndim == 3 and dB.shape[1] != grid.steps:
+        raise ValueError("driver length does not match grid")
+    return [(0, dB)]
+
+
+def _penalized_blocks(model, a_grid, x0, blocks, grid):
+    """The runs of :func:`integrate_penalized_grid`, stepped on driver blocks.
+
+    ``blocks`` yields driver blocks (i0, dB), dB (P, n, m) the increments of
+    steps i0..i0+n-1, in order (such as :func:`grids.driver_blocks`).  Yields
+    (i0, runs) per driver block: runs[key] holds nodes i0..i0+n of the stored
+    run's entry (points (G, P, n+1, d), R, L and C (G, P, n+1)), bit for bit.
+    The arrays are reused for the next block.
     """
-    dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
+    x0, R0 = _checked_start(model, x0)
     if not R0 > 0:
         raise ValueError("start point must lie in the interior")
-    P, N, _ = dB.shape
-    a_rows, paths = _grid_rows(a_grid, P)
     G = np.size(a_grid)
     dt = grid.dt
-    B = min(N, block)
-
-    points = np.empty((G * P, B + 1, model.dim))
-    R_out = np.empty((G * P, B + 1))
-    L_out = np.empty((G * P, B + 1))
-    C_out = np.empty((G * P, B + 1))
-    out = {"points": points, "R": R_out, "L": L_out, "C": C_out}
-    points[:, 0] = x0
-    R_out[:, 0] = R0
-    L_out[:, 0] = 0.0
-    C_out[:, 0] = 0.0
-
     flat = model.id in (geo.HALF_LINE, geo.HALF_SPACE)
     step = _step_flat_penalized if flat else _step_curved_penalized
-    consts = _tanh_constants(a_rows)
-    x = np.tile(x0, (G * P, 1))
-    R = geo.raw_boundary_distance(model, x)
-    L = np.zeros(G * P)
-    C = np.zeros(G * P)
-    # one node's driver, row by row: the paths' increments once per value of a
-    node_dB = np.empty((G, P, dB.shape[2]))
-    dB_i = node_dB.reshape(G * P, dB.shape[2])
-    for i0 in range(0, N, B):
-        if i0:
+    out = None
+    for i0, dB in _checked_blocks(model, blocks, grid):
+        n = dB.shape[1]
+        if out is None:
+            P, B = dB.shape[:2]
+            a_rows, paths = _grid_rows(a_grid, P)
+            consts = _tanh_constants(a_rows)
+            points = np.empty((G * P, B + 1, model.dim))
+            R_out = np.empty((G * P, B + 1))
+            L_out = np.empty((G * P, B + 1))
+            C_out = np.empty((G * P, B + 1))
+            out = {"points": points, "R": R_out, "L": L_out, "C": C_out}
+            points[:, 0] = x0
+            R_out[:, 0] = R0
+            L_out[:, 0] = 0.0
+            C_out[:, 0] = 0.0
+            x = np.tile(x0, (G * P, 1))
+            R = geo.raw_boundary_distance(model, x)
+            L = np.zeros(G * P)
+            C = np.zeros(G * P)
+            # one node's driver, row by row: the paths' increments once per value of a
+            node_dB = np.empty((G, P, dB.shape[2]))
+            dB_i = node_dB.reshape(G * P, dB.shape[2])
+        else:
             for v in out.values():
                 v[:, 0] = v[:, B]
-        n = min(B, N - i0)
         for k in range(1, n + 1):
-            i = i0 + k - 1
-            np.copyto(node_dB, dB[:, i])
-            x, R, dL, dC = step(model, consts, x, R, dB_i, dt, i, paths)
+            np.copyto(node_dB, dB[:, k - 1])
+            x, R, dL, dC = step(model, consts, x, R, dB_i, dt, i0 + k - 1, paths)
             L += dL
             C += dC
             points[:, k] = x
@@ -415,7 +446,7 @@ def integrate_penalized_grid(
     one-a run at ``a_grid[k]`` bit for bit and a path does not depend on the
     other paths of the batch.
     """
-    _, runs = next(_penalized_blocks(model, a_grid, x0, dB, grid, grid.steps))
+    _, runs = next(_penalized_blocks(model, a_grid, x0, _one_block(dB, grid), grid))
     return runs
 
 
@@ -458,30 +489,30 @@ def _project_to_domain(model, pts, R):
     return out, R, push
 
 
-def _reflected_blocks(model, x0, dB, grid, block):
-    """The runs of :func:`integrate_reflected_batch` in node blocks.
+def _reflected_blocks(model, x0, blocks, grid):
+    """The runs of :func:`integrate_reflected_batch`, stepped on driver blocks.
 
-    Yields (i0, runs) per block of at most ``block`` steps: runs[key] holds
-    nodes i0..i0+n of the stored run's entry (points (P, n+1, d), R and L
-    (P, n+1)), bit for bit, and the next block starts at node i0+n.  Flat
-    blocks carry the cumulative sum and maximum of the block before; curved
-    blocks reuse their arrays for the next block.
+    ``blocks`` yields driver blocks (i0, dB) as for :func:`_penalized_blocks`.
+    Yields (i0, runs) per driver block: runs[key] holds nodes i0..i0+n of the
+    stored run's entry (points (P, n+1, d), R and L (P, n+1)), bit for bit.
+    Flat blocks carry the cumulative sum and maximum of the block before;
+    curved blocks reuse their arrays for the next block.
     """
-    dB, x0, R0 = _checked_inputs(model, x0, dB, grid)
-    P, N, _ = dB.shape
+    x0, R0 = _checked_start(model, x0)
     dt = grid.dt
     d = model.dim
-    B = min(N, block)
+    blocks = _checked_blocks(model, blocks, grid)
 
     if model.id in (geo.HALF_LINE, geo.HALF_SPACE):
         # the arithmetic of skorohod1d.skorohod_map on each path, with the
         # driver's normal component moved to the last axis, as in points
         order = np.r_[1:d, 0]
-        drift = np.zeros((P, 1, d))
-        h = np.zeros((P, 1))
-        for i0 in range(0, N, B):
-            n = min(B, N - i0)
-            drift = np.cumsum(np.concatenate([drift[:, -1:], dB[:, i0 : i0 + n, order]], axis=1), axis=1)
+        drift = h = None
+        for i0, dB in blocks:
+            if drift is None:
+                drift = np.zeros((dB.shape[0], 1, d))
+                h = np.zeros((dB.shape[0], 1))
+            drift = np.cumsum(np.concatenate([drift[:, -1:], dB[:, :, order]], axis=1), axis=1)
             f = drift[..., -1]
             h = np.maximum.accumulate(np.concatenate([h[:, -1:], np.maximum(0.0, -(R0 + f[:, 1:]))], axis=1), axis=1)
             g = R0 + f + h
@@ -490,24 +521,26 @@ def _reflected_blocks(model, x0, dB, grid, block):
             yield i0, {"points": points, "R": g, "L": h}
         return
 
-    points = np.empty((P, B + 1, d))
-    R_out = np.empty((P, B + 1))
-    L_out = np.empty((P, B + 1))
-    out = {"points": points, "R": R_out, "L": L_out}
-    points[:, 0] = x0
-    R_out[:, 0] = R0
-    L_out[:, 0] = 0.0
-
-    x = np.tile(x0, (P, 1))
-    R = geo.raw_boundary_distance(model, x)
-    L = np.zeros(P)
-    for i0 in range(0, N, B):
-        if i0:
+    out = None
+    for i0, dB in blocks:
+        n = dB.shape[1]
+        if out is None:
+            P, B = dB.shape[:2]
+            points = np.empty((P, B + 1, d))
+            R_out = np.empty((P, B + 1))
+            L_out = np.empty((P, B + 1))
+            out = {"points": points, "R": R_out, "L": L_out}
+            points[:, 0] = x0
+            R_out[:, 0] = R0
+            L_out[:, 0] = 0.0
+            x = np.tile(x0, (P, 1))
+            R = geo.raw_boundary_distance(model, x)
+            L = np.zeros(P)
+        else:
             for v in out.values():
                 v[:, 0] = v[:, B]
-        n = min(B, N - i0)
         for k in range(1, n + 1):
-            dB_i = dB[:, i0 + k - 1]
+            dB_i = dB[:, k - 1]
             regions = _regions(model, x, R)
             R_e = R[regions[0]]
             R_edge = R_e + dB_i[:, 0][regions[0]] + 0.5 * geo.laplacian_R_of_R(model, R_e) * dt
@@ -542,5 +575,5 @@ def integrate_reflected_batch(
     take an Euler step and project back into the domain, the push distance
     feeding the local time.
     """
-    _, runs = next(_reflected_blocks(model, x0, dB, grid, grid.steps))
+    _, runs = next(_reflected_blocks(model, x0, _one_block(dB, grid), grid))
     return runs

@@ -14,7 +14,9 @@ cumulative angle sum_{k<i} alpha_k.  Gauss-Bonnet on the geodesic triangle
 with t = tan(theta_k / 2), t' = tan(theta_{k+1} / 2); E_k is the triangle's
 signed area and -dphi_k takes out the turn of the chart frame between the
 meridians of the two nodes.  A 2 pi wrap of phi changes alpha_k by 2 pi and
-so no frame.  The frames are orthonormal by construction.
+so no frame.  The frames are orthonormal by construction.  The cumulative
+angle is all the state a path carries, so the frames can be taken in node
+blocks, the angle carried from one block to the next.
 """
 from __future__ import annotations
 
@@ -41,8 +43,17 @@ def _path_points(path_or_points) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
-def transport_batch(model: ManifoldModel, points: np.ndarray) -> np.ndarray:
-    """Transport matrices along batched paths, shape (P, N+1, d, d)."""
+def transport_batch(model: ManifoldModel, points: np.ndarray, angle=None) -> np.ndarray:
+    """Transport matrices along batched paths, shape (P, N+1, d, d).
+
+    On the cap the frames may be taken in node blocks.  ``angle`` (P,) then
+    carries the cumulative angle from block to block: it holds the angle at
+    the block's first node on the call (zero where ``angle`` is None) and is
+    overwritten with the angle at its last node, from which the next block,
+    starting at that node, goes on.  The cumulative sum runs node after node,
+    so the blocks' frames are the whole run's bit for bit.  Flat-chart
+    models ignore it.
+    """
     points = np.asarray(points, dtype=float)
     P, n, d = points.shape
     out = np.zeros((P, n, d, d))
@@ -53,10 +64,13 @@ def transport_batch(model: ManifoldModel, points: np.ndarray) -> np.ndarray:
     t = np.tan(0.5 * points[..., 0])
     tt = t[:, :-1] * t[:, 1:]
     dphi = np.diff(points[..., 1], axis=1)
-    alpha = 2.0 * np.arctan2(tt * np.sin(dphi), 1.0 + tt * np.cos(dphi)) - dphi
-    angle = np.zeros((P, n))
-    np.cumsum(alpha, axis=1, out=angle[:, 1:])
-    cos, sin = np.cos(angle), np.sin(angle)
+    cum = np.empty((P, n))
+    cum[:, 0] = 0.0 if angle is None else angle
+    cum[:, 1:] = 2.0 * np.arctan2(tt * np.sin(dphi), 1.0 + tt * np.cos(dphi)) - dphi
+    np.cumsum(cum, axis=1, out=cum)
+    if angle is not None:
+        angle[...] = cum[:, -1]
+    cos, sin = np.cos(cum), np.sin(cum)
     out[..., 0, 0] = cos
     out[..., 0, 1] = -sin
     out[..., 1, 0] = sin

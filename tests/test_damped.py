@@ -447,6 +447,52 @@ def test_engine_reductions_match_the_series_bit_for_bit(model, x0, horizon):
     assert np.array_equal(bound, (norm2 - 2.0 * np.exp(log_bound))[:, 1:].max(axis=1))
 
 
+@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=["hemisphere", "cap-pi3", "disk", "half-line", "half-space-d2"])
+def test_engine_continued_over_node_blocks_is_one_call(model, x0, horizon):
+    """Calls fed node blocks, each continuing from the state the one before
+    left, give one whole-run call's bits: its reductions at the last call,
+    and its series and normal rows block by block."""
+    from rbmlab import damped, stepping
+    from rbmlab.damped import _damped_engine
+    from rbmlab.grids import driver_block
+    from rbmlab.reflected import close_events
+    from rbmlab.transport import transport_batch
+
+    N = 3 * damped._NODE_BLOCK + 5
+    grid = TimeGrid(horizon, N)
+    dB = driver_block(grid, model.frame_count, 23, 0, 10)
+    x0 = np.array(x0)
+    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
+    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid)
+    closes, dur = close_events(ref["R"], grid.times, 0.01)
+    levels = [closes & (dur >= eps) for eps in (0.05, 0.02, 0.01, 0.0)]
+    assert levels[-1].any()
+    cases = [
+        (ref, dict(jump_flags=levels), "cauchy"),
+        (pen, dict(c_increments=np.diff(pen["C"], axis=1)), "bound"),
+        (pen, dict(c_increments=np.diff(pen["C"], axis=1)), "series"),
+        (ref, dict(jump_flags=levels[1]), "normal"),
+    ]
+    for run, extra, collect in cases:
+        frames = None if model.is_flat_chart else transport_batch(model, run["points"])
+        whole = _damped_engine(model, run["points"], frames, grid.dt, np.diff(run["L"], axis=1), collect=collect,
+                               **extra)
+        # edges off the multiples of _NODE_BLOCK, and a block of one step
+        edges = (0, 7, 8, damped._NODE_BLOCK + 9, 2 * damped._NODE_BLOCK + 20, N)
+        carry = {}
+        for i0, i1 in zip(edges, edges[1:]):
+            s = slice(i0, i1 + 1)
+            kw = {key: [f[:, s] for f in v] if key == "jump_flags" and isinstance(v, list)
+                  else v[:, s] if key == "jump_flags" else v[:, i0:i1] for key, v in extra.items()}
+            part = _damped_engine(model, run["points"][:, s], None if frames is None else frames[:, s], grid.dt,
+                                  np.diff(run["L"][:, s], axis=1), collect=collect, carry=carry, **kw)
+            assert np.array_equal(part["carrier"], whole["carrier"][:, s])
+            if collect in ("series", "normal"):
+                assert np.array_equal(part[collect], whole[collect][:, s]), (collect, i0)
+        if collect in ("cauchy", "bound"):
+            assert np.array_equal(part[collect], whole[collect]), collect
+
+
 def test_engine_rejects_a_level_count_its_collect_cannot_take():
     from rbmlab.damped import _damped_engine
 

@@ -11,6 +11,7 @@ from rbmlab.grids import (
     bridge_stream,
     bridge_uniform_block,
     driver_block,
+    driver_blocks,
     driver_stream,
     guard_stream,
 )
@@ -44,6 +45,20 @@ def test_driver_block_matches_individual_streams():
     for j in range(5):
         single = DriverPath.generate(grid, 2, seed=7, path_index=3 + j)
         assert np.array_equal(block[j], single.increments)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+@pytest.mark.parametrize("m", [1, 4, 5])
+def test_driver_blocks_join_to_the_driver_block(seed, m):
+    grid = TimeGrid(1.0, 150)
+    whole = driver_block(grid, m, seed, first_path=3, n_paths=4)
+    for block in (1, 64, grid.steps):
+        i0 = 0
+        for start, part in driver_blocks(grid, m, seed, 3, 4, block):
+            assert start == i0 and part.shape == (4, min(block, grid.steps - i0), m)
+            assert np.array_equal(part, whole[:, i0 : i0 + part.shape[1]]), (block, i0)
+            i0 += part.shape[1]
+        assert i0 == grid.steps
 
 
 def test_driver_moments_sane():

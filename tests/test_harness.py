@@ -16,9 +16,12 @@ from rbmlab import cli
 from rbmlab import geometry as geo
 from rbmlab import harness, stepping
 from rbmlab import skorohod1d as sk1d
+from rbmlab.damped import _damped_engine
 from rbmlab.errors import IntegrationError
 from rbmlab.grids import driver_block
 from rbmlab.harness import ExperimentConfig, ResultRow, local_time_tv, sp_distance
+from rbmlab.reflected import close_events, default_contact_threshold
+from rbmlab.transport import transport_batch
 
 
 def test_sp_distance_trivial_cases():
@@ -446,32 +449,52 @@ def test_streamed_kinds_read_their_statistics_off_the_stored_runs(kind):
     """The rows of a kind that reduces node by node are those of its statistic
     on the stored runs of the chunk: local_time_tv for local-time, the sup
     chart distance for sp-convergence, the masked sup projection gap for
-    projection."""
-    fields, _ = _A_KIND_CASES[kind]
-    cfg = ExperimentConfig(kind=kind, master_seed=8, **fields)
+    projection, and the engine's whole-run reductions on the whole run's
+    transport frames and close events for norm-bound and eps-cauchy."""
+    fields, _ = _KIND_CASES.get(kind, _KIND_CASES["eps-cauchy-cap"])
+    cfg = ExperimentConfig(master_seed=8, **fields)
     model = geo.parse_model(cfg.model)
-    dB = driver_block(cfg.grid, model.frame_count, cfg.master_seed, 0, cfg.n_paths)
-    ref = stepping.integrate_reflected_batch(model, cfg.x0, dB, cfg.grid)
-    pen = stepping.integrate_penalized_grid(model, cfg.a_grid, cfg.x0, dB, cfg.grid)
+    grid = cfg.grid
+    dB = driver_block(grid, model.frame_count, cfg.master_seed, 0, cfg.n_paths)
+    ref = stepping.integrate_reflected_batch(model, cfg.x0, dB, grid)
     expected = {}
-    for k, a in enumerate(cfg.a_grid):
+    if kind == "eps-cauchy":
+        closes, dur = close_events(ref["R"], grid.times, default_contact_threshold(grid))
+        levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
+        assert levels[-1].any()
+        frames = None if model.is_flat_chart else transport_batch(model, ref["points"])
+        gaps = _damped_engine(model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1), jump_flags=levels,
+                              collect="cauchy")["cauchy"]
+        for k, eps in enumerate(cfg.eps_grid[1:]):
+            expected[(eps, "sup_level_gap")] = gaps[:, k]
+    a_grid = () if kind == "eps-cauchy" else cfg.a_grid
+    pen = stepping.integrate_penalized_grid(model, a_grid, cfg.x0, dB, grid) if a_grid else None
+    for k, a in enumerate(a_grid):
         if kind == "local-time":
             sup, tv, twice = local_time_tv(ref["L"], pen["L"][k])
             expected[(a, "sup_local_time_gap")], expected[(a, "tv_difference")] = sup, tv
             expected[(None, "twice_terminal_local_time")] = twice
         elif kind == "sp-convergence":
             expected[(a, "sup_distance_p")] = geo.chart_distance(model, pen["points"][k], ref["points"]).max(axis=1) ** cfg.p
+        elif kind == "norm-bound":
+            frames = transport_batch(model, pen["points"][k])
+            expected[(a, "max_bound_violation")] = _damped_engine(
+                model, pen["points"][k], frames, grid.dt, np.diff(pen["L"][k], axis=1),
+                c_increments=np.diff(pen["C"][k], axis=1), collect="bound")["bound"]
         else:
             both = (ref["R"] < model.tubular_radius) & (pen["R"][k] < model.tubular_radius)
             proj = geo.nearest_boundary_point(model, pen["points"][k]) - geo.nearest_boundary_point(model, ref["points"])
             sup = np.where(both, np.linalg.norm(proj, axis=-1), -np.inf).max(axis=1)
             assert np.isfinite(sup).sum() >= 2
             expected[(a, "sup_projection_gap")] = sup[np.isfinite(sup)]
-    rows = {(r.params.get("a"), r.statistic): r for r in harness.run_experiment(cfg)}
-    assert set(expected) <= set(rows)
+    rows = {(r.params.get("a", r.params.get("eps_fine")), r.statistic): r for r in harness.run_experiment(cfg)}
+    assert expected and set(expected) <= set(rows)
     for key, vals in expected.items():
         r = rows[key]
-        assert (r.value, r.stderr) == harness._mean_stderr(vals), key
+        if kind == "norm-bound":  # the max, with no standard error
+            assert r.value == float(vals.max()) and math.isnan(r.stderr), key
+        else:
+            assert (r.value, r.stderr) == harness._mean_stderr(vals), key
         assert (r.q25, r.q50, r.q75) == harness._quantiles(vals), key
 
 

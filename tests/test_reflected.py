@@ -11,6 +11,7 @@ from rbmlab import skorohod1d as sk
 from rbmlab.grids import DriverPath, TimeGrid, driver_block
 from rbmlab.reflected import (
     ReflectedPath,
+    close_events,
     excursion_flags,
     excursions,
     integrate_reflected,
@@ -146,6 +147,27 @@ def test_excursion_flags_match_scan():
     exc = excursions(path, eps=0.07, eta=0.05)
     flags, _ = excursion_flags(R[None], times, eps=0.07, eta=0.05)
     assert np.array_equal(np.nonzero(flags[0])[0], exc.right_ends)
+
+
+def test_close_events_carry_the_last_contact_across_node_blocks():
+    rng = np.random.default_rng(15)
+    times = np.linspace(0, 1, 201)
+    eta = 0.05
+    R = np.abs(np.cumsum(rng.normal(0, 0.05, (3, 201)), axis=1)) + eta
+    R[0, 60:71] = 0.0  # a contact run across the block edge at node 64
+    R[1, :3] = R[1, 100:102] = 0.0  # in contact from node 0, and again later
+    R[2] += 10.0  # never in contact
+    closes, dur = close_events(R, times, eta)
+    assert closes[0, 60] and not closes[0, 61:71].any() and closes.any(axis=1)[:2].all()
+    for edges in ((0, 64, 128, 192, 200), (0, 1, 2, 64, 65, 200), (0, 200)):
+        last = np.full(3, -1)
+        for i0, i1 in zip(edges, edges[1:]):
+            part = close_events(R[:, i0 : i1 + 1], times[: i1 + 1], eta, last)
+            assert np.array_equal(part[0], closes[:, i0 : i1 + 1]), (edges, i0)
+            assert np.array_equal(part[1], dur[:, i0 : i1 + 1]), (edges, i0)
+            # the last contact before the block's last node, where the next starts
+            before = np.where(R[:, :i1] < eta, np.arange(i1), -1).max(axis=1)
+            assert np.array_equal(last, before)
 
 
 def test_last_contact_scan():

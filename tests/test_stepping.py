@@ -20,7 +20,7 @@ from rbmlab import geometry as geo
 from rbmlab import skorohod1d as sk
 from rbmlab import stepping
 from rbmlab.errors import IntegrationError
-from rbmlab.grids import TimeGrid, driver_block
+from rbmlab.grids import TimeGrid, driver_block, driver_blocks
 
 # -- frozen references --------------------------------------------------------
 
@@ -492,6 +492,22 @@ def test_stiff_halfline_step_emits_no_warning():
     assert np.all(X > 0)
 
 
+def test_tanh_rates_of_mixed_rows_are_their_one_row_calls():
+    # rows on both sides of z = 2R/a = 30, where the rates switch from one
+    # sinh to one exp(-z): each branch runs on its own rows only
+    R = np.tile([1e-3, 0.1, 15 * 0.0125, 15 * 0.0125 * (1 + 1e-12), 0.5, 1.5, 3.0], 2)
+    a_rows = np.repeat([0.0125, 0.1], 7)
+    z = 2.0 * R / a_rows
+    assert (z <= 30).any() and (z > 30).any() and (z[:7] > 30).any()
+    cases = [(0.0125, [0.0125] * R.size), (stepping._tanh_constants(a_rows), a_rows), (a_rows, a_rows)]
+    for a_batch, a_one in cases:
+        mag, damp = stepping._tanh_rates(a_batch, R)
+        for j in range(R.size):
+            for R_j in (R[j : j + 1], R[j]):
+                one = stepping._tanh_rates(float(a_one[j]), R_j)
+                assert np.reshape(one[0], -1)[0] == mag[j] and np.reshape(one[1], -1)[0] == damp[j], (j, a_batch)
+
+
 def test_tanh_rates_share_one_evaluation_with_the_public_functions():
     a = 0.0125
     R = np.array([1e-300, 1e-6, 0.01, 15 * a, 15 * a * (1 + 1e-12), 0.5, 3.0])
@@ -658,8 +674,12 @@ def test_node_blocks_are_the_stored_runs(model, x0, steps):
     stored = (stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid),
               stepping.integrate_reflected_batch(model, x0, dB, grid))
     block = 64
-    for runs, blocks in zip(stored, (stepping._penalized_blocks(model, a_grid, x0, dB, grid, block),
-                                     stepping._reflected_blocks(model, x0, dB, grid, block))):
+
+    def drivers():
+        return driver_blocks(grid, model.frame_count, 31, 0, 9, block)
+
+    for runs, blocks in zip(stored, (stepping._penalized_blocks(model, a_grid, x0, drivers(), grid),
+                                     stepping._reflected_blocks(model, x0, drivers(), grid))):
         i0 = 0
         for start, run in blocks:
             # each block starts at the last node of the one before

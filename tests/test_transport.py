@@ -188,6 +188,25 @@ def test_cumulative_angle_matches_rodrigues_loop():
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-15
 
 
+def test_transport_blocks_carry_the_cumulative_angle():
+    from rbmlab.transport import transport_batch
+
+    pole = _around_the_pole()
+    assert np.any(np.abs(np.diff(pole[:, 1])) > np.pi)  # phi wraps
+    cases = ((np.pi / 2, np.stack([pole, pole[::-1]])), (np.pi / 3, _reflected_cap_points(np.pi / 3, 200, 0.1)))
+    for theta0, pts in cases:
+        cap = geo.spherical_cap(theta0)
+        whole = transport_batch(cap, pts)
+        n = pts.shape[1] - 1
+        for edges in ((0, 64, 128, n), (0, 1, 2, 97, n), (0, n)):
+            angle = np.zeros(pts.shape[0])
+            for i0, i1 in zip(edges, edges[1:]):
+                part = transport_batch(cap, pts[:, i0 : i1 + 1], angle)
+                assert np.array_equal(part, whole[:, i0 : i1 + 1]), (edges, i0)
+            assert np.array_equal(np.cos(angle), whole[:, -1, 0, 0])
+            assert np.array_equal(np.sin(angle), whole[:, -1, 1, 0])
+
+
 def test_convergence_check_rows_equal_one_call_per_a():
     """One grid call gives the rows the per-a loop gave, bit for bit."""
     from rbmlab import stepping

@@ -54,12 +54,24 @@ finest variation rung (tests/test_acceptance.py), each once in a fresh
 interpreter, with its wall time and the peak RSS of that interpreter (Linux:
 read from /proc).
 
+Sweep peaks: the VmHWM of one fresh interpreter after each reference call
+of the ``sweeps`` benchmark, in the benchmark's order, so that the call that
+sets its ``peak_rss_mb`` shows.
+
 Run from the root of a checkout, with the rbmlab to measure on the path:
 
     PYTHONPATH=src python tools/bench_layers.py BENCH.json --label change
 
 The record is stored under its label; records already in the file under
-other labels (another tree measured into the same file) are kept.
+other labels (another tree measured into the same file) are kept.  To
+compare trees, name each with ``--tree LABEL=PATH`` and give a record count:
+
+    python tools/bench_layers.py BENCH.json --tree parent=../parent --tree change=. --records 3
+
+Each record of each tree is then measured in a fresh interpreter on that
+tree's ``src``, the trees alternating (forward order on even records,
+reverse on odd), and the file keeps every record under ``LABEL.k`` and,
+under ``medians``, each tree's median over its records of every figure.
 """
 from __future__ import annotations
 
@@ -110,9 +122,13 @@ ACCEPTANCE = {
     "criterion_4_tv_finest": dict(kind="local-time", model="half-line", horizon=0.25, steps=160_000,
                                   a_grid=(0.025,), n_paths=50, master_seed=44, x0=(0.1,)),
 }
+# The sweeps benchmark's reference calls in the order one pass issues them
+# (perfbench/workloads.py).
+SWEEP_ORDER = ("local-time", "halfline-penalization", "sp-convergence", "norm-bound", "eps-cauchy")
+
 # The peak RSS is the interpreter's VmHWM: Linux keeps ru_maxrss across
 # fork and exec, so a child's ru_maxrss starts at this process's size.
-_ACCEPTANCE_RUN = """
+_PEAK_RSS = """
 import json, time
 from rbmlab import harness
 from rbmlab.harness import ExperimentConfig
@@ -120,13 +136,21 @@ from rbmlab.harness import ExperimentConfig
 def peak_rss_mb():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
-
+"""
+_ACCEPTANCE_RUN = _PEAK_RSS + """
 cfg = ExperimentConfig(**{fields!r})
 base = peak_rss_mb()
 t0 = time.perf_counter()
 harness.run_experiment(cfg)
 wall = time.perf_counter() - t0
 print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak_rss_mb(), "import_rss_mb": base}}))
+"""
+_SWEEP_PEAKS_RUN = _PEAK_RSS + """
+peaks = [["import", peak_rss_mb()]]
+for name, fields in {calls!r}:
+    harness.run_experiment(ExperimentConfig(**fields))
+    peaks.append([name, peak_rss_mb()])
+print(json.dumps(peaks))
 """
 
 
@@ -187,11 +211,21 @@ def _traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def _acceptance(fields) -> dict:
-    """One acceptance run in a fresh interpreter (its own peak RSS)."""
-    code = _ACCEPTANCE_RUN.format(fields=fields)
+def _fresh(code: str):
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def _acceptance(fields) -> dict:
+    """One acceptance run in a fresh interpreter (its own peak RSS)."""
+    return _fresh(_ACCEPTANCE_RUN.format(fields=fields))
+
+
+def _sweep_peaks() -> list:
+    """VmHWM in MB after import and after each sweeps call, in one fresh
+    interpreter."""
+    return _fresh(_SWEEP_PEAKS_RUN.format(calls=[(name, SWEEPS[name]) for name in SWEEP_ORDER]))
 
 
 def measure() -> dict:
@@ -288,6 +322,7 @@ def measure() -> dict:
     return {
         "newton_rounds": rounds,
         "traced_peak_mb": traced,
+        "sweep_peak_rss_mb": _sweep_peaks(),
         "acceptance": {name: {**run, "config": ACCEPTANCE[name]} for name, run in runs.items()},
         "input": {
             "model": "cap:theta0=pi/2", "horizon": HORIZON, "steps": STEPS, "paths": PATHS,
@@ -319,22 +354,83 @@ def measure() -> dict:
     }
 
 
+def _figures(record: dict, prefix=()):
+    """Every number of a record, keyed by its path: the leaves a median is
+    taken of (samples counts and inputs left out)."""
+    for key, value in record.items():
+        path = prefix + (key,)
+        if key in ("input", "environment", "config", "samples", "q25", "q75"):
+            continue
+        if isinstance(value, dict):
+            yield from _figures(value, path)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield ".".join(path), value
+        elif isinstance(value, list) and all(isinstance(v, list) and len(v) == 2 for v in value):
+            for name, v in value:  # the sweep peaks, one per call
+                yield ".".join(path + (name,)), v
+
+
+def _medians(records: list) -> dict:
+    import numpy as np
+
+    values = {}
+    for record in records:
+        for key, v in _figures(record):
+            values.setdefault(key, []).append(v)
+    return {key: float(np.median(v)) for key, v in sorted(values.items())}
+
+
+def _measure_tree(root: str) -> dict:
+    """One record of the tree at ``root``, measured in a fresh interpreter on
+    its ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "-"], check=True, capture_output=True,
+                         text=True, env=env, cwd=root)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="JSON file to write; records under other labels are kept")
-    parser.add_argument("--label", required=True, help="name of this record, e.g. parent or change")
+    parser.add_argument("out", help="JSON file to write, or - to print the record; records under other labels "
+                                    "are kept")
+    parser.add_argument("--label", help="name of this record, e.g. parent or change")
+    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH",
+                        help="a checkout to measure in fresh interpreters; give one per tree")
+    parser.add_argument("--records", type=int, default=1, help="records per tree with --tree")
     args = parser.parse_args(argv)
-    record = measure()
+    if args.out == "-":
+        print(json.dumps(measure()))
+        return 0
+    if bool(args.tree) == bool(args.label):
+        parser.error("give either --label or --tree")
+    if args.records < 1:
+        parser.error("--records must be at least 1")
+    trees = [t.split("=", 1) for t in args.tree]
+    if any(len(t) != 2 for t in trees):
+        parser.error("--tree takes LABEL=PATH")
+
     data = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             data = json.load(fh)
-    data.setdefault("records", {})[args.label] = record
+    records = data.setdefault("records", {})
+    if args.label:
+        records[args.label] = measure()
+        labels = [args.label]
+    else:
+        for k in range(args.records):
+            for label, root in trees if k % 2 == 0 else trees[::-1]:
+                records[f"{label}.{k + 1}"] = _measure_tree(root)
+                print(f"{label}.{k + 1} done", file=sys.stderr)
+        medians = data.setdefault("medians", {})
+        for label, _ in trees:
+            medians[label] = _medians([records[f"{label}.{k + 1}"] for k in range(args.records)])
+        labels = [f"{label}.{k + 1}" for label, _ in trees for k in range(args.records)]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    keys = ("ns_per_path_step", "newton_rounds", "traced_peak_mb", "acceptance")
-    print(json.dumps({args.label: {key: record[key] for key in keys}}, indent=2))
+    keys = ("ns_per_path_step", "newton_rounds", "traced_peak_mb", "sweep_peak_rss_mb", "acceptance")
+    print(json.dumps({label: {key: records[label][key] for key in keys} for label in labels}, indent=2))
     return 0
 
 
