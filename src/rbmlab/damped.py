@@ -241,10 +241,11 @@ def _damped_engine(
         out["bound"] = worst
     if carry is not None:
         carry["W"] = (blk[0] if series is None else series[N]).copy()
+        # the next call copies the reductions before it updates them
         if collect == "cauchy":
-            carry["gaps"] = gaps.copy()
+            carry["gaps"] = gaps
         elif collect == "bound":
-            carry.update(log_bound=log_bound, worst=worst.copy())
+            carry.update(log_bound=log_bound, worst=worst)
     return out
 
 

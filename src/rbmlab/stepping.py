@@ -350,28 +350,21 @@ def _checked_blocks(model, blocks, grid):
     i0..i0+n-1, as float arrays, checked against the model and the grid: each
     block starts where the one before ends, holds the first block's paths and
     at most its steps, and together they cover the grid."""
-    done = first = None
+    done, first = 0, None
     for i0, dB in blocks:
         dB = np.asarray(dB, dtype=float)
         P, n, m = dB.shape
         if m != model.frame_count:
             raise ValueError("driver component count does not match model frame count")
-        if first is None:
-            done, first = 0, (P, n)
-        if i0 != done or P != first[0] or n > first[1] or done + n > grid.steps:
-            raise ValueError("driver blocks do not join along the grid")
-        yield i0, dB
+        first = first or (P, n)
+        if i0 != done or P != first[0] or n > first[1]:
+            raise ValueError("driver blocks do not join")
         done += n
+        if done > grid.steps:
+            raise ValueError("driver length does not match grid")
+        yield i0, dB
     if done != grid.steps:
         raise ValueError("driver length does not match grid")
-
-
-def _one_block(dB, grid):
-    """A whole driver (P, N, m) as the one block of the block steppers."""
-    dB = np.asarray(dB, dtype=float)
-    if dB.ndim == 3 and dB.shape[1] != grid.steps:
-        raise ValueError("driver length does not match grid")
-    return [(0, dB)]
 
 
 def _penalized_blocks(model, a_grid, x0, blocks, grid):
@@ -446,7 +439,8 @@ def integrate_penalized_grid(
     one-a run at ``a_grid[k]`` bit for bit and a path does not depend on the
     other paths of the batch.
     """
-    _, runs = next(_penalized_blocks(model, a_grid, x0, _one_block(dB, grid), grid))
+    # one block: the generator runs to its end, so that it checks the length
+    [(_, runs)] = _penalized_blocks(model, a_grid, x0, [(0, dB)], grid)
     return runs
 
 
@@ -575,5 +569,6 @@ def integrate_reflected_batch(
     take an Euler step and project back into the domain, the push distance
     feeding the local time.
     """
-    _, runs = next(_reflected_blocks(model, x0, _one_block(dB, grid), grid))
+    # one block: the generator runs to its end, so that it checks the length
+    [(_, runs)] = _reflected_blocks(model, x0, [(0, dB)], grid)
     return runs
