@@ -145,11 +145,7 @@ def driver_blocks(grid: TimeGrid, m: int, seed: int, first_path: int, n_paths: i
     ``block`` steps: yields (i0, (P, n, m)) for steps i0..i0+n-1, the next
     block starting at step i0+n.  Each path draws from a generator of its own
     that keeps its place in the path's stream, so the blocks join to
-    driver_block's array bit for bit; a block of all N steps is driver_block's
-    one re-keyed draw per path."""
-    if block >= grid.steps:
-        yield 0, driver_block(grid, m, seed, first_path, n_paths)
-        return
+    driver_block's array bit for bit."""
     root = np.sqrt(grid.dt)
     streams = SeedStreams(seed)
     gens = [streams.own_driver(first_path + j) for j in range(n_paths)]

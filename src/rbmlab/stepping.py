@@ -58,9 +58,9 @@ def _tanh_constants(a):
 
 def _tanh_rates(a, R):
     """Drift magnitude 2 / (a sinh z) and damping rate (4/a^2) cosh z / sinh^2 z
-    at z = 2R/a, from one sinh (z <= 30) or exp(-z) (beyond) evaluation, each
-    on its own entries only.  ``a`` is one value, one per entry of R, or their
-    :func:`_tanh_constants` (one more axis than R)."""
+    at z = 2R/a, from one sinh (z <= 30) or exp(-z) (beyond) evaluation.
+    ``a`` is one value, one per entry of R, or their :func:`_tanh_constants`
+    (one more axis than R)."""
     R = np.asarray(R, dtype=float)
     a, c4, c8, c4a = a if np.ndim(a) > R.ndim else _tanh_constants(a)
     z = np.asarray(2.0 * R / a)
@@ -68,22 +68,12 @@ def _tanh_rates(a, R):
     if np.count_nonzero(small) == small.size:
         s = np.sinh(z)
         return 2.0 / (a * s), c4 * np.cosh(z) / s**2
-    mag, damp = np.empty(z.shape), np.empty(z.shape)
-    # entry indices, or for one value the 0-d masks
-    near, far = (small.nonzero(), (~small).nonzero()) if z.ndim else (small, ~small)
-
-    def at(c, rows):
-        return c if np.ndim(c) == 0 else c[rows]
-
-    zs = z[near]
-    if zs.size:
-        s = np.sinh(zs)
-        mag[near] = 2.0 / (at(a, near) * s)
-        damp[near] = at(c4, near) * np.cosh(zs) / s**2
-    ez = np.exp(-z[far])
+    zs = np.where(small, z, 1.0)
+    s = np.sinh(zs)
+    ez = np.exp(np.where(small, -np.inf, -z))
     gap = 1.0 - ez * ez
-    mag[far] = at(c4a, far) * ez / gap
-    damp[far] = at(c8, far) * (ez + ez**3) / gap**2
+    mag = np.where(small, 2.0 / (a * s), c4a * ez / gap)
+    damp = np.where(small, c4 * np.cosh(zs) / s**2, c8 * (ez + ez**3) / gap**2)
     return mag, damp
 
 
@@ -407,8 +397,9 @@ def _penalized_blocks(model, a_grid, x0, blocks, grid):
             node_dB = np.empty((G, P, dB.shape[2]))
             dB_i = node_dB.reshape(G * P, dB.shape[2])
         else:
+            # node 0 of this block is the last node of the one before
             for v in out.values():
-                v[:, 0] = v[:, B]
+                v[:, 0] = v[:, last]
         for k in range(1, n + 1):
             np.copyto(node_dB, dB[:, k - 1])
             x, R, dL, dC = step(model, consts, x, R, dB_i, dt, i0 + k - 1, paths)
@@ -418,6 +409,7 @@ def _penalized_blocks(model, a_grid, x0, blocks, grid):
             R_out[:, k] = R
             L_out[:, k] = L
             C_out[:, k] = C
+        last = n
         yield i0, {key: v[:, : n + 1].reshape(G, P, n + 1, *v.shape[2:]) for key, v in out.items()}
 
 
@@ -531,8 +523,9 @@ def _reflected_blocks(model, x0, blocks, grid):
             R = geo.raw_boundary_distance(model, x)
             L = np.zeros(P)
         else:
+            # node 0 of this block is the last node of the one before
             for v in out.values():
-                v[:, 0] = v[:, B]
+                v[:, 0] = v[:, last]
         for k in range(1, n + 1):
             dB_i = dB[:, k - 1]
             regions = _regions(model, x, R)
@@ -552,6 +545,7 @@ def _reflected_blocks(model, x0, blocks, grid):
                     R_new[moved] = geo.raw_boundary_distance(model, x[moved])
                 R = R_new
             L_out[:, k] = L
+        last = n
         yield i0, {key: v[:, : n + 1] for key, v in out.items()}
 
 

@@ -494,7 +494,7 @@ def test_stiff_halfline_step_emits_no_warning():
 
 def test_tanh_rates_of_mixed_rows_are_their_one_row_calls():
     # rows on both sides of z = 2R/a = 30, where the rates switch from one
-    # sinh to one exp(-z): each branch runs on its own rows only
+    # sinh to one exp(-z)
     R = np.tile([1e-3, 0.1, 15 * 0.0125, 15 * 0.0125 * (1 + 1e-12), 0.5, 1.5, 3.0], 2)
     a_rows = np.repeat([0.0125, 0.1], 7)
     z = 2.0 * R / a_rows
@@ -674,22 +674,41 @@ def test_node_blocks_are_the_stored_runs(model, x0, steps):
     stored = (stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid),
               stepping.integrate_reflected_batch(model, x0, dB, grid))
     block = 64
+    # blocks of 64, 10, 64, 10, ... steps: a block shorter than the one before
+    # is followed by a longer one
+    edges = np.cumsum([0] + [64, 10] * steps)
+    edges = np.append(edges[edges < steps], steps)
 
-    def drivers():
+    def drivers(uneven):
+        if uneven:
+            return [(int(i0), dB[:, i0:i1]) for i0, i1 in zip(edges[:-1], edges[1:])]
         return driver_blocks(grid, model.frame_count, 31, 0, 9, block)
 
-    for runs, blocks in zip(stored, (stepping._penalized_blocks(model, a_grid, x0, drivers(), grid),
-                                     stepping._reflected_blocks(model, x0, drivers(), grid))):
-        i0 = 0
-        for start, run in blocks:
-            # each block starts at the last node of the one before
-            assert start == i0 and run.keys() == runs.keys()
-            n = run["L"].shape[-1] - 1
-            assert 0 < n <= block
-            for key, v in runs.items():
-                assert np.array_equal(run[key], v[..., i0 : i0 + n + 1, :] if key == "points" else v[..., i0 : i0 + n + 1]), (i0, key)
-            i0 += n
-        assert i0 == steps
+    for uneven in (False, True):
+        for runs, blocks in zip(stored, (stepping._penalized_blocks(model, a_grid, x0, drivers(uneven), grid),
+                                         stepping._reflected_blocks(model, x0, drivers(uneven), grid))):
+            i0 = 0
+            for start, run in blocks:
+                # each block starts at the last node of the one before
+                assert start == i0 and run.keys() == runs.keys()
+                n = run["L"].shape[-1] - 1
+                assert 0 < n <= block
+                for key, v in runs.items():
+                    want = v[..., i0 : i0 + n + 1, :] if key == "points" else v[..., i0 : i0 + n + 1]
+                    assert np.array_equal(run[key], want), (uneven, i0, key)
+                i0 += n
+            assert i0 == steps
+
+
+def test_node_blocks_no_longer_than_the_first():
+    model = geo.flat_disk()
+    grid = TimeGrid(1.0, 30)
+    dB = driver_block(grid, model.frame_count, seed=31, first_path=0, n_paths=3)
+    blocks = [(0, dB[:, :10]), (10, dB[:, 10:30])]
+    with pytest.raises(ValueError, match="do not join"):
+        list(stepping._reflected_blocks(model, (0.2, 0.1), blocks, grid))
+    with pytest.raises(ValueError, match="do not join"):
+        list(stepping._penalized_blocks(model, (0.1,), (0.2, 0.1), blocks, grid))
 
 
 @pytest.mark.parametrize("model,x0", [(geo.half_line(), (0.05,)), (geo.half_space(3), (0.3, -0.2, 0.05))],

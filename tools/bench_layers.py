@@ -58,20 +58,18 @@ Sweep peaks: the VmHWM of one fresh interpreter after each reference call
 of the ``sweeps`` benchmark, in the benchmark's order, so that the call that
 sets its ``peak_rss_mb`` shows.
 
-Run from the root of a checkout, with the rbmlab to measure on the path:
+Run from the root of a checkout, naming each tree to measure with
+``--tree LABEL=PATH`` and giving a record count:
 
-    PYTHONPATH=src python tools/bench_layers.py BENCH.json --label change
-
-The record is stored under its label; records already in the file under
-other labels (another tree measured into the same file) are kept.  To
-compare trees, name each with ``--tree LABEL=PATH`` and give a record count:
-
+    python tools/bench_layers.py BENCH.json --tree change=.
     python tools/bench_layers.py BENCH.json --tree parent=../parent --tree change=. --records 3
 
-Each record of each tree is then measured in a fresh interpreter on that
-tree's ``src``, the trees alternating (forward order on even records,
-reverse on odd), and the file keeps every record under ``LABEL.k`` and,
-under ``medians``, each tree's median over its records of every figure.
+Each record of each tree is measured in a fresh interpreter on that tree's
+``src``, the trees alternating (forward order on even records, reverse on
+odd).  The file keeps every record under ``LABEL.k`` and, under
+``medians``, each tree's median over its records of every figure; records
+already in the file under other labels are kept.  ``-`` as the file prints
+one record of the rbmlab on the path.
 """
 from __future__ import annotations
 
@@ -391,18 +389,17 @@ def _measure_tree(root: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", help="JSON file to write, or - to print the record; records under other labels "
-                                    "are kept")
-    parser.add_argument("--label", help="name of this record, e.g. parent or change")
+    parser.add_argument("out", help="JSON file to write, or - to print one record of the rbmlab on the path; "
+                                    "records under other labels are kept")
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH",
                         help="a checkout to measure in fresh interpreters; give one per tree")
-    parser.add_argument("--records", type=int, default=1, help="records per tree with --tree")
+    parser.add_argument("--records", type=int, default=1, help="records per tree")
     args = parser.parse_args(argv)
     if args.out == "-":
         print(json.dumps(measure()))
         return 0
-    if bool(args.tree) == bool(args.label):
-        parser.error("give either --label or --tree")
+    if not args.tree:
+        parser.error("give at least one --tree")
     if args.records < 1:
         parser.error("--records must be at least 1")
     trees = [t.split("=", 1) for t in args.tree]
@@ -414,18 +411,14 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             data = json.load(fh)
     records = data.setdefault("records", {})
-    if args.label:
-        records[args.label] = measure()
-        labels = [args.label]
-    else:
-        for k in range(args.records):
-            for label, root in trees if k % 2 == 0 else trees[::-1]:
-                records[f"{label}.{k + 1}"] = _measure_tree(root)
-                print(f"{label}.{k + 1} done", file=sys.stderr)
-        medians = data.setdefault("medians", {})
-        for label, _ in trees:
-            medians[label] = _medians([records[f"{label}.{k + 1}"] for k in range(args.records)])
-        labels = [f"{label}.{k + 1}" for label, _ in trees for k in range(args.records)]
+    for k in range(args.records):
+        for label, root in trees if k % 2 == 0 else trees[::-1]:
+            records[f"{label}.{k + 1}"] = _measure_tree(root)
+            print(f"{label}.{k + 1} done", file=sys.stderr)
+    medians = data.setdefault("medians", {})
+    for label, _ in trees:
+        medians[label] = _medians([records[f"{label}.{k + 1}"] for k in range(args.records)])
+    labels = [f"{label}.{k + 1}" for label, _ in trees for k in range(args.records)]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
