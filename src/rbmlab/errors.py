@@ -14,8 +14,9 @@ class IntegrationError(RuntimeError):
     an implicit step that did not converge.
 
     Carries, where known, the grid node, the penalization parameter ``a``,
-    the batch row of the first failing path and that path's boundary
-    distance at the start of the failing step; the message names them.
+    the index of the first failing path (in its sweep, where the stepper is
+    told the paths' indices) and that path's boundary distance at the start
+    of the failing step; the message names them.
     """
 
     def __init__(self, message, node_index=None, a=None, path_index=None, boundary_distance=None):

@@ -13,6 +13,10 @@ monitoring bias that nodal reflection schemes carry, so the estimates can be
 compared against PDE oracles at Monte Carlo accuracy.  Curved models fall
 back to the nodal projection integrator.
 
+The paths are drawn and reduced in blocks of _CHUNK paths, so a pass holds
+one block's (paths, steps) arrays at a time beside the record it builds, and
+the curved models step their paths in node blocks and keep the last node.
+
 The record depends only on (frame count, T, steps, n, seed), and the last one
 drawn is kept in one cache slot, read-only: calls on the same draw (the seven
 of criterion 8) share it, and any other draw replaces it.  Inputs are checked
@@ -37,10 +41,16 @@ from . import geometry as geo
 from . import stepping
 from .errors import QuadratureError
 from .geometry import ManifoldModel, TangentVector
-from .grids import TimeGrid, bridge_uniform_block, driver_block
+from .grids import TimeGrid, bridge_uniform_block, driver_block, driver_blocks
 from .hashing import canonical_digest
 
-_CHUNK = 5000
+# Paths per block of the exact-law draws: at 1000 steps each (paths, steps)
+# array of a block is 2 MB.
+_CHUNK = 256
+# Paths per chunk, and steps per node block, of the curved models' reflected
+# runs: enough rows per node to spread the node loop's per-call cost.
+_CURVED_CHUNK = 2000
+_CURVED_BLOCK = 64
 
 
 @dataclass
@@ -164,7 +174,7 @@ def one_form(name: str) -> OneForm:
 def _flat_terminal_chunks(frame_count, T, steps, n, seed):
     """Iterate the exact-law draws of n flat-model paths, _CHUNK paths at a time.
 
-    Yields (first, w, step_min, b_tang) per chunk of c paths: the index of its
+    Yields (first, w, step_min, b_tang) per block of c paths: the index of its
     first path, the normal driver at the nodes ``w`` (c, N+1), the minimum of
     the Brownian bridge within each step ``step_min`` (c, N), and the terminal
     tangential increments ``b_tang`` (c, d-1).
@@ -215,9 +225,14 @@ class _PathRecord(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _path_record(frame_count, T, steps, n, seed) -> _PathRecord:
     """Draw n paths once; the one cached record serves every estimator call
-    on the same draw (criterion 8 makes seven).  Its arrays are read-only."""
+    on the same draw (criterion 8 makes seven).  Its arrays are read-only.
+    Each block of paths is reduced to its ladder before the next is drawn."""
     w_T, low, b_tang = np.empty(n), np.empty(n), np.empty((n, frame_count - 1))
-    mins, ws, lens = [], [], []
+    ladder_len = np.empty(n, dtype=np.intp)
+    # the ladders grow in place, by a quarter at a time, so that no joined
+    # copy of them is ever held beside their blocks
+    ladder_min, ladder_w = np.empty(0), np.empty(0)
+    used = 0
     for first, w, step_min, tang in _flat_terminal_chunks(frame_count, T, steps, n, seed):
         paths = slice(first, first + len(w))
         run_min = np.minimum.accumulate(step_min, axis=1)
@@ -227,13 +242,20 @@ def _path_record(frame_count, T, steps, n, seed) -> _PathRecord:
         np.less(step_min[:, 1:], run_min[:, :-1], out=is_record[:, 1:])
         del run_min
         rows, cols = np.nonzero(is_record)
-        mins.append(step_min[rows, cols])
-        ws.append(w[rows, cols + 1])
-        lens.append(is_record.sum(axis=1))
-    ladder_len = np.concatenate(lens)
+        end = used + rows.size
+        if end > ladder_min.size:
+            size = max(end, ladder_min.size * 5 // 4)
+            for ladder in (ladder_min, ladder_w):
+                ladder.resize(size, refcheck=False)  # no view of them exists
+        ladder_min[used:end] = step_min[rows, cols]
+        ladder_w[used:end] = w[rows, cols + 1]
+        ladder_len[paths] = is_record.sum(axis=1)
+        used = end
+    for ladder in (ladder_min, ladder_w):
+        ladder.resize(used, refcheck=False)
     ladder_first = np.zeros(n, dtype=ladder_len.dtype)
     np.cumsum(ladder_len[:-1], out=ladder_first[1:])
-    record = _PathRecord(w_T, low, b_tang, np.concatenate(mins), np.concatenate(ws), ladder_first, ladder_len)
+    record = _PathRecord(w_T, low, b_tang, ladder_min, ladder_w, ladder_first, ladder_len)
     for a in record:
         a.setflags(write=False)
     return record
@@ -268,7 +290,7 @@ class _ExactLaw(NamedTuple):
 def _exact_law(model, starts, T, n, dt, seed) -> _ExactLaw:
     """Reduce the path record of n paths for every start point (rows of
     ``starts``); the starts share each path's driver, so the rows are the
-    coupled flow."""
+    coupled flow.  Each start reads the ladders _CHUNK paths at a time."""
     starts = np.asarray(starts, dtype=float)
     steps = _checked_steps(model, starts, T, n, dt)
     rec = _path_record(model.frame_count, T, steps, n, seed)
@@ -276,13 +298,18 @@ def _exact_law(model, starts, T, n, dt, seed) -> _ExactLaw:
     points = np.empty((S, n, d))
     alive = np.empty((S, n), dtype=bool)
     b_kill = np.empty((S, n))
+    clear = np.empty(n, dtype=np.intp)
     points[:, :, :-1] = starts[:, None, :-1] + rec.b_tang
     for k, x in enumerate(starts[:, -1]):
         points[k, :, -1] = x + rec.w_T + np.maximum(0.0, -x - rec.low)
         alive[k] = x + rec.low > 0.0
         # the ladder falls strictly and x + m is monotone in m, so the
         # entries clear of the boundary are a prefix; the hit comes next
-        clear = np.add.reduceat(x + rec.ladder_min > 0.0, rec.ladder_first, dtype=np.intp)
+        for p0 in range(0, n, _CHUNK):
+            paths = slice(p0, p0 + _CHUNK)
+            first, lens = rec.ladder_first[paths], rec.ladder_len[paths]
+            entries = rec.ladder_min[first[0] : first[-1] + lens[-1]]
+            clear[paths] = np.add.reduceat(x + entries > 0.0, first - first[0], dtype=np.intp)
         hit = clear < rec.ladder_len
         b_kill[k] = rec.w_T
         b_kill[k, hit] = rec.ladder_w[rec.ladder_first[hit] + clear[hit]]
@@ -325,13 +352,12 @@ def neumann_heat_mc(
     else:
         vals = np.empty(n)
         grid = TimeGrid(T, _checked_steps(model, start, T, n, dt))
-        done = 0
-        while done < n:
-            c = min(2000, n - done)
-            dB = driver_block(grid, model.frame_count, seed, done, c)
-            out = stepping.integrate_reflected_batch(model, np.asarray(x, dtype=float), dB, grid)
-            vals[done : done + c] = f.value(out["points"][:, -1])
-            done += c
+        for first in range(0, n, _CURVED_CHUNK):
+            c = min(_CURVED_CHUNK, n - first)
+            blocks = driver_blocks(grid, model.frame_count, seed, first, c, _CURVED_BLOCK)
+            for _, run in stepping._reflected_blocks(model, start[0], blocks, grid, first):
+                pass  # the last block ends at node N
+            vals[first : first + c] = f.value(run["points"][:, -1])
     mean, err = _mean_stderr(vals)
     return MCEstimate(float(mean), float(err), n, digest)
 

@@ -135,7 +135,7 @@ def driver_block(grid: TimeGrid, m: int, seed: int, first_path: int, n_paths: in
     root = np.sqrt(grid.dt)
     streams = SeedStreams(seed)
     for j in range(n_paths):
-        out[j] = streams.driver(first_path + j).standard_normal((grid.steps, m))
+        streams.driver(first_path + j).standard_normal(out=out[j])
     out *= root
     return out
 
@@ -162,5 +162,5 @@ def bridge_uniform_block(grid: TimeGrid, seed: int, first_path: int, n_paths: in
     out = np.empty((n_paths, grid.steps))
     streams = SeedStreams(seed)
     for j in range(n_paths):
-        out[j] = streams.bridge(first_path + j).random(grid.steps)
+        streams.bridge(first_path + j).random(out=out[j])
     return out

@@ -256,26 +256,27 @@ def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, penalized=None):
 
     Yields (chunk, ref, pens) per chunk: the chunk's slice of the paths, the
     reflected run on its driver, and an iterator of (a, penalized run) in
-    grid order.  The iterator makes one call ``penalized(group, x0, dB)`` per
-    _a_groups slice as it is consumed, with the driver blocks of _drivers;
-    a call returns the group's runs in order, and the default is the model's
-    penalized integrator.
+    grid order.  The iterator makes one call ``penalized(group, x0, dB,
+    first)`` per _a_groups slice as it is consumed, with the driver blocks of
+    _drivers and the index of the chunk's first path; a call returns the
+    group's runs in order, and the default is the model's penalized
+    integrator.
     """
     grid = cfg.grid
     x0 = _start_point(cfg, model)
     if penalized is None:
 
-        def penalized(group, x0, dB):
-            runs = _stored(stepping._penalized_blocks(model, group, x0, dB, grid), grid.steps)
+        def penalized(group, x0, dB, first):
+            runs = _stored(stepping._penalized_blocks(model, group, x0, dB, grid, first), grid.steps)
             return [{key: v[j] for key, v in runs.items()} for j in range(len(group))]
 
     def pens(chunk):
         for group in _a_groups(cfg, chunk.stop - chunk.start):
-            yield from zip(group, penalized(group, x0, _drivers(cfg, model, chunk)))
+            yield from zip(group, penalized(group, x0, _drivers(cfg, model, chunk), chunk.start))
 
     for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
         chunk = slice(first, first + c)
-        ref = _stored(stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid), grid.steps)
+        ref = _stored(stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid, first), grid.steps)
         yield chunk, ref, pens(chunk)
 
 
@@ -316,14 +317,15 @@ def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice,
     grid = cfg.grid
     if cfg.kind == "eps-cauchy":
         reduce = reducer(chunk, None)
-        for i0, ref in stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid):
+        for i0, ref in stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid, chunk.start):
             reduce(i0, None, ref)
         return
     groups = _a_groups(cfg, chunk.stop - chunk.start)
     reflected = cfg.kind != "norm-bound"
     held = None
     if reflected and len(groups) > 1:
-        held = _stored(stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid), grid.steps)
+        held = _stored(stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid, chunk.start),
+                       grid.steps)
     k = 0
     for group in groups:
         reduce = reducer(chunk, slice(k, k + len(group)))
@@ -333,10 +335,10 @@ def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice,
         elif reflected:
             # each driver block goes to both steppers, penalized first
             dB, dB_ref = itertools.tee(dB)
-            refs = stepping._reflected_blocks(model, x0, dB_ref, grid)
+            refs = stepping._reflected_blocks(model, x0, dB_ref, grid, chunk.start)
         else:
             refs = itertools.repeat((None, None))
-        for (i0, pen), (_, ref) in zip(stepping._penalized_blocks(model, group, x0, dB, grid), refs):
+        for (i0, pen), (_, ref) in zip(stepping._penalized_blocks(model, group, x0, dB, grid, chunk.start), refs):
             reduce(i0, pen, ref)
         k += len(group)
 
@@ -359,10 +361,10 @@ def _run_halfline_penalization(cfg: ExperimentConfig):
     sup_gap = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
     dflow_gap = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
 
-    def flow(group, x0, dB):
+    def flow(group, x0, dB, first):
         # the 1-d flow steps a whole driver, joined from its blocks
         dW = np.concatenate([block[:, :, 0] for _, block in dB], axis=1)
-        return sk1d.penalized_paths_1d_grid(group, x0[0], dW, dt)
+        return sk1d.penalized_paths_1d_grid(group, x0[0], dW, dt, first)
 
     for chunk, ref, pens in _chunk_runs(cfg, geo.half_line(), penalized=flow):
         # R - L is x0 plus the driver up to the first hit: node-level t < tau

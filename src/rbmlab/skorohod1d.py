@@ -215,7 +215,7 @@ def penalized_drift_second_log(a: float, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def penalized_paths_1d_grid(a_grid, x: float, dW: np.ndarray, dt: float) -> np.ndarray:
+def penalized_paths_1d_grid(a_grid, x: float, dW: np.ndarray, dt: float, first_path: int = 0) -> np.ndarray:
     """Batched drift-implicit Euler integration of the softened half-line SDE
     for every a of ``a_grid`` on one shared driver.
 
@@ -224,13 +224,14 @@ def penalized_paths_1d_grid(a_grid, x: float, dW: np.ndarray, dt: float) -> np.n
     over all G * P rows with this drift, whose slope is
     :func:`penalized_drift_second_log`.  Rows are stepped on their own, so
     entry k equals the one-a run at ``a_grid[k]`` bit for bit and a path does
-    not depend on the other paths of the batch.
+    not depend on the other paths of the batch.  The paths are paths
+    first_path.. of a sweep, and an ``IntegrationError`` names that index.
     """
     if x <= 0:
         raise ValueError("start point must be strictly positive")
     dW = np.atleast_2d(np.asarray(dW, dtype=float))
     n_paths, n_steps = dW.shape
-    a_rows, paths = _grid_rows(a_grid, n_paths)
+    a_rows, paths = _grid_rows(a_grid, n_paths, first_path)
     G = np.size(a_grid)
     consts = _survival_constants(a_rows)
     out = np.empty((G * n_paths, n_steps + 1))

@@ -112,8 +112,8 @@ def implicit_step(R0, w, dt, a, rates, node=None, rows=None):
     _ROOT_TOL * r_k as its bound on c.  Done rows leave the iteration and
     rows share nothing, so a row's bits do not depend on its batch-mates.  A
     non-finite y, or a row not done after _MAX_NEWTON iterates, raises an
-    ``IntegrationError`` naming the row's batch row (``rows[j]``, or j), its
-    value of ``a`` and R0.
+    ``IntegrationError`` naming the row's path (``rows[j]``, the path index
+    in the sweep that the callers hand in, or j), its value of ``a`` and R0.
     """
     R0 = np.asarray(R0, dtype=float)
     y = R0 + w
@@ -281,7 +281,7 @@ def _step_curved_penalized(model, a, x, R, dB_i, dt, node, rows):
     """One penalized step for a curved-chart model from points x at raw
     boundary distance R; returns (x_new, R_new, dL, dC), R_new the raw
     boundary distance of x_new.  ``a`` holds the rows' :func:`_tanh_constants`
-    and ``rows`` are the paths' batch rows, which an ``IntegrationError``
+    and ``rows`` the rows' path indices, which an ``IntegrationError``
     names.
 
     An off-collar row that lands at boundary distance R_land <= 0 (possible on
@@ -317,16 +317,16 @@ def _step_curved_penalized(model, a, x, R, dB_i, dt, node, rows):
     return new, R_new, dL, dC
 
 
-def _grid_rows(a_grid, n_paths):
-    """Rows of an a-grid run, a-major: each row's value of a and its path,
-    after checking the grid."""
+def _grid_rows(a_grid, n_paths, first_path=0):
+    """Rows of an a-grid run, a-major: each row's value of a and its path
+    index (first_path upwards), after checking the grid."""
     a_grid = np.asarray(a_grid, dtype=float).reshape(-1)
     if a_grid.size == 0:
         raise ValueError("a_grid must be nonempty")
     if not (a_grid > 0).all():
         raise ValueError("a must be positive")
     G = a_grid.size
-    return np.repeat(a_grid, n_paths), np.tile(np.arange(n_paths), G)
+    return np.repeat(a_grid, n_paths), np.tile(np.arange(first_path, first_path + n_paths), G)
 
 
 def _checked_start(model, x0):
@@ -339,7 +339,10 @@ def _checked_blocks(model, blocks, grid):
     """Driver blocks (i0, dB), dB (P, n, m) the increments of steps
     i0..i0+n-1, as float arrays, checked against the model and the grid: each
     block starts where the one before ends, holds the first block's paths and
-    at most its steps, and together they cover the grid."""
+    at most its steps, and together they cover the grid.  Yields (i0, dB,
+    bad): bad is None for a finite block, and else the step k in the block
+    and the batch row j of its first non-finite increment (earliest step,
+    then lowest row), at which the stepper raises (:func:`_nonfinite`)."""
     done, first = 0, None
     for i0, dB in blocks:
         dB = np.asarray(dB, dtype=float)
@@ -352,19 +355,35 @@ def _checked_blocks(model, blocks, grid):
         done += n
         if done > grid.steps:
             raise ValueError("driver length does not match grid")
-        yield i0, dB
+        finite = np.isfinite(dB)
+        bad = None
+        if not finite.all():
+            steps = ~finite.all(axis=2)
+            k = int(steps.any(axis=0).argmax())
+            bad = k, int(steps[:, k].argmax())
+        yield i0, dB, bad
     if done != grid.steps:
         raise ValueError("driver length does not match grid")
 
 
-def _penalized_blocks(model, a_grid, x0, blocks, grid):
+def _nonfinite(node, path, R, a=None):
+    """The error of a step from node ``node`` on a non-finite increment: it
+    names the node, the path's index, its value of ``a`` (penalized flows)
+    and its boundary distance R at the node."""
+    return IntegrationError("non-finite increment", node_index=node, a=None if a is None else float(a),
+                            path_index=int(path), boundary_distance=float(R))
+
+
+def _penalized_blocks(model, a_grid, x0, blocks, grid, first_path=0):
     """The runs of :func:`integrate_penalized_grid`, stepped on driver blocks.
 
     ``blocks`` yields driver blocks (i0, dB), dB (P, n, m) the increments of
     steps i0..i0+n-1, in order (such as :func:`grids.driver_blocks`).  Yields
     (i0, runs) per driver block: runs[key] holds nodes i0..i0+n of the stored
     run's entry (points (G, P, n+1, d), R, L and C (G, P, n+1)), bit for bit.
-    The arrays are reused for the next block.
+    The arrays are reused for the next block.  The paths are paths
+    first_path.. of a sweep, and an ``IntegrationError`` names that index: a
+    non-finite increment raises at its node, before the step from it.
     """
     x0, R0 = _checked_start(model, x0)
     if not R0 > 0:
@@ -374,11 +393,11 @@ def _penalized_blocks(model, a_grid, x0, blocks, grid):
     flat = model.id in (geo.HALF_LINE, geo.HALF_SPACE)
     step = _step_flat_penalized if flat else _step_curved_penalized
     out = None
-    for i0, dB in _checked_blocks(model, blocks, grid):
+    for i0, dB, bad in _checked_blocks(model, blocks, grid):
         n = dB.shape[1]
         if out is None:
             P, B = dB.shape[:2]
-            a_rows, paths = _grid_rows(a_grid, P)
+            a_rows, paths = _grid_rows(a_grid, P, first_path)
             consts = _tanh_constants(a_rows)
             points = np.empty((G * P, B + 1, model.dim))
             R_out = np.empty((G * P, B + 1))
@@ -400,7 +419,7 @@ def _penalized_blocks(model, a_grid, x0, blocks, grid):
             # node 0 of this block is the last node of the one before
             for v in out.values():
                 v[:, 0] = v[:, last]
-        for k in range(1, n + 1):
+        for k in range(1, n + 1 if bad is None else bad[0] + 1):
             np.copyto(node_dB, dB[:, k - 1])
             x, R, dL, dC = step(model, consts, x, R, dB_i, dt, i0 + k - 1, paths)
             L += dL
@@ -409,6 +428,9 @@ def _penalized_blocks(model, a_grid, x0, blocks, grid):
             R_out[:, k] = R
             L_out[:, k] = L
             C_out[:, k] = C
+        if bad is not None:
+            k, j = bad
+            raise _nonfinite(i0 + k, paths[j], R[j], a_rows[j])
         last = n
         yield i0, {key: v[:, : n + 1].reshape(G, P, n + 1, *v.shape[2:]) for key, v in out.items()}
 
@@ -475,14 +497,15 @@ def _project_to_domain(model, pts, R):
     return out, R, push
 
 
-def _reflected_blocks(model, x0, blocks, grid):
+def _reflected_blocks(model, x0, blocks, grid, first_path=0):
     """The runs of :func:`integrate_reflected_batch`, stepped on driver blocks.
 
     ``blocks`` yields driver blocks (i0, dB) as for :func:`_penalized_blocks`.
     Yields (i0, runs) per driver block: runs[key] holds nodes i0..i0+n of the
     stored run's entry (points (P, n+1, d), R and L (P, n+1)), bit for bit.
     Flat blocks carry the cumulative sum and maximum of the block before;
-    curved blocks reuse their arrays for the next block.
+    curved blocks reuse their arrays for the next block.  A non-finite
+    increment raises as in :func:`_penalized_blocks`.
     """
     x0, R0 = _checked_start(model, x0)
     dt = grid.dt
@@ -494,7 +517,7 @@ def _reflected_blocks(model, x0, blocks, grid):
         # driver's normal component moved to the last axis, as in points
         order = np.r_[1:d, 0]
         drift = h = None
-        for i0, dB in blocks:
+        for i0, dB, bad in blocks:
             if drift is None:
                 drift = np.zeros((dB.shape[0], 1, d))
                 h = np.zeros((dB.shape[0], 1))
@@ -502,13 +525,16 @@ def _reflected_blocks(model, x0, blocks, grid):
             f = drift[..., -1]
             h = np.maximum.accumulate(np.concatenate([h[:, -1:], np.maximum(0.0, -(R0 + f[:, 1:]))], axis=1), axis=1)
             g = R0 + f + h
+            if bad is not None:
+                k, j = bad
+                raise _nonfinite(i0 + k, first_path + j, g[j, k])
             points = x0 + drift
             points[..., -1] = g
             yield i0, {"points": points, "R": g, "L": h}
         return
 
     out = None
-    for i0, dB in blocks:
+    for i0, dB, bad in blocks:
         n = dB.shape[1]
         if out is None:
             P, B = dB.shape[:2]
@@ -526,7 +552,7 @@ def _reflected_blocks(model, x0, blocks, grid):
             # node 0 of this block is the last node of the one before
             for v in out.values():
                 v[:, 0] = v[:, last]
-        for k in range(1, n + 1):
+        for k in range(1, n + 1 if bad is None else bad[0] + 1):
             dB_i = dB[:, k - 1]
             regions = _regions(model, x, R)
             R_e = R[regions[0]]
@@ -545,6 +571,9 @@ def _reflected_blocks(model, x0, blocks, grid):
                     R_new[moved] = geo.raw_boundary_distance(model, x[moved])
                 R = R_new
             L_out[:, k] = L
+        if bad is not None:
+            k, j = bad
+            raise _nonfinite(i0 + k, first_path + j, R[j])
         last = n
         yield i0, {key: v[:, : n + 1] for key, v in out.items()}
 

@@ -246,6 +246,27 @@ _ESTIMATOR_PINS = {
 }
 
 
+# sha256 of repr(mean), repr(stderr), n and the digest of the curved
+# neumann_heat_mc, recorded while each 2000-path chunk held its whole driver
+# and its stored reflected run: two chunks of 100 steps each.
+_CURVED_PINS = {
+    "disk": ([0.6, 0.5], "3d66f1577cbe70dd1a3b8949d07d3c54c9256d50fda8942e800bd0ca10ddacf3"),
+    "cap": ([np.pi / 3 - 0.15, 0.7], "7bb57ea336c665ab56f475b97665b9e8841fb2c6587b4920bf1f508a30532ed1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURVED_PINS))
+def test_curved_neumann_estimates_do_not_depend_on_the_blocks(name, monkeypatch):
+    model = geo.flat_disk() if name == "disk" else geo.spherical_cap(np.pi / 3)
+    x, pin = _CURVED_PINS[name]
+    for paths, steps in ((est._CURVED_CHUNK, est._CURVED_BLOCK), (999, 30)):
+        monkeypatch.setattr(est, "_CURVED_CHUNK", paths)
+        monkeypatch.setattr(est, "_CURVED_BLOCK", steps)
+        e = est.neumann_heat_mc(model, GAUSS, 0.5, x, 2500, 5e-3, seed=31)
+        text = f"{e.mean!r} {e.stderr!r} {e.n_paths} {e.config_digest}"
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, (paths, steps)
+
+
 def _count_passes(monkeypatch):
     """Chunks drawn per pass of ``_flat_terminal_chunks``, one list entry per pass."""
     passes = []

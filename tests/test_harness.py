@@ -432,6 +432,28 @@ def test_sweep_bytes_do_not_depend_on_the_chunk_width(case, monkeypatch):
     assert all(engine_bytes[width] == engine_bytes[widths[0]] for width in widths)
 
 
+@pytest.mark.parametrize("case", sorted(_KIND_CASES))
+def test_sweep_errors_name_the_path_in_the_sweep(case, monkeypatch):
+    # a non-finite increment at step 3 of path 7, path 2 of the second 5-path
+    # chunk: whichever stepper meets it first names path 7 and node 3
+    fields, _ = _KIND_CASES[case]
+    cfg = ExperimentConfig(master_seed=5, **fields)
+    assert cfg.n_paths > 7
+    real = harness.driver_blocks
+
+    def blocks(grid, m, seed, first_path, n_paths, block):
+        for i0, dB in real(grid, m, seed, first_path, n_paths, block):
+            if first_path <= 7 < first_path + n_paths and i0 <= 3 < i0 + dB.shape[1]:
+                dB[7 - first_path, 3 - i0, 0] = np.nan
+            yield i0, dB
+
+    monkeypatch.setattr(harness, "driver_blocks", blocks)
+    monkeypatch.setattr(harness, "_CHUNK_PATHS", 5)
+    with pytest.raises(IntegrationError, match="non-finite increment") as exc:
+        harness.run_experiment(cfg)
+    assert (exc.value.path_index, exc.value.node_index) == (7, 3)
+
+
 def _per_path_bytes(calls, chunks):
     """Bytes of every output of the calls, each call of a chunk joined along
     the paths across the chunks (every chunk makes the same calls in turn)."""

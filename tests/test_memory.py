@@ -1,4 +1,4 @@
-"""Memory of the sweeps that reduce their runs as they go.
+"""Memory of the sweeps and estimators that reduce their runs as they go.
 
 tracemalloc sees numpy's array buffers, so a traced peak counts every array
 a sweep holds at once.  A bound is set from the arrays the sweep cannot do
@@ -8,7 +8,9 @@ shows.  norm-bound and eps-cauchy hold nothing that grows with N: their
 bounds are in floats per row-node of one node block, b = rows
 _REDUCE_BLOCK 8 bytes, and in running products, one d x d matrix per row
 and level, so that a whole driver, run, frame stack or flag array (P N
-floats or more) shows.
+floats or more) shows.  The estimators draw and step their paths in blocks:
+their bounds are in floats per path-step of one block, plus what they keep
+(the flat path record, or one value per path).
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ import tracemalloc
 
 import numpy as np
 
+from rbmlab import estimators as est
+from rbmlab import geometry as geo
 from rbmlab import harness
 from rbmlab.harness import ExperimentConfig
 
@@ -78,3 +82,32 @@ def test_local_time_holds_only_the_driver_and_the_variation_terms():
     # the node blocks of the reflected rows and the per-row statistics
     peak = _traced_peak(lambda: harness.run_experiment(cfg))
     assert peak <= 3 * u, peak / u
+
+
+def test_flat_path_record_holds_one_block_of_paths():
+    # criterion 8's grid on 2000 paths: the draws of one 256-path block (its
+    # driver, nodes, bridge uniforms, bridge minima and running minima, one
+    # float per path-step each) beside the record, whose ladders grow by a
+    # quarter at a time and may be copied as they grow
+    frame_count, T, steps, n, seed = 2, 1.0, 1000, 2000, 48
+    b = 256 * steps * 8
+    est._path_record.cache_clear()
+    try:
+        peak = _traced_peak(lambda: est._path_record(frame_count, T, steps, n, seed))
+        record = sum(a.nbytes for a in est._path_record(frame_count, T, steps, n, seed))
+    finally:
+        est._path_record.cache_clear()
+    assert peak <= 6 * b + 2 * record, ((peak - 2 * record) / b, record / b)
+
+
+def test_curved_neumann_holds_one_node_block_of_each_chunk():
+    # one 2000-path chunk on 500 steps: two driver blocks of 64 steps (4 floats
+    # per path-step on the disk, 5 on the cap, the next drawn while the last
+    # is held) and their finiteness flags, the run's block (4 per path-node),
+    # and slack, beside each path's generator and value
+    n, steps = 2000, 500
+    b = n * 64 * 8
+    per_path = 1024 + 8
+    for model, x in ((geo.flat_disk(), [0.6, 0.5]), (geo.spherical_cap(np.pi / 3), [np.pi / 3 - 0.15, 0.7])):
+        peak = _traced_peak(lambda: est.neumann_heat_mc(model, est.scalar_field("gauss"), 0.5, x, n, 0.5 / steps))
+        assert peak <= 24 * b + per_path * n, (model.name, (peak - per_path * n) / b)

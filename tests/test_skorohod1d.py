@@ -314,6 +314,10 @@ def test_nonfinite_increment_raises_naming_the_row():
     assert (err.node_index, err.a, err.path_index) == (1, 0.01, 1)
     assert err.boundary_distance == sk.penalized_paths_1d(0.01, 0.1, dW[1:2, :1], 1e-4)[0, 1]
     assert "node=1, a=0.01, path=1, R=" in str(err)
+    # rows of a sweep's later chunk are named by their paths' index in the sweep
+    with pytest.raises(IntegrationError) as exc:
+        sk.penalized_paths_1d_grid((0.1, 0.01), 0.1, dW, 1e-4, 6)
+    assert (exc.value.node_index, exc.value.a, exc.value.path_index) == (1, 0.1, 7)
 
 
 @pytest.mark.parametrize("driver_seed", [0, 2**64 + 5])

@@ -711,6 +711,41 @@ def test_node_blocks_no_longer_than_the_first():
         list(stepping._penalized_blocks(model, (0.1,), (0.2, 0.1), blocks, grid))
 
 
+@pytest.mark.parametrize(
+    "model,x0",
+    [(geo.half_line(), (0.5,)), (geo.half_space(3), (0.3, -0.2, 0.5)), (geo.flat_disk(), (0.2, 0.1)),
+     (_CAP, (0.45, 0.0))],
+    ids=["half-line", "half-space-d3", "disk", "cap"],
+)
+def test_nonfinite_driver_raises_at_its_node_naming_the_sweep_path(model, x0):
+    # a NaN in each driver component in turn at step 70, in the second block,
+    # of path 2 of a stepper handed paths 5..8: both flows raise at node 70
+    # and name path 7, its a (penalized) and its state there, also off the
+    # collar, where no implicit step sees the increment
+    grid, a_grid = TimeGrid(0.05, 100), (0.1, 0.025)
+    dB = driver_block(grid, model.frame_count, seed=31, first_path=5, n_paths=4)
+    clean = (stepping.integrate_penalized_grid(model, a_grid, x0, dB, grid)["R"][0],
+             stepping.integrate_reflected_batch(model, x0, dB, grid)["R"])
+    if not model.is_flat_chart or model.id == geo.FLAT_DISK:
+        assert min(R[2, 70] for R in clean) > model.tubular_radius
+
+    def blocks(comp):
+        for i0, block in driver_blocks(grid, model.frame_count, 31, 5, 4, 64):
+            if i0 == 64:
+                block[2, 70 - i0, comp] = np.nan
+            yield i0, block
+
+    for comp in range(model.frame_count):
+        flows = (stepping._penalized_blocks(model, a_grid, x0, blocks(comp), grid, 5),
+                 stepping._reflected_blocks(model, x0, blocks(comp), grid, 5))
+        for flow, R, a in zip(flows, clean, (a_grid[0], None)):
+            with pytest.raises(IntegrationError, match="non-finite increment") as exc:
+                for _ in flow:
+                    pass
+            err = exc.value
+            assert (err.node_index, err.path_index, err.a, err.boundary_distance) == (70, 7, a, R[2, 70]), comp
+
+
 @pytest.mark.parametrize("model,x0", [(geo.half_line(), (0.05,)), (geo.half_space(3), (0.3, -0.2, 0.05))],
                          ids=["half-line", "half-space-d3"])
 def test_flat_reflected_paths_are_the_skorohod_map_of_their_driver(model, x0):

@@ -49,8 +49,9 @@ an older tree back to that change as well.
 
 Memory: the tracemalloc peak of one ``run_experiment`` call of each sweep of
 the ``sweeps`` benchmark (and of ``projection`` on its disk input), in MB of
-numpy buffers.  Acceptance runs: criterion 3 on the disk and criterion 4's
-finest variation rung (tests/test_acceptance.py), each once in a fresh
+numpy buffers.  Acceptance runs: criterion 3 on the disk, criterion 4's
+finest variation rung and criterion 8's seven estimator calls on one
+100,000-path draw (tests/test_acceptance.py), each once in a fresh
 interpreter, with its wall time and the peak RSS of that interpreter (Linux:
 read from /proc).
 
@@ -120,6 +121,8 @@ ACCEPTANCE = {
     "criterion_4_tv_finest": dict(kind="local-time", model="half-line", horizon=0.25, steps=160_000,
                                   a_grid=(0.025,), n_paths=50, master_seed=44, x0=(0.1,)),
 }
+# criterion 8's inputs: its seven estimator calls share one exact-law draw
+CRITERION_8 = dict(model="half-space:d=1", horizon=1.0, dt=1e-3, n_paths=100_000, master_seed=48, x0=0.5, h=0.05)
 # The sweeps benchmark's reference calls in the order one pass issues them
 # (perfbench/workloads.py).
 SWEEP_ORDER = ("local-time", "halfline-penalization", "sp-convergence", "norm-bound", "eps-cauchy")
@@ -140,6 +143,30 @@ cfg = ExperimentConfig(**{fields!r})
 base = peak_rss_mb()
 t0 = time.perf_counter()
 harness.run_experiment(cfg)
+wall = time.perf_counter() - t0
+print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak_rss_mb(), "import_rss_mb": base}}))
+"""
+_CRITERION_8_RUN = _PEAK_RSS + """
+import numpy as np
+from rbmlab import estimators as est
+from rbmlab import geometry as geo
+from rbmlab.geometry import TangentVector
+
+c = {fields!r}
+model, T, dt, n, seed = geo.parse_model(c["model"]), c["horizon"], c["dt"], c["n_paths"], c["master_seed"]
+x, h = np.array([c["x0"]]), c["h"]
+v = TangentVector(base=x, components=np.array([1.0]))
+f, phi = est.scalar_field("gauss"), est.one_form("gauss-grad")
+base = peak_rss_mb()
+t0 = time.perf_counter()
+est.neumann_heat_mc(model, f, T, x, n, dt, seed=seed)
+est.one_form_mc(model, phi, T, v, n, dt, seed=seed)
+est.bismut_gradient_mc(model, f, T, v, n, dt, seed=seed)
+est.neumann_heat_mc(model, f, T, x + h, n, dt, seed=seed)
+est.neumann_heat_mc(model, f, T, x - h, n, dt, seed=seed)
+est.martingale_check(model, est.NeumannHeatSolution(model, f, T), T, v, n, dt, seed=seed)
+est.weak_derivative_check(model, f, lambda u: np.array([0.2 + u]), lambda u: np.array([1.0]), 0.0, 0.5, T, n, dt,
+                          seed=seed)
 wall = time.perf_counter() - t0
 print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak_rss_mb(), "import_rss_mb": base}}))
 """
@@ -316,12 +343,13 @@ def measure() -> dict:
         exact_law = {"exact_law.record": _time(one_start)}
     traced = {name: _traced_peak_mb(lambda f=fields: harness.run_experiment(harness.ExperimentConfig(**f)))
               for name, fields in SWEEPS.items()}
-    runs = {name: _acceptance(fields) for name, fields in ACCEPTANCE.items()}
+    runs = {name: {**_acceptance(fields), "config": fields} for name, fields in ACCEPTANCE.items()}
+    runs["criterion_8_estimators"] = {**_fresh(_CRITERION_8_RUN.format(fields=CRITERION_8)), "config": CRITERION_8}
     return {
         "newton_rounds": rounds,
         "traced_peak_mb": traced,
         "sweep_peak_rss_mb": _sweep_peaks(),
-        "acceptance": {name: {**run, "config": ACCEPTANCE[name]} for name, run in runs.items()},
+        "acceptance": runs,
         "input": {
             "model": "cap:theta0=pi/2", "horizon": HORIZON, "steps": STEPS, "paths": PATHS,
             "master_seed": SEED, "eps_grid": list(EPS_GRID), "min_theta": float(points[..., 0].min()),
