@@ -26,6 +26,12 @@ Estimators are deterministic functions of (configuration, master seed): each
 path draws from its own counter-based substream, and accumulation order is
 fixed, so re-running a configuration reproduces means bit-exactly.  On the
 flat models the chunk width moves no bit either.
+
+scipy is imported only inside the image-kernel quadrature that
+image_kernel_oracle, image_kernel_gradient and NeumannHeatSolution.gradient
+call: scipy.integrate loads scipy.optimize, sparse, linalg, spatial and fft,
+which none of the simulations needs, so importing this module loads numpy
+alone.
 """
 from __future__ import annotations
 
@@ -35,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import geometry as geo
 from . import stepping
@@ -571,6 +576,8 @@ def image_kernel_gradient(kind: str, T: float, x: float, f) -> float:
 
 
 def _image_quad(kind, T, x, f, derivative):
+    from scipy.integrate import quad
+
     if kind not in ("neumann", "dirichlet"):
         raise ValueError("kind must be 'neumann' or 'dirichlet'")
     if T <= 0:

@@ -124,35 +124,19 @@ def excursions(path: ReflectedPath, eps: float, eta: float | None = None) -> Exc
     times = path.grid.times
     R = path.boundary_dist
     contact = R < eta
-    intervals: list[tuple[int, int]] = []
-    right_ends: list[int] = []
-    n = R.size
-    i = 0
-    # position l at the start of the first off-boundary stretch
-    if contact[0]:
-        while i < n and contact[i]:
-            i += 1
-        l = i - 1
-    else:
-        l = 0
-    while i < n:
-        # advance through the open stretch
-        while i < n and not contact[i]:
-            i += 1
-        if i >= n:
-            if n - 1 > l and times[n - 1] - times[l] >= eps:
-                intervals.append((l, n - 1))  # cut by the horizon: no right end
-            break
-        r = i
-        if times[r] - times[l] >= eps:
-            intervals.append((l, r))
-            right_ends.append(r)
-        while i < n and contact[i]:
-            i += 1
-        l = i - 1
-    return ExcursionSet(
-        epsilon=eps, eta=eta, intervals=intervals, right_ends=np.asarray(right_ends, dtype=int)
-    )
+    last = np.array(-1)
+    closes, duration = close_events(R, times, eta, last)
+    right = np.flatnonzero(closes & (duration >= eps))
+    # each close's l: the contact node just before it in the list of contacts
+    hits = np.flatnonzero(contact)
+    before = np.searchsorted(hits, right) - 1
+    left = np.where(before >= 0, hits[before], 0)
+    intervals = list(zip(left.tolist(), right.tolist()))
+    # a stretch still open at the horizon runs from the last contact, which
+    # the scan carries out in ``last``, to the last node: no right end
+    if not contact[-1] and duration[-1] >= eps:
+        intervals.append((max(int(last), 0), R.size - 1))
+    return ExcursionSet(epsilon=eps, eta=eta, intervals=intervals, right_ends=right)
 
 
 def last_contact(path: ReflectedPath, t: float, eta: float | None = None) -> float | None:

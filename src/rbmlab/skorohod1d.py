@@ -7,6 +7,9 @@ built from the first-passage survival function; its realized paths (one
 drift-implicit Euler step per node, which keeps every node positive) and
 derivative flows approximate the reflected path and its exact derivative
 indicator as the softening parameter shrinks.
+
+The survival function phi imports erf from scipy.special on its first call,
+so importing this module loads numpy alone.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .grids import guard_stream  # noqa: F401  (bound for perfbench/spans.py, which wraps it by name)
 from .stepping import _grid_rows, implicit_step
@@ -163,6 +165,8 @@ def tanaka_reflection(x: float, f: RealPath) -> RealPath:
 
 def _phi(y):
     """phi(y) = integral_0^y exp(-s^2/2) ds, via the error function."""
+    from scipy.special import erf
+
     return SQRT_HALF_PI * erf(np.asarray(y) / math.sqrt(2.0))
 
 

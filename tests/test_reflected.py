@@ -139,6 +139,61 @@ def test_excursions_filters_short_ones():
     assert exc2.intervals[0] == (9, 20)
 
 
+def _excursions_loop(R, times, eps, eta):
+    """The node-by-node excursion scan that ``excursions`` replaced: the
+    reference its intervals and right ends must equal."""
+    contact = R < eta
+    intervals, right_ends = [], []
+    n = R.size
+    i = 0
+    if contact[0]:
+        while i < n and contact[i]:
+            i += 1
+        l = i - 1
+    else:
+        l = 0
+    while i < n:
+        while i < n and not contact[i]:
+            i += 1
+        if i >= n:
+            if n - 1 > l and times[n - 1] - times[l] >= eps:
+                intervals.append((l, n - 1))
+            break
+        r = i
+        if times[r] - times[l] >= eps:
+            intervals.append((l, r))
+            right_ends.append(r)
+        while i < n and contact[i]:
+            i += 1
+        l = i - 1
+    return intervals, np.asarray(right_ends, dtype=int)
+
+
+def test_excursions_equal_the_node_by_node_scan():
+    rng = np.random.default_rng(16)
+    times = np.linspace(0, 1, 301)
+    cases = [np.abs(np.cumsum(rng.normal(0, 0.05, 301))) for _ in range(12)]
+    for R in cases[:4]:
+        R[0] = 0.0  # in contact at node 0
+    for R in cases[4:8]:
+        R[-1] = 1.0  # the run ends off the boundary
+    cases += [np.zeros(301), np.full(301, 0.5)]  # all contact, no contact
+    cases += [np.where(rng.random(301) < p, 0.0, 0.5) for p in (0.05, 0.5, 0.95)]
+    checked = 0
+    for R in cases:
+        for eta in (0.02, 0.05, 0.2):
+            path = _synthetic_path(times, R, eta=eta)
+            for eps in (0.0, 1e-3, 0.01, 0.07, 0.5, 2.0):
+                exc = excursions(path, eps)
+                intervals, right_ends = _excursions_loop(R, path.grid.times, eps, eta)
+                assert exc.intervals == intervals, (checked, eta, eps)
+                assert all(type(i) is int for lr in exc.intervals for i in lr)
+                assert exc.right_ends.dtype == right_ends.dtype
+                assert np.array_equal(exc.right_ends, right_ends), (checked, eta, eps)
+                checked += bool(intervals)
+    assert checked > 100
+
+
 def test_excursion_flags_match_scan():
     rng = np.random.default_rng(14)
     times = np.linspace(0, 1, 501)

@@ -59,6 +59,12 @@ Sweep peaks: the VmHWM of one fresh interpreter after each reference call
 of the ``sweeps`` benchmark, in the benchmark's order, so that the call that
 sets its ``peak_rss_mb`` shows.
 
+Import: the wall time of ``import rbmlab`` in each of nine fresh
+interpreters (median and quartiles), the VmHWM after the import (the sweep
+peaks' first entry), and the scipy subpackages (``scipy.X`` names, private
+ones included) loaded after the import and after each sweeps call of the
+same interpreter.
+
 Run from the root of a checkout, naming each tree to measure with
 ``--tree LABEL=PATH`` and giving a record count:
 
@@ -171,11 +177,23 @@ wall = time.perf_counter() - t0
 print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak_rss_mb(), "import_rss_mb": base}}))
 """
 _SWEEP_PEAKS_RUN = _PEAK_RSS + """
-peaks = [["import", peak_rss_mb()]]
+import sys
+
+def scipy_subpackages():
+    return sorted({{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}})
+
+peaks, scipy_loaded = [["import", peak_rss_mb()]], {{"import": scipy_subpackages()}}
 for name, fields in {calls!r}:
     harness.run_experiment(ExperimentConfig(**fields))
     peaks.append([name, peak_rss_mb()])
-print(json.dumps(peaks))
+    scipy_loaded[name] = scipy_subpackages()
+print(json.dumps({{"peaks": peaks, "scipy_subpackages": scipy_loaded}}))
+"""
+_IMPORT_RUN = """
+import json, time
+t0 = time.perf_counter()
+import rbmlab
+print(json.dumps(time.perf_counter() - t0))
 """
 
 
@@ -247,9 +265,9 @@ def _acceptance(fields) -> dict:
     return _fresh(_ACCEPTANCE_RUN.format(fields=fields))
 
 
-def _sweep_peaks() -> list:
-    """VmHWM in MB after import and after each sweeps call, in one fresh
-    interpreter."""
+def _sweep_peaks() -> dict:
+    """VmHWM in MB after import and after each sweeps call, and the scipy
+    subpackages loaded by then, in one fresh interpreter."""
     return _fresh(_SWEEP_PEAKS_RUN.format(calls=[(name, SWEEPS[name]) for name in SWEEP_ORDER]))
 
 
@@ -345,10 +363,16 @@ def measure() -> dict:
               for name, fields in SWEEPS.items()}
     runs = {name: {**_acceptance(fields), "config": fields} for name, fields in ACCEPTANCE.items()}
     runs["criterion_8_estimators"] = {**_fresh(_CRITERION_8_RUN.format(fields=CRITERION_8)), "config": CRITERION_8}
+    sweeps = _sweep_peaks()
     return {
         "newton_rounds": rounds,
         "traced_peak_mb": traced,
-        "sweep_peak_rss_mb": _sweep_peaks(),
+        "sweep_peak_rss_mb": sweeps["peaks"],
+        "import": {
+            "wall_s": _quartiles([_fresh(_IMPORT_RUN) for _ in range(REPEATS)]),
+            "peak_rss_mb": sweeps["peaks"][0][1],
+            "scipy_subpackages": sweeps["scipy_subpackages"],
+        },
         "acceptance": runs,
         "input": {
             "model": "cap:theta0=pi/2", "horizon": HORIZON, "steps": STEPS, "paths": PATHS,
@@ -450,7 +474,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    keys = ("ns_per_path_step", "newton_rounds", "traced_peak_mb", "sweep_peak_rss_mb", "acceptance")
+    keys = ("ns_per_path_step", "newton_rounds", "traced_peak_mb", "sweep_peak_rss_mb", "import", "acceptance")
     print(json.dumps({label: {key: records[label][key] for key in keys} for label in labels}, indent=2))
     return 0
 
