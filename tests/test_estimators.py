@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from rbmlab import estimators as est
 from rbmlab import geometry as geo
@@ -185,6 +187,76 @@ def test_image_kernel_gradient_consistent_with_values():
     assert grad == pytest.approx((up - dn) / (2 * h), abs=1e-6)
 
 
+def _closed_form(profile, kind, T, x, derivative):
+    """The image-kernel solution of each profile in closed form: the Neumann
+    solutions of gauss, cos-neumann and const, and the Dirichlet one of const."""
+    if profile == "gauss":
+        u = math.exp(-x * x / (1 + 2 * T)) / math.sqrt(1 + 2 * T)
+        return -2 * x / (1 + 2 * T) * u if derivative else u
+    if profile == "cos-neumann":
+        return -math.exp(-T / 2) * math.sin(x) if derivative else math.exp(-T / 2) * math.cos(x)
+    if kind == "neumann":
+        return 0.0 if derivative else 1.0
+    if derivative:
+        return math.sqrt(2 / (math.pi * T)) * math.exp(-x * x / (2 * T))
+    return math.erf(x / math.sqrt(2 * T))
+
+
+def _quad_reference(kind, T, x, f, derivative):
+    """The image-kernel integral by scipy.integrate.quad, with breakpoints at
+    x - 13 sqrt(T) and x: the oracle's implementation before the
+    Gauss-Legendre rule."""
+    sgn = 1.0 if kind == "neumann" else -1.0
+    s = math.sqrt(T)
+    norm = 1.0 / math.sqrt(2 * math.pi * T)
+
+    def kernel(y):
+        a, b = (y - x) / s, (y + x) / s
+        ga, gb = math.exp(-0.5 * a * a), math.exp(-0.5 * b * b)
+        fy = float(f.value(np.array([y])))
+        return norm * fy * ((ga * a / s - sgn * gb * b / s) if derivative else (ga + sgn * gb))
+
+    hi = x + 13.0 * s
+    pts = [p for p in (max(0.0, x - 13.0 * s), x) if 0.0 < p < hi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(kernel, 0.0, hi, points=pts or None, limit=200, epsabs=1e-14, epsrel=1e-10)[0]
+
+
+# 4 solutions x 5 horizons x 4 starts x (value, gradient): 160 cases
+_ORACLE_CASES = [("gauss", "neumann"), ("cos-neumann", "neumann"), ("const", "neumann"), ("const", "dirichlet")]
+_ORACLE_GRID = [(T, x, der) for T in (1e-6, 0.01, 0.5, 1.0, 4.0) for x in (0.0, 0.05, 0.5, 2.0) for der in (False, True)]
+
+
+def _oracle(kind, T, x, f, derivative):
+    return (est.image_kernel_gradient if derivative else est.image_kernel_oracle)(kind, T, x, f)
+
+
+@pytest.mark.parametrize("profile,kind", _ORACLE_CASES)
+def test_image_kernel_oracle_matches_the_closed_forms(profile, kind):
+    f = est.scalar_field(profile)
+    for T, x, der in _ORACLE_GRID:
+        want = _closed_form(profile, kind, T, x, der)
+        assert abs(_oracle(kind, T, x, f, der) - want) <= 1e-9 * max(1.0, abs(want)), (T, x, der)
+
+
+@pytest.mark.parametrize("profile,kind", _ORACLE_CASES)
+def test_image_kernel_oracle_matches_scipy_quad(profile, kind):
+    f = est.scalar_field(profile)
+    for T, x, der in _ORACLE_GRID:
+        want = _quad_reference(kind, T, x, f, der)
+        assert abs(_oracle(kind, T, x, f, der) - want) <= 1e-9 * max(1.0, abs(want)), (T, x, der)
+
+
+@pytest.mark.parametrize("profile", [lambda y: np.where(y[..., 0] < 0.61, 1.0, 0.0),
+                                     lambda y: np.full(y.shape[:-1], np.nan)], ids=["jump", "nan"])
+def test_image_kernel_oracle_raises_on_a_rough_profile(profile):
+    with pytest.raises(QuadratureError):
+        est.image_kernel_oracle("neumann", 1.0, 0.5, profile)
+    with pytest.raises(QuadratureError):
+        est.image_kernel_gradient("neumann", 1.0, 0.5, profile)
+
+
 def test_registry_contents_and_compat():
     assert GAUSS.neumann_compatible(HL)
     assert est.scalar_field("cos-neumann").neumann_compatible(geo.half_space(3))
@@ -231,17 +303,21 @@ def _estimate_sha(e):
 
 # sha256 of repr(mean), repr(stderr) and the digest of each flat estimator,
 # recorded while every estimator still ran its own loop over the 5000-path
-# chunks.
+# chunks.  The martingale pins were recorded again when the image-kernel
+# oracle moved from scipy.integrate.quad to the composite Gauss-Legendre
+# rule: the caloric gradient dF(0, x)(v) that they subtract moved in its last
+# bit, closer to the closed form (gauss -0.17133784816239842 ->
+# -0.17133784816239847, cos-neumann -0.19267839720238839 -> -0.1926783972023884).
 _ESTIMATOR_PINS = {
     "neumann:d=1": "6d1b4776a7c752d52a939cf88c8af730293dba81a10407a6b4d1a5136634712a",
     "one-form:d=1": "0036f442227ca07567b0e8f2ad30feb4e913fc9a520794bb4d3721230ac2b647",
     "bismut:d=1": "28601b515a35949825ce1faf80beeb06e1b7ebf3fc70601ac705c094249ea1ca",
-    "martingale:d=1": "34ebb86c3910679c591304a0b1bc9965a831ecefaaea062680637ddbb80479bf",
+    "martingale:d=1": "6645ee8a85b44a8d7140779e6dde1726fd616a6c54769051c0aa15b513bf8744",
     "weak-derivative:d=1": "65d8c690e8df31b4e501af51d07fb3d39091302f6f58685947dfbcf1d4549cfd",
     "neumann:d=2": "0ab36958ffc474eb5a39422be4b7940f7887f54f280a76706a8e98871a1d92ec",
     "one-form:d=2": "5e8b927f7dd77f48daa6f0bb5efed57bb56511291c39d88c6d93b622626add42",
     "bismut:d=2": "0e73664a3453950321cdf3699d43784ca168a23bc763004c3e2ec276b70080d6",
-    "martingale:d=2": "0a57381fd956b5f46236cc075e83847a631b60afc81d835a82180da1c59b334a",
+    "martingale:d=2": "c1542add548be4ebc0a21ad10b0f2d386e8856c2e848c786868c0ad4c733ad9a",
     "weak-derivative:d=2": "10541fcad13f700f6e5dac1e0f8fef4be076543885b6918be7a7498cf60f6917",
 }
 

@@ -1,11 +1,10 @@
 """The scipy modules each entry point loads.
 
-The simulations run on numpy alone; scipy serves the image-kernel quadrature
-oracle (scipy.integrate) and the 1-d survival-drift flow (scipy.special).
-Each imports scipy inside the function that uses it, so a bare import loads
-no scipy module and a run loads only what it calls.  Each check runs in a
-fresh interpreter on this checkout's ``src``, where no other test's imports
-count.
+The simulations and the image-kernel quadrature oracle run on numpy alone;
+scipy serves only the 1-d survival-drift flow (scipy.special), which imports
+it inside the function that uses it, so a bare import loads no scipy module
+and only a run of that flow loads one.  Each check runs in a fresh
+interpreter on this checkout's ``src``, where no other test's imports count.
 """
 from __future__ import annotations
 
@@ -38,6 +37,28 @@ _RUN = "from rbmlab.harness import ExperimentConfig, run_experiment\nrun_experim
 # image_kernel_oracle("neumann", 1.0, 0.5, gauss), as scipy.integrate.quad
 # returned it while the module imported quad at its top
 _ORACLE = 0.5311878904526515
+# Criterion 8's seven estimator calls on half-space:d=1 at 200 paths, the
+# martingale check on the caloric function of the image-kernel solution, and
+# then the gradient oracle on its own.
+_CRITERION_8 = """
+import numpy as np
+from rbmlab import estimators as est
+from rbmlab import geometry as geo
+from rbmlab.geometry import TangentVector
+
+model, T, n, dt, seed = geo.half_space(1), 0.5, 200, 1e-2, 21
+x, f, phi = np.array([0.25]), est.scalar_field("gauss"), est.one_form("gauss-grad")
+v = TangentVector(base=x, components=np.array([1.0]))
+est.neumann_heat_mc(model, f, T, x, n, dt, seed=seed)
+est.one_form_mc(model, phi, T, v, n, dt, seed=seed)
+est.bismut_gradient_mc(model, f, T, v, n, dt, seed=seed)
+est.neumann_heat_mc(model, f, T, x + 0.05, n, dt, seed=seed)
+est.neumann_heat_mc(model, f, T, x - 0.05, n, dt, seed=seed)
+est.martingale_check(model, est.NeumannHeatSolution(model, f, T), T, v, n, dt, seed=seed)
+est.weak_derivative_check(model, f, lambda u: np.array([0.2 + u]), lambda u: np.array([1.0]), 0.0, 0.5, T, n, dt,
+                          seed=seed)
+print(repr(est.image_kernel_gradient("neumann", T, 0.25, f)))
+"""
 
 
 def _fresh(code: str):
@@ -67,9 +88,15 @@ def test_halfline_penalization_loads_special_not_integrate():
     assert "scipy.integrate" not in loaded
 
 
-def test_image_kernel_oracle_loads_integrate_and_keeps_its_value():
+def test_image_kernel_oracle_loads_no_scipy_and_keeps_its_value():
     code = ("from rbmlab import estimators as est\n"
             "print(repr(est.image_kernel_oracle('neumann', 1.0, 0.5, est.scalar_field('gauss'))))")
     printed, loaded = _fresh(code)
     assert float(printed[-1]) == _ORACLE
-    assert "scipy.integrate" in loaded
+    assert loaded == []
+
+
+def test_criterion_8_calls_load_no_scipy():
+    printed, loaded = _fresh(_CRITERION_8)
+    assert math.isfinite(float(printed[-1]))
+    assert loaded == []

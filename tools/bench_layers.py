@@ -53,7 +53,11 @@ numpy buffers.  Acceptance runs: criterion 3 on the disk, criterion 4's
 finest variation rung and criterion 8's seven estimator calls on one
 100,000-path draw (tests/test_acceptance.py), each once in a fresh
 interpreter, with its wall time and the peak RSS of that interpreter (Linux:
-read from /proc).
+read from /proc).  Criterion 8's run also lists the scipy subpackages loaded
+after its calls, and times the image-kernel oracle it checks against
+(``image_kernel_oracle("neumann", 1.0, 0.5, gauss)``) in a fresh interpreter
+of its own: the first call of the process (cold) and the median and quartiles
+of the next 50 (warm).
 
 Sweep peaks: the VmHWM of one fresh interpreter after each reference call
 of the ``sweeps`` benchmark, in the benchmark's order, so that the call that
@@ -153,6 +157,7 @@ wall = time.perf_counter() - t0
 print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak_rss_mb(), "import_rss_mb": base}}))
 """
 _CRITERION_8_RUN = _PEAK_RSS + """
+import sys
 import numpy as np
 from rbmlab import estimators as est
 from rbmlab import geometry as geo
@@ -174,7 +179,25 @@ est.martingale_check(model, est.NeumannHeatSolution(model, f, T), T, v, n, dt, s
 est.weak_derivative_check(model, f, lambda u: np.array([0.2 + u]), lambda u: np.array([1.0]), 0.0, 0.5, T, n, dt,
                           seed=seed)
 wall = time.perf_counter() - t0
-print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak_rss_mb(), "import_rss_mb": base}}))
+scipy_loaded = sorted({{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}})
+print(json.dumps({{"wall_s": wall, "peak_rss_mb": peak_rss_mb(), "import_rss_mb": base,
+                  "scipy_subpackages": scipy_loaded}}))
+"""
+_ORACLE_RUN = """
+import json, statistics, time
+from rbmlab import estimators as est
+
+f = est.scalar_field("gauss")
+t0 = time.perf_counter()
+est.image_kernel_oracle("neumann", 1.0, 0.5, f)
+cold = time.perf_counter() - t0
+warm = []
+for _ in range(50):
+    t0 = time.perf_counter()
+    est.image_kernel_oracle("neumann", 1.0, 0.5, f)
+    warm.append(time.perf_counter() - t0)
+q25, q50, q75 = statistics.quantiles(warm, n=4)
+print(json.dumps({"cold_s": cold, "warm_s": {"median": q50, "q25": q25, "q75": q75, "samples": len(warm)}}))
 """
 _SWEEP_PEAKS_RUN = _PEAK_RSS + """
 import sys
@@ -362,7 +385,8 @@ def measure() -> dict:
     traced = {name: _traced_peak_mb(lambda f=fields: harness.run_experiment(harness.ExperimentConfig(**f)))
               for name, fields in SWEEPS.items()}
     runs = {name: {**_acceptance(fields), "config": fields} for name, fields in ACCEPTANCE.items()}
-    runs["criterion_8_estimators"] = {**_fresh(_CRITERION_8_RUN.format(fields=CRITERION_8)), "config": CRITERION_8}
+    runs["criterion_8_estimators"] = {**_fresh(_CRITERION_8_RUN.format(fields=CRITERION_8)), "config": CRITERION_8,
+                                      "oracle": _fresh(_ORACLE_RUN)}
     sweeps = _sweep_peaks()
     return {
         "newton_rounds": rounds,
