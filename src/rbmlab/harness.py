@@ -63,6 +63,10 @@ class ExperimentConfig:
         model = parse_model(self.model)
         if self.kind == "halfline-penalization" and model.id != geo.HALF_LINE:
             raise ValueError("halfline-penalization runs on the half-line model only")
+        if self.kind == "norm-bound" and model.is_flat_chart:
+            raise ValueError("norm-bound experiment targets the curved model")
+        if self.x0 is not None and np.size(self.x0) != model.dim:
+            raise ValueError(f"x0 must have {model.dim} coordinates on {model.name}, got {np.size(self.x0)}")
         if self.kind in ("halfline-penalization", "sp-convergence", "local-time",
                          "norm-bound", "f-normal", "transport", "projection"):
             if not self.a_grid:
@@ -147,22 +151,17 @@ def _chunks(n: int, size: int):
 # integrator steps each row on its own, so the width moves no byte of a sweep.
 _CHUNK_PATHS = 250
 
-# Row-nodes one penalized integrator call may hold: the largest one-a call of
-# the acceptance sweeps that keep whole paths (a 250-path chunk on 10,000
-# steps).  The a-grid is stepped in groups of as many values of a as fit.
+# Row-nodes one slice of the a-grid may keep for the whole run (_row_nodes):
+# the a-grid is stepped in slices of as many values of a as fit, one value a
+# slice for a 250-path chunk of the acceptance sweeps' 10,000 steps.
 _MAX_ROW_NODES = _CHUNK_PATHS * 10_001
-
-# The kinds that reduce the coupled runs as they are stepped (_streams): a row
-# holds its state only, and, for local-time, its N variation terms.
-# norm-bound reads the penalized rows only, eps-cauchy the reflected ones.
-_STREAMED = ("sp-convergence", "local-time", "projection", "norm-bound", "eps-cauchy")
 
 
 def _row_nodes(cfg: ExperimentConfig) -> int:
-    """Nodes of each row that one integrator call of the sweep holds."""
-    if cfg.kind == "local-time":
-        return cfg.steps
-    return 1 if cfg.kind in _STREAMED else cfg.steps + 1
+    """Nodes of each row that the sweep keeps for the whole run: a buffer of N
+    terms (halfline-penalization's derivative gaps, local-time's variation,
+    f-normal's L2 gaps), or the row's state alone."""
+    return cfg.steps if cfg.kind in ("halfline-penalization", "local-time", "f-normal") else 1
 
 
 def _a_groups(cfg: ExperimentConfig, paths: int):
@@ -237,6 +236,24 @@ def _drivers(cfg: ExperimentConfig, model: ManifoldModel, chunk: slice):
                          _REDUCE_BLOCK)
 
 
+def _relay(blocks):
+    """Two iterators over ``blocks`` for two steppers that take each block in
+    turn, the first first: only the block in hand is kept, where
+    itertools.tee keeps up to 57."""
+    hand = []
+
+    def lead():
+        for item in blocks:
+            hand.append(item)
+            yield item
+
+    def follow():
+        while hand:
+            yield hand.pop()
+
+    return lead(), follow()
+
+
 def _stored(blocks, steps: int) -> dict:
     """A stored run joined from the node blocks (i0, run) of a block stepper;
     the node axis is the one after the paths (R's last)."""
@@ -251,35 +268,6 @@ def _stored(blocks, steps: int) -> dict:
     return run
 
 
-def _chunk_runs(cfg: ExperimentConfig, model: ManifoldModel, penalized=None):
-    """Coupled stored runs on the shared driver, one chunk of paths at a time.
-
-    Yields (chunk, ref, pens) per chunk: the chunk's slice of the paths, the
-    reflected run on its driver, and an iterator of (a, penalized run) in
-    grid order.  The iterator makes one call ``penalized(group, x0, dB,
-    first)`` per _a_groups slice as it is consumed, with the driver blocks of
-    _drivers and the index of the chunk's first path; a call returns the
-    group's runs in order, and the default is the model's penalized
-    integrator.
-    """
-    grid = cfg.grid
-    x0 = _start_point(cfg, model)
-    if penalized is None:
-
-        def penalized(group, x0, dB, first):
-            runs = _stored(stepping._penalized_blocks(model, group, x0, dB, grid, first), grid.steps)
-            return [{key: v[j] for key, v in runs.items()} for j in range(len(group))]
-
-    def pens(chunk):
-        for group in _a_groups(cfg, chunk.stop - chunk.start):
-            yield from zip(group, penalized(group, x0, _drivers(cfg, model, chunk), chunk.start))
-
-    for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
-        chunk = slice(first, first + c)
-        ref = _stored(stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid, first), grid.steps)
-        yield chunk, ref, pens(chunk)
-
-
 def _held_blocks(run: dict, steps: int):
     """A stored run in the node blocks of _drivers."""
     for i0 in range(0, steps, _REDUCE_BLOCK):
@@ -287,7 +275,7 @@ def _held_blocks(run: dict, steps: int):
         yield i0, {key: v[:, i0 : i1 + 1] for key, v in run.items()}
 
 
-def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer):
+def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer, penalized=None):
     """Coupled node loops on the shared driver, one chunk of paths at a time.
 
     The driver is drawn, and the runs are stepped on it, in blocks of
@@ -300,19 +288,29 @@ def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer):
     (G, P, n, d), R, L and C (G, P, n), n = i1 - i0 + 1) and of the reflected
     ones (points (P, n, d), R and L (P, n)), equal bit for bit to those nodes
     of the stored runs; the next call starts at node i1, and the arrays may
-    be reused once it returns.  Only the runs a kind reads are stepped:
-    norm-bound gets None for ``ref``, and eps-cauchy, which has no a-grid,
-    one reducer per chunk (``rows`` None) and None for ``pen``.  The
-    reflected rows step beside the penalized ones when the a-grid is one
-    slice, and once per chunk, held whole, when it splits; each slice then
-    draws the driver blocks again.
+    be reused once it returns, so a reducer carries what its statistic needs
+    from block to block (running maxima, transport angles, the engine's
+    carry, or an N-term buffer per row, _row_nodes).  The penalized rows are
+    stepped by ``penalized(group, x0, blocks, first)``, a block stepper such
+    as stepping._penalized_blocks, the default; halfline-penalization passes
+    the 1-d flow, whose ``pen`` is its node values (G, P, n).  Only the runs
+    a kind reads are stepped: norm-bound gets None for ``ref``, and
+    eps-cauchy, which has no a-grid, one reducer per chunk (``rows`` None)
+    and None for ``pen``.  The reflected rows step beside the penalized ones
+    when the a-grid is one slice, and once per chunk, held whole, when it
+    splits; each slice then draws the driver blocks again.
     """
     x0 = _start_point(cfg, model)
+    if penalized is None:
+
+        def penalized(group, x0, blocks, first):
+            return stepping._penalized_blocks(model, group, x0, blocks, cfg.grid, first)
+
     for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
-        _stream_chunk(cfg, model, x0, slice(first, first + c), reducer)
+        _stream_chunk(cfg, model, x0, slice(first, first + c), reducer, penalized)
 
 
-def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice, reducer):
+def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice, reducer, penalized):
     """One chunk of _streams."""
     grid = cfg.grid
     if cfg.kind == "eps-cauchy":
@@ -333,12 +331,11 @@ def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice,
         if held is not None:
             refs = _held_blocks(held, grid.steps)
         elif reflected:
-            # each driver block goes to both steppers, penalized first
-            dB, dB_ref = itertools.tee(dB)
+            dB, dB_ref = _relay(dB)
             refs = stepping._reflected_blocks(model, x0, dB_ref, grid, chunk.start)
         else:
             refs = itertools.repeat((None, None))
-        for (i0, pen), (_, ref) in zip(stepping._penalized_blocks(model, group, x0, dB, grid, chunk.start), refs):
+        for (i0, pen), (_, ref) in zip(penalized(group, x0, dB, chunk.start), refs):
             reduce(i0, pen, ref)
         k += len(group)
 
@@ -356,32 +353,51 @@ def _damped_along(model: ManifoldModel, run: dict, dt: float, angle=None):
 
 
 def _run_halfline_penalization(cfg: ExperimentConfig):
-    """Softened 1-d flow vs the exact reflection: path gap and derivative gap."""
+    """Softened 1-d flow vs the exact reflection, reduced block by block: the
+    path gap as a running max, and the derivative gap from one (rows, N)
+    buffer of its terms.  Each path carries the running minimum of R - L, and
+    each row the exponent of its derivative flow, from one block to the
+    next."""
     dt = cfg.grid.dt
-    sup_gap = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    dflow_gap = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
+    sup_gap = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
+    dflow_gap = np.empty(sup_gap.shape)
 
-    def flow(group, x0, dB, first):
-        # the 1-d flow steps a whole driver, joined from its blocks
-        dW = np.concatenate([block[:, :, 0] for _, block in dB], axis=1)
-        return sk1d.penalized_paths_1d_grid(group, x0[0], dW, dt, first)
+    def flow(group, x0, blocks, first):
+        return sk1d._flow_blocks(group, x0[0], ((i0, dB[:, :, 0]) for i0, dB in blocks), dt, first)
 
-    for chunk, ref, pens in _chunk_runs(cfg, geo.half_line(), penalized=flow):
-        # R - L is x0 plus the driver up to the first hit: node-level t < tau
-        alive = np.minimum.accumulate(ref["R"] - ref["L"], axis=1) > 0.0
-        for a, X in pens:
-            sup_gap[a][chunk] = np.abs(X - ref["R"]).max(axis=1)
-            expo = np.zeros_like(X)
-            np.cumsum(sk1d.penalized_drift_second_log(a, X[:, :-1]) * dt, axis=1, out=expo[:, 1:])
-            dflow_gap[a][chunk] = np.abs(np.exp(expo[:, :-1]) - alive[:, :-1]).sum(axis=1) * dt
+    def reducer(chunk, rows):
+        P = chunk.stop - chunk.start
+        low = np.full(P, np.inf)
+        expo = np.zeros((rows.stop - rows.start, P))
+        terms = np.empty((rows.stop - rows.start, P, cfg.steps))
+
+        def reduce(i0, X, ref):
+            i1 = i0 + X.shape[-1] - 1
+            gap = sup_gap[rows, chunk]
+            np.maximum(gap, np.abs(X - ref["R"]).max(axis=-1), out=gap)
+            # R - L is x0 plus the driver up to the first hit: node-level t < tau
+            low_run = ref["R"] - ref["L"]
+            np.minimum(low_run[:, 0], low, out=low_run[:, 0])
+            np.minimum.accumulate(low_run, axis=1, out=low_run)
+            low[:] = low_run[:, -1]
+            alive = low_run[:, :-1] > 0.0
+            for j, a in enumerate(cfg.a_grid[rows]):
+                e = np.empty((P, i1 - i0 + 1))
+                e[:, 0] = expo[j]
+                e[:, 1:] = sk1d.penalized_drift_second_log(a, X[j, :, :-1]) * dt
+                np.cumsum(e, axis=1, out=e)
+                expo[j] = e[:, -1]
+                terms[j, :, i0:i1] = np.abs(np.exp(e[:, :-1]) - alive)
+            if i1 == cfg.steps:
+                dflow_gap[rows, chunk] = terms.sum(axis=-1) * dt
+
+        return reduce
+
+    _streams(cfg, geo.half_line(), reducer, penalized=flow)
     rows = []
-    for a in cfg.a_grid:
-        q = _quantiles(sup_gap[a])
-        m, e = _mean_stderr(sup_gap[a])
-        rows.append(ResultRow(cfg.kind, {"a": a}, "sup_path_gap", m, e, *q))
-        m, e = _mean_stderr(dflow_gap[a])
-        q = _quantiles(dflow_gap[a])
-        rows.append(ResultRow(cfg.kind, {"a": a}, "derivative_flow_l1", m, e, *q))
+    for a, sup, dflow in zip(cfg.a_grid, sup_gap, dflow_gap):
+        rows.append(ResultRow(cfg.kind, {"a": a}, "sup_path_gap", *_mean_stderr(sup), *_quantiles(sup)))
+        rows.append(ResultRow(cfg.kind, {"a": a}, "derivative_flow_l1", *_mean_stderr(dflow), *_quantiles(dflow)))
     return rows
 
 
@@ -447,8 +463,6 @@ def _run_norm_bound(cfg: ExperimentConfig):
     reduced block by block: each row carries its transport angle and its
     engine state from one block to the next."""
     model = parse_model(cfg.model)
-    if model.is_flat_chart:
-        raise ValueError("norm-bound experiment targets the curved model")
     dt = cfg.grid.dt
     worst = np.empty((len(cfg.a_grid), cfg.n_paths))
 
@@ -516,40 +530,73 @@ def _run_eps_cauchy(cfg: ExperimentConfig):
 
 
 def _run_f_normal(cfg: ExperimentConfig):
-    """L^2(dt) gap between smooth and limit normal components, per a."""
+    """L^2(dt) gap between smooth and limit normal components, per a, reduced
+    block by block: the reference and each row carry their transport angle
+    and engine state, and the reference its last contact node, from one block
+    to the next; the terms go into one (rows, N) buffer."""
     model = parse_model(cfg.model)
     grid = cfg.grid
+    times = grid.times
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
-    vals = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    for chunk, ref, pens in _chunk_runs(cfg, model):
-        closes, dur = close_events(ref["R"], grid.times, eta)
-        lim = _damped_along(model, ref, grid.dt)(jump_flags=closes & (dur >= 0.5 * grid.dt), collect="normal")
-        f_lim = np.einsum("pni,pni->pn", lim["normal"], lim["carrier"])
-        for a, pen in pens:
-            sm = _damped_along(model, pen, grid.dt)(collect="normal")
-            f_a = np.einsum("pni,pni->pn", sm["normal"], sm["carrier"])
-            vals[a][chunk] = np.sum((f_a - f_lim)[:, :-1] ** 2, axis=1) * grid.dt
+    vals = np.empty((len(cfg.a_grid), cfg.n_paths))
+
+    def normal(run, angle, carry, **kw):
+        out = _damped_along(model, run, grid.dt, angle)(collect="normal", carry=carry, **kw)
+        return np.einsum("pni,pni->pn", out["normal"], out["carrier"])
+
+    def reducer(chunk, rows):
+        P = chunk.stop - chunk.start
+        last = np.full(P, -1)
+        # one angle and carry per row, the reference's last
+        angles = np.zeros((rows.stop - rows.start + 1, P))
+        carries = [{} for _ in angles]
+        terms = np.empty((rows.stop - rows.start, P, cfg.steps))
+
+        def reduce(i0, pen, ref):
+            i1 = i0 + ref["R"].shape[-1] - 1
+            closes, dur = close_events(ref["R"], times[: i1 + 1], eta, last)
+            f_lim = normal(ref, angles[-1], carries[-1], jump_flags=closes & (dur >= 0.5 * grid.dt))
+            for j, term in enumerate(terms):
+                f_a = normal({key: v[j] for key, v in pen.items()}, angles[j], carries[j])
+                term[:, i0:i1] = (f_a - f_lim)[:, :-1] ** 2
+            if i1 == cfg.steps:
+                vals[rows, chunk] = terms.sum(axis=-1) * grid.dt
+
+        return reduce
+
+    _streams(cfg, model, reducer)
     rows = []
-    for a in cfg.a_grid:
-        m, e = _mean_stderr(vals[a])
-        rows.append(ResultRow(cfg.kind, {"a": a}, "normal_component_l2", m, e, *_quantiles(vals[a])))
+    for a, v in zip(cfg.a_grid, vals):
+        rows.append(ResultRow(cfg.kind, {"a": a}, "normal_component_l2", *_mean_stderr(v), *_quantiles(v)))
     return rows
 
 
 def _run_transport(cfg: ExperimentConfig):
+    """Sup gap between the vectors transported along the coupled runs, as a
+    running max: the reference and each row carry their transport angle from
+    one block to the next."""
     model = parse_model(cfg.model)
     v = np.zeros(model.dim)
     v[-1] = 1.0
-    gaps = {a: np.empty(cfg.n_paths) for a in cfg.a_grid}
-    for chunk, ref, pens in _chunk_runs(cfg, model):
-        ref_v = transport_batch(model, ref["points"]) @ v
-        for a, pen in pens:
-            pen_v = transport_batch(model, pen["points"]) @ v
-            gaps[a][chunk] = np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=1)
+    gaps = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
+
+    def reducer(chunk, rows):
+        # one angle per row, the reference's last
+        angles = np.zeros((rows.stop - rows.start + 1, chunk.stop - chunk.start))
+
+        def reduce(i0, pen, ref):
+            ref_v = transport_batch(model, ref["points"], angles[-1]) @ v
+            for j, angle in enumerate(angles[:-1]):
+                pen_v = transport_batch(model, pen["points"][j], angle) @ v
+                gap = gaps[rows.start + j, chunk]
+                np.maximum(gap, np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=-1), out=gap)
+
+        return reduce
+
+    _streams(cfg, model, reducer)
     rows = []
-    for a in cfg.a_grid:
-        m, e = _mean_stderr(gaps[a])
-        rows.append(ResultRow(cfg.kind, {"a": a}, "sup_transport_gap", m, e, *_quantiles(gaps[a])))
+    for a, g in zip(cfg.a_grid, gaps):
+        rows.append(ResultRow(cfg.kind, {"a": a}, "sup_transport_gap", *_mean_stderr(g), *_quantiles(g)))
     return rows
 
 

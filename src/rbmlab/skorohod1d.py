@@ -219,6 +219,39 @@ def penalized_drift_second_log(a: float, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _flow_blocks(a_grid, x: float, blocks, dt: float, first_path: int = 0):
+    """The runs of :func:`penalized_paths_1d_grid`, stepped on driver blocks.
+
+    ``blocks`` yields driver blocks (i0, dW), dW (P, n) the increments of
+    steps i0..i0+n-1, in order, none longer than the first.  Yields (i0, X)
+    per block: X (G, P, n+1) holds nodes i0..i0+n of the stored run, bit for
+    bit, and is reused for the next block.  The paths are paths first_path..
+    of a sweep, and an ``IntegrationError`` names that index.
+    """
+    if x <= 0:
+        raise ValueError("start point must be strictly positive")
+    G = np.size(a_grid)
+    out = None
+    for i0, dW in blocks:
+        dW = np.atleast_2d(np.asarray(dW, dtype=float))
+        n_paths, n = dW.shape
+        if out is None:
+            a_rows, paths = _grid_rows(a_grid, n_paths, first_path)
+            consts = _survival_constants(a_rows)
+            out = np.empty((G * n_paths, n + 1))
+            state = np.full(G * n_paths, float(x))
+            # one node's driver, row by row: the paths' increments once per value of a
+            node_dW = np.empty((G, n_paths))
+            w = node_dW.reshape(G * n_paths)
+        # node 0 of a block is the last node of the one before
+        out[:, 0] = state
+        for k in range(n):
+            np.copyto(node_dW, dW[:, k])
+            state, _ = implicit_step(state, w, dt, consts, _survival_rates, i0 + k, paths)
+            out[:, k + 1] = state
+        yield i0, out[:, : n + 1].reshape(G, n_paths, n + 1)
+
+
 def penalized_paths_1d_grid(a_grid, x: float, dW: np.ndarray, dt: float, first_path: int = 0) -> np.ndarray:
     """Batched drift-implicit Euler integration of the softened half-line SDE
     for every a of ``a_grid`` on one shared driver.
@@ -231,24 +264,9 @@ def penalized_paths_1d_grid(a_grid, x: float, dW: np.ndarray, dt: float, first_p
     not depend on the other paths of the batch.  The paths are paths
     first_path.. of a sweep, and an ``IntegrationError`` names that index.
     """
-    if x <= 0:
-        raise ValueError("start point must be strictly positive")
-    dW = np.atleast_2d(np.asarray(dW, dtype=float))
-    n_paths, n_steps = dW.shape
-    a_rows, paths = _grid_rows(a_grid, n_paths, first_path)
-    G = np.size(a_grid)
-    consts = _survival_constants(a_rows)
-    out = np.empty((G * n_paths, n_steps + 1))
-    out[:, 0] = x
-    state = np.full(G * n_paths, float(x))
-    # one node's driver, row by row: the paths' increments once per value of a
-    node_dW = np.empty((G, n_paths))
-    w = node_dW.reshape(G * n_paths)
-    for i in range(n_steps):
-        np.copyto(node_dW, dW[:, i])
-        state, _ = implicit_step(state, w, dt, consts, _survival_rates, i, paths)
-        out[:, i + 1] = state
-    return out.reshape(G, n_paths, n_steps + 1)
+    # one block: the generator runs to its end
+    [(_, X)] = _flow_blocks(a_grid, x, [(0, dW)], dt, first_path)
+    return X
 
 
 def penalized_paths_1d(a: float, x: float, dW: np.ndarray, dt: float) -> np.ndarray:

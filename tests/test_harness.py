@@ -80,6 +80,20 @@ def test_config_validation():
         ExperimentConfig(kind="eps-cauchy", eps_grid=(0.1,)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(kind="local-time", n_paths=1).validate()
+    # a start of the wrong length used to fail deep inside every kind with
+    # numpy's "cannot reshape array" error
+    for kind in harness.EXPERIMENT_KINDS:
+        model, x0, dim = ("half-line", (0.5, 0.5), 1) if kind == "halfline-penalization" else ("disk", (0.5,), 2)
+        model = f"cap:theta0={np.pi / 3}" if kind == "norm-bound" else model
+        with pytest.raises(ValueError, match=f"x0 must have {dim} coordinates"):
+            ExperimentConfig(kind=kind, model=model, x0=x0).validate()
+    with pytest.raises(ValueError, match="x0 must have 3 coordinates"):
+        ExperimentConfig(kind="sp-convergence", model="half-space:d=3", x0=(0.5,)).validate()
+    ExperimentConfig(kind="sp-convergence", model="half-space:d=3", x0=(0.0, 0.0, 0.5)).validate()
+    # norm-bound rejects a flat model before it runs
+    for model in ("half-line", "half-space:d=2", "disk"):
+        with pytest.raises(ValueError, match="targets the curved model"):
+            ExperimentConfig(kind="norm-bound", model=model).validate()
 
 
 @pytest.mark.parametrize("kind,field,value", [
@@ -466,31 +480,57 @@ def _per_path_bytes(calls, chunks):
     ]
 
 
-@pytest.mark.parametrize("kind", harness._STREAMED)
-def test_streamed_kinds_read_their_statistics_off_the_stored_runs(kind):
-    """The rows of a kind that reduces node by node are those of its statistic
-    on the stored runs of the chunk: local_time_tv for local-time, the sup
-    chart distance for sp-convergence, the masked sup projection gap for
-    projection, and the engine's whole-run reductions on the whole run's
-    transport frames and close events for norm-bound and eps-cauchy."""
-    fields, _ = _KIND_CASES.get(kind, _KIND_CASES["eps-cauchy-cap"])
+# Every kind on its pinned case (eps-cauchy on the cap), and f-normal and
+# transport on the hemisphere, where each row carries its transport angle
+# from block to block and the reference rows meet the boundary.
+_ORACLE_CASES = {
+    **{kind: _KIND_CASES.get(kind, _KIND_CASES["eps-cauchy-cap"])[0] for kind in harness.EXPERIMENT_KINDS},
+    **{f"{kind}-cap": dict(kind=kind, model=f"cap:theta0={np.pi / 2}", horizon=0.5, steps=200, a_grid=(0.05, 0.0125),
+                           n_paths=16, x0=(np.pi / 2 - 0.05, 0.0)) for kind in ("f-normal", "transport")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_streamed_kinds_read_their_statistics_off_the_stored_runs(case):
+    """The rows of every kind, which reduces node block by node block, are
+    those of its statistic on the stored runs of the chunk: local_time_tv for
+    local-time, the sup chart distance for sp-convergence, the masked sup
+    projection gap for projection, the path and derivative-flow gaps of the
+    whole 1-d flow for halfline-penalization, the sup gap of the whole runs'
+    transported vectors for transport, and the engine's whole-run outputs on
+    the whole run's transport frames and close events for norm-bound,
+    eps-cauchy and f-normal."""
+    fields = _ORACLE_CASES[case]
     cfg = ExperimentConfig(master_seed=8, **fields)
+    kind = cfg.kind
     model = geo.parse_model(cfg.model)
     grid = cfg.grid
     dB = driver_block(grid, model.frame_count, cfg.master_seed, 0, cfg.n_paths)
     ref = stepping.integrate_reflected_batch(model, cfg.x0, dB, grid)
+    frames = None if model.is_flat_chart else transport_batch(model, ref["points"])
+    closes, dur = close_events(ref["R"], grid.times, default_contact_threshold(grid))
     expected = {}
     if kind == "eps-cauchy":
-        closes, dur = close_events(ref["R"], grid.times, default_contact_threshold(grid))
         levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
         assert levels[-1].any()
-        frames = None if model.is_flat_chart else transport_batch(model, ref["points"])
         gaps = _damped_engine(model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1), jump_flags=levels,
                               collect="cauchy")["cauchy"]
         for k, eps in enumerate(cfg.eps_grid[1:]):
             expected[(eps, "sup_level_gap")] = gaps[:, k]
+    elif kind == "f-normal":
+        assert closes.any()
+        lim = _damped_engine(model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1),
+                             jump_flags=closes & (dur >= 0.5 * grid.dt), collect="normal")
+        f_lim = np.einsum("pni,pni->pn", lim["normal"], lim["carrier"])
+    elif kind == "halfline-penalization":
+        alive = np.minimum.accumulate(ref["R"] - ref["L"], axis=1) > 0.0
+        assert not alive[:, -1].all()
+    v = np.eye(model.dim)[-1]
     a_grid = () if kind == "eps-cauchy" else cfg.a_grid
-    pen = stepping.integrate_penalized_grid(model, a_grid, cfg.x0, dB, grid) if a_grid else None
+    if kind == "halfline-penalization":
+        flow = sk1d.penalized_paths_1d_grid(a_grid, cfg.x0[0], dB[:, :, 0], grid.dt)
+    elif a_grid:
+        pen = stepping.integrate_penalized_grid(model, a_grid, cfg.x0, dB, grid)
     for k, a in enumerate(a_grid):
         if kind == "local-time":
             sup, tv, twice = local_time_tv(ref["L"], pen["L"][k])
@@ -499,10 +539,25 @@ def test_streamed_kinds_read_their_statistics_off_the_stored_runs(kind):
         elif kind == "sp-convergence":
             expected[(a, "sup_distance_p")] = geo.chart_distance(model, pen["points"][k], ref["points"]).max(axis=1) ** cfg.p
         elif kind == "norm-bound":
-            frames = transport_batch(model, pen["points"][k])
             expected[(a, "max_bound_violation")] = _damped_engine(
-                model, pen["points"][k], frames, grid.dt, np.diff(pen["L"][k], axis=1),
-                c_increments=np.diff(pen["C"][k], axis=1), collect="bound")["bound"]
+                model, pen["points"][k], transport_batch(model, pen["points"][k]), grid.dt,
+                np.diff(pen["L"][k], axis=1), c_increments=np.diff(pen["C"][k], axis=1), collect="bound")["bound"]
+        elif kind == "halfline-penalization":
+            X = flow[k]
+            expected[(a, "sup_path_gap")] = np.abs(X - ref["R"]).max(axis=1)
+            expo = np.zeros_like(X)
+            np.cumsum(sk1d.penalized_drift_second_log(a, X[:, :-1]) * grid.dt, axis=1, out=expo[:, 1:])
+            expected[(a, "derivative_flow_l1")] = np.abs(np.exp(expo[:, :-1]) - alive[:, :-1]).sum(axis=1) * grid.dt
+        elif kind == "f-normal":
+            pts = pen["points"][k]
+            sm = _damped_engine(model, pts, None if model.is_flat_chart else transport_batch(model, pts), grid.dt,
+                                np.diff(pen["L"][k], axis=1), c_increments=np.diff(pen["C"][k], axis=1),
+                                collect="normal")
+            f_a = np.einsum("pni,pni->pn", sm["normal"], sm["carrier"])
+            expected[(a, "normal_component_l2")] = np.sum((f_a - f_lim)[:, :-1] ** 2, axis=1) * grid.dt
+        elif kind == "transport":
+            gap = transport_batch(model, pen["points"][k]) @ v - transport_batch(model, ref["points"]) @ v
+            expected[(a, "sup_transport_gap")] = np.linalg.norm(gap, axis=-1).max(axis=1)
         else:
             both = (ref["R"] < model.tubular_radius) & (pen["R"][k] < model.tubular_radius)
             proj = geo.nearest_boundary_point(model, pen["points"][k]) - geo.nearest_boundary_point(model, ref["points"])
@@ -534,7 +589,7 @@ def test_sweeps_make_only_the_runs_they_use(monkeypatch):
 
     # the block generators make every stored and every streamed run
     for module, name in ((harness, "_chunks"), (stepping, "_reflected_blocks"),
-                         (stepping, "_penalized_blocks"), (sk1d, "penalized_paths_1d_grid")):
+                         (stepping, "_penalized_blocks"), (sk1d, "_flow_blocks")):
         spy(module, name)
     monkeypatch.setattr(harness, "_CHUNK_PATHS", 7)
     for case, (fields, _) in sorted(_KIND_CASES.items()):
@@ -542,7 +597,7 @@ def test_sweeps_make_only_the_runs_they_use(monkeypatch):
         cfg = ExperimentConfig(master_seed=5, **fields)
         harness.run_experiment(cfg)
         chunks = -(-cfg.n_paths // 7)
-        penalized = calls["_penalized_blocks"] + calls["penalized_paths_1d_grid"]
+        penalized = calls["_penalized_blocks"] + calls["_flow_blocks"]
         assert calls["_chunks"] == 1, case
         assert calls["_reflected_blocks"] == (0 if cfg.kind == "norm-bound" else chunks), case
         assert penalized == (0 if cfg.kind == "eps-cauchy" else chunks), case

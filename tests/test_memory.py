@@ -2,21 +2,27 @@
 
 tracemalloc sees numpy's array buffers, so a traced peak counts every array
 a sweep holds at once.  A bound is set from the arrays the sweep cannot do
-without.  local-time's is in floats per path-node, u = P (N+1) 8 bytes: a
+without.  local-time and halfline-penalization keep one buffer of N terms
+per row; their bounds are in floats per path-node, u = P (N+1) 8 bytes, so a
 stack of one (paths, N+1) series per level or per row group costs u and
 shows.  norm-bound and eps-cauchy hold nothing that grows with N: their
 bounds are in floats per row-node of one node block, b = rows
 _REDUCE_BLOCK 8 bytes, and in running products, one d x d matrix per row
 and level, so that a whole driver, run, frame stack or flag array (P N
-floats or more) shows.  The estimators draw and step their paths in blocks:
-their bounds are in floats per path-step of one block, plus what they keep
-(the flat path record, or one value per path).
+floats or more) shows.  transport and f-normal step a reference row beside
+each path's penalized rows, and count it in b; transport keeps one angle
+per row, and f-normal adds its (rows, N) buffer of L2 terms to the block
+and product terms.  At their inputs a whole driver shows in both.  The
+estimators draw and step their paths in blocks: their bounds are in floats
+per path-step of one block, plus what they keep (the flat path record, or
+one value per path).
 """
 from __future__ import annotations
 
 import tracemalloc
 
 import numpy as np
+import scipy.special  # noqa: F401  (the 1-d flow's erf: imported here, not inside a traced peak)
 
 from rbmlab import estimators as est
 from rbmlab import geometry as geo
@@ -82,6 +88,45 @@ def test_local_time_holds_only_the_driver_and_the_variation_terms():
     # the node blocks of the reflected rows and the per-row statistics
     peak = _traced_peak(lambda: harness.run_experiment(cfg))
     assert peak <= 3 * u, peak / u
+
+
+def test_halfline_penalization_holds_only_the_derivative_terms():
+    # criterion 2's flow on criterion 4's finest variation grid, a tenth of it
+    cfg = ExperimentConfig(
+        kind="halfline-penalization", model="half-line", horizon=0.025, steps=16_000, a_grid=(0.025,),
+        n_paths=50, master_seed=42, x0=(0.1,),
+    )
+    u = cfg.n_paths * (cfg.steps + 1) * 8
+    # the (rows, N) derivative terms (u), and u of slack for the node blocks
+    # of the driver, the flow and the reflected rows and the per-row statistics
+    peak = _traced_peak(lambda: harness.run_experiment(cfg))
+    assert peak <= 2 * u, peak / u
+
+
+_CAP_SWEEP = dict(model=f"cap:theta0={np.pi / 3}", horizon=1.0, steps=2000, a_grid=(0.05, 0.0125), n_paths=64,
+                  master_seed=47, x0=(np.pi / 3 - 0.15, 0.0))
+
+
+def test_f_normal_holds_only_the_l2_terms_and_its_blocks():
+    # criterion 7's two ends of the a-grid on the cap, on 64 paths
+    cfg = ExperimentConfig(kind="f-normal", **_CAP_SWEEP)
+    rows, d = len(cfg.a_grid) * cfg.n_paths, 2
+    terms = rows * cfg.steps * 8  # the (rows, N) buffer of L2 terms
+    # blocks and running products of the penalized rows and the reference
+    b = (rows + cfg.n_paths) * harness._REDUCE_BLOCK * 8
+    running = (rows + cfg.n_paths) * d * d * 8
+    bound = terms + _BLOCK_FLOATS * b + _ENGINE_PRODUCTS * running
+    peak = _traced_peak(lambda: harness.run_experiment(cfg))
+    assert peak <= bound, (peak / terms, bound / terms)
+
+
+def test_transport_holds_no_frame_stack():
+    cfg = ExperimentConfig(kind="transport", **_CAP_SWEEP)
+    rows = len(cfg.a_grid) * cfg.n_paths
+    # blocks of the penalized rows and the reference; each carries one angle
+    b = (rows + cfg.n_paths) * harness._REDUCE_BLOCK * 8
+    peak = _traced_peak(lambda: harness.run_experiment(cfg))
+    assert peak <= _BLOCK_FLOATS * b, (peak / b, _BLOCK_FLOATS)
 
 
 def test_flat_path_record_holds_one_block_of_paths():

@@ -684,14 +684,22 @@ def test_node_blocks_are_the_stored_runs(model, x0, steps):
             return [(int(i0), dB[:, i0:i1]) for i0, i1 in zip(edges[:-1], edges[1:])]
         return driver_blocks(grid, model.frame_count, 31, 0, 9, block)
 
+    def flow_blocks(uneven):
+        # the 1-d flow's node values, which are R on the half-line
+        dW = ((i0, b[:, :, 0]) for i0, b in drivers(uneven))
+        return ((i0, {"R": X}) for i0, X in sk._flow_blocks(a_grid, x0[0], dW, grid.dt))
+
+    if model.id == geo.HALF_LINE:
+        stored += ({"R": sk.penalized_paths_1d_grid(a_grid, x0[0], dB[:, :, 0], grid.dt)},)
     for uneven in (False, True):
-        for runs, blocks in zip(stored, (stepping._penalized_blocks(model, a_grid, x0, drivers(uneven), grid),
-                                         stepping._reflected_blocks(model, x0, drivers(uneven), grid))):
+        steppers = (stepping._penalized_blocks(model, a_grid, x0, drivers(uneven), grid),
+                    stepping._reflected_blocks(model, x0, drivers(uneven), grid), flow_blocks(uneven))
+        for runs, blocks in zip(stored, steppers):
             i0 = 0
             for start, run in blocks:
                 # each block starts at the last node of the one before
                 assert start == i0 and run.keys() == runs.keys()
-                n = run["L"].shape[-1] - 1
+                n = run["R"].shape[-1] - 1
                 assert 0 < n <= block
                 for key, v in runs.items():
                     want = v[..., i0 : i0 + n + 1, :] if key == "points" else v[..., i0 : i0 + n + 1]
