@@ -73,11 +73,15 @@ class ExperimentConfig:
                 raise ValueError("a_grid must be nonempty")
             if any(b >= a for a, b in zip(self.a_grid, self.a_grid[1:])):
                 raise ValueError("a_grid must be strictly decreasing")
+            if not all(a > 0 for a in self.a_grid):
+                raise ValueError("a_grid values must be positive")
         if self.kind == "eps-cauchy":
             if len(self.eps_grid) < 2:
                 raise ValueError("eps_grid needs at least two levels")
             if any(b >= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
                 raise ValueError("eps_grid must be strictly decreasing")
+            if not all(eps > 0 for eps in self.eps_grid):
+                raise ValueError("eps_grid levels must be positive")
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         if self.eta is not None and not self.eta > 0:
@@ -151,25 +155,6 @@ def _chunks(n: int, size: int):
 # integrator steps each row on its own, so the width moves no byte of a sweep.
 _CHUNK_PATHS = 250
 
-# Row-nodes one slice of the a-grid may keep for the whole run (_row_nodes):
-# the a-grid is stepped in slices of as many values of a as fit, one value a
-# slice for a 250-path chunk of the acceptance sweeps' 10,000 steps.
-_MAX_ROW_NODES = _CHUNK_PATHS * 10_001
-
-
-def _row_nodes(cfg: ExperimentConfig) -> int:
-    """Nodes of each row that the sweep keeps for the whole run: a buffer of N
-    terms (halfline-penalization's derivative gaps, local-time's variation,
-    f-normal's L2 gaps), or the row's state alone."""
-    return cfg.steps if cfg.kind in ("halfline-penalization", "local-time", "f-normal") else 1
-
-
-def _a_groups(cfg: ExperimentConfig, paths: int):
-    """The a-grid in the slices that one integrator call each steps: as many
-    values of a as keep a call of ``paths`` paths within _MAX_ROW_NODES."""
-    per_call = max(1, _MAX_ROW_NODES // (paths * _row_nodes(cfg)))
-    return [cfg.a_grid[k : k + per_call] for k in range(0, len(cfg.a_grid), per_call)]
-
 
 # -- elementary statistics ----------------------------------------------------
 
@@ -229,9 +214,8 @@ _REDUCE_BLOCK = 64
 
 
 def _drivers(cfg: ExperimentConfig, model: ManifoldModel, chunk: slice):
-    """The chunk's driver in blocks of _REDUCE_BLOCK steps; every call draws
-    it afresh from the paths' keyed streams, so every call gives the same
-    bits."""
+    """The chunk's driver in blocks of _REDUCE_BLOCK steps, drawn from the
+    paths' keyed streams."""
     return driver_blocks(cfg.grid, model.frame_count, cfg.master_seed, chunk.start, chunk.stop - chunk.start,
                          _REDUCE_BLOCK)
 
@@ -254,90 +238,102 @@ def _relay(blocks):
     return lead(), follow()
 
 
-def _stored(blocks, steps: int) -> dict:
-    """A stored run joined from the node blocks (i0, run) of a block stepper;
-    the node axis is the one after the paths (R's last)."""
-    run = None
-    for i0, part in blocks:
-        ax = part["R"].ndim - 1
-        if run is None:
-            run = {key: np.empty(v.shape[:ax] + (steps + 1,) + v.shape[ax + 1 :]) for key, v in part.items()}
-        at = (slice(None),) * ax + (slice(i0, i0 + part["R"].shape[-1]),)
-        for key, v in part.items():
-            run[key][at] = v
-    return run
+# Terms in a leaf of numpy's pairwise summation (PW_BLOCKSIZE).
+_PAIRWISE_LEAF = 128
 
 
-def _held_blocks(run: dict, steps: int):
-    """A stored run in the node blocks of _drivers."""
-    for i0 in range(0, steps, _REDUCE_BLOCK):
-        i1 = min(i0 + _REDUCE_BLOCK, steps)
-        yield i0, {key: v[:, i0 : i1 + 1] for key, v in run.items()}
+def _pairwise_plan(n: int) -> list:
+    """The leaves of numpy's pairwise sum over n terms, in order: [length,
+    merges], where merges counts the nodes of the tree whose last leaf it is.
+    A node of more than _PAIRWISE_LEAF terms splits at n//2 rounded down to a
+    multiple of 8."""
+    if n <= _PAIRWISE_LEAF:
+        return [[n, 0]]
+    half = n // 2 - (n // 2) % 8
+    plan = _pairwise_plan(half) + _pairwise_plan(n - half)
+    plan[-1][1] += 1
+    return plan
+
+
+class _RowSums:
+    """Sums of n terms per row, fed in blocks along the last axis, equal bit for
+    bit to np.sum(terms, axis=-1) of the joined (..., n) array (Higham, SIAM
+    J. Sci. Comput. 1993): each leaf of numpy's pairwise tree is summed by
+    numpy from a window of _PAIRWISE_LEAF terms per row, and the partial sums
+    are added as the tree adds them, so a row holds one window and O(log n)
+    partial sums.  ``total`` is set once the n-th term is added."""
+
+    def __init__(self, shape: tuple, n: int):
+        self._plan = iter(_pairwise_plan(n))
+        self._leaf, self._merges = next(self._plan)
+        self._window = np.empty(shape + (_PAIRWISE_LEAF,))
+        self._fill = 0
+        self._partial = []
+        self.total = None
+
+    def add(self, terms: np.ndarray):
+        k = 0
+        while k < terms.shape[-1]:
+            take = min(terms.shape[-1] - k, self._leaf - self._fill)
+            self._window[..., self._fill : self._fill + take] = terms[..., k : k + take]
+            self._fill += take
+            k += take
+            if self._fill < self._leaf:
+                continue
+            s = self._window[..., : self._leaf].sum(axis=-1)
+            for _ in range(self._merges):
+                s = self._partial.pop() + s
+            self._partial.append(s)
+            self._fill = 0
+            self._leaf, self._merges = next(self._plan, (0, 0))
+        if self._leaf == 0:
+            self.total = self._partial[0]
 
 
 def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer, penalized=None):
     """Coupled node loops on the shared driver, one chunk of paths at a time.
 
-    The driver is drawn, and the runs are stepped on it, in blocks of
-    _REDUCE_BLOCK steps.  For each chunk and each _a_groups slice, the
-    slice's penalized rows and the chunk's reflected rows are stepped block by
-    block, and each pair of blocks goes to the reducer that
-    ``reducer(chunk, rows)`` returns: ``chunk`` is the chunk's slice of the
-    paths and ``rows`` the slice's positions in the a-grid.  A call
-    ``reduce(i0, pen, ref)`` gets nodes i0..i1 of the penalized runs (points
-    (G, P, n, d), R, L and C (G, P, n), n = i1 - i0 + 1) and of the reflected
-    ones (points (P, n, d), R and L (P, n)), equal bit for bit to those nodes
-    of the stored runs; the next call starts at node i1, and the arrays may
-    be reused once it returns, so a reducer carries what its statistic needs
-    from block to block (running maxima, transport angles, the engine's
-    carry, or an N-term buffer per row, _row_nodes).  The penalized rows are
-    stepped by ``penalized(group, x0, blocks, first)``, a block stepper such
-    as stepping._penalized_blocks, the default; halfline-penalization passes
-    the 1-d flow, whose ``pen`` is its node values (G, P, n).  Only the runs
-    a kind reads are stepped: norm-bound gets None for ``ref``, and
-    eps-cauchy, which has no a-grid, one reducer per chunk (``rows`` None)
-    and None for ``pen``.  The reflected rows step beside the penalized ones
-    when the a-grid is one slice, and once per chunk, held whole, when it
-    splits; each slice then draws the driver blocks again.
+    For each chunk, the driver is drawn, and the runs of the whole a-grid are
+    stepped on it, in blocks of _REDUCE_BLOCK steps: one driver pass, one
+    reflected run and one penalized run of every row.  Each pair of blocks
+    goes to the reducer that ``reducer(chunk)`` returns, ``chunk`` being the
+    chunk's slice of the paths.  A call ``reduce(i0, pen, ref)`` gets nodes
+    i0..i1 of the penalized runs (points (G, P, n, d), R, L and C (G, P, n),
+    n = i1 - i0 + 1, G the a-grid's length) and of the reflected ones (points
+    (P, n, d), R and L (P, n)), equal bit for bit to those nodes of the
+    stored runs; the next call starts at node i1, and the arrays may be
+    reused once it returns, so a reducer carries what its statistic needs
+    from block to block: running maxima, transport angles, the engine's
+    carry, or a _RowSums of its node terms.  Nothing a chunk holds grows with
+    N.  The penalized rows are stepped by ``penalized(a_grid, x0, blocks,
+    first)``, a block stepper such as stepping._penalized_blocks, the
+    default; halfline-penalization passes the 1-d flow, whose ``pen`` is its
+    node values (G, P, n).  Only the runs a kind reads are stepped:
+    norm-bound gets None for ``ref``, and eps-cauchy, which has no a-grid,
+    None for ``pen``.
     """
     x0 = _start_point(cfg, model)
+    grid = cfg.grid
     if penalized is None:
 
-        def penalized(group, x0, blocks, first):
-            return stepping._penalized_blocks(model, group, x0, blocks, cfg.grid, first)
+        def penalized(a_grid, x0, blocks, first):
+            return stepping._penalized_blocks(model, a_grid, x0, blocks, grid, first)
 
     for first, c in _chunks(cfg.n_paths, _CHUNK_PATHS):
-        _stream_chunk(cfg, model, x0, slice(first, first + c), reducer, penalized)
-
-
-def _stream_chunk(cfg: ExperimentConfig, model: ManifoldModel, x0, chunk: slice, reducer, penalized):
-    """One chunk of _streams."""
-    grid = cfg.grid
-    if cfg.kind == "eps-cauchy":
-        reduce = reducer(chunk, None)
-        for i0, ref in stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid, chunk.start):
-            reduce(i0, None, ref)
-        return
-    groups = _a_groups(cfg, chunk.stop - chunk.start)
-    reflected = cfg.kind != "norm-bound"
-    held = None
-    if reflected and len(groups) > 1:
-        held = _stored(stepping._reflected_blocks(model, x0, _drivers(cfg, model, chunk), grid, chunk.start),
-                       grid.steps)
-    k = 0
-    for group in groups:
-        reduce = reducer(chunk, slice(k, k + len(group)))
+        chunk = slice(first, first + c)
+        reduce = reducer(chunk)
         dB = _drivers(cfg, model, chunk)
-        if held is not None:
-            refs = _held_blocks(held, grid.steps)
-        elif reflected:
-            dB, dB_ref = _relay(dB)
-            refs = stepping._reflected_blocks(model, x0, dB_ref, grid, chunk.start)
-        else:
+        if cfg.kind == "eps-cauchy":
+            for i0, ref in stepping._reflected_blocks(model, x0, dB, grid, first):
+                reduce(i0, None, ref)
+            continue
+        if cfg.kind == "norm-bound":
             refs = itertools.repeat((None, None))
-        for (i0, pen), (_, ref) in zip(penalized(group, x0, dB, chunk.start), refs):
+        else:
+            dB, dB_ref = _relay(dB)
+            refs = stepping._reflected_blocks(model, x0, dB_ref, grid, first)
+        for (i0, pen), (_, ref) in zip(penalized(cfg.a_grid, x0, dB, first), refs):
             reduce(i0, pen, ref)
-        k += len(group)
 
 
 def _damped_along(model: ManifoldModel, run: dict, dt: float, angle=None):
@@ -354,26 +350,25 @@ def _damped_along(model: ManifoldModel, run: dict, dt: float, angle=None):
 
 def _run_halfline_penalization(cfg: ExperimentConfig):
     """Softened 1-d flow vs the exact reflection, reduced block by block: the
-    path gap as a running max, and the derivative gap from one (rows, N)
-    buffer of its terms.  Each path carries the running minimum of R - L, and
-    each row the exponent of its derivative flow, from one block to the
-    next."""
+    path gap as a running max, and the derivative gap as a _RowSums of its
+    terms.  Each path carries the running minimum of R - L, and each row the
+    exponent of its derivative flow, from one block to the next."""
     dt = cfg.grid.dt
     sup_gap = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
     dflow_gap = np.empty(sup_gap.shape)
 
-    def flow(group, x0, blocks, first):
-        return sk1d._flow_blocks(group, x0[0], ((i0, dB[:, :, 0]) for i0, dB in blocks), dt, first)
+    def flow(a_grid, x0, blocks, first):
+        return sk1d._flow_blocks(a_grid, x0[0], ((i0, dB[:, :, 0]) for i0, dB in blocks), dt, first)
 
-    def reducer(chunk, rows):
+    def reducer(chunk):
         P = chunk.stop - chunk.start
         low = np.full(P, np.inf)
-        expo = np.zeros((rows.stop - rows.start, P))
-        terms = np.empty((rows.stop - rows.start, P, cfg.steps))
+        expo = np.zeros((len(cfg.a_grid), P))
+        dflow = _RowSums(expo.shape, cfg.steps)
 
         def reduce(i0, X, ref):
             i1 = i0 + X.shape[-1] - 1
-            gap = sup_gap[rows, chunk]
+            gap = sup_gap[:, chunk]
             np.maximum(gap, np.abs(X - ref["R"]).max(axis=-1), out=gap)
             # R - L is x0 plus the driver up to the first hit: node-level t < tau
             low_run = ref["R"] - ref["L"]
@@ -381,15 +376,17 @@ def _run_halfline_penalization(cfg: ExperimentConfig):
             np.minimum.accumulate(low_run, axis=1, out=low_run)
             low[:] = low_run[:, -1]
             alive = low_run[:, :-1] > 0.0
-            for j, a in enumerate(cfg.a_grid[rows]):
+            terms = np.empty(expo.shape + (i1 - i0,))
+            for j, a in enumerate(cfg.a_grid):
                 e = np.empty((P, i1 - i0 + 1))
                 e[:, 0] = expo[j]
                 e[:, 1:] = sk1d.penalized_drift_second_log(a, X[j, :, :-1]) * dt
                 np.cumsum(e, axis=1, out=e)
                 expo[j] = e[:, -1]
-                terms[j, :, i0:i1] = np.abs(np.exp(e[:, :-1]) - alive)
+                terms[j] = np.abs(np.exp(e[:, :-1]) - alive)
+            dflow.add(terms)
             if i1 == cfg.steps:
-                dflow_gap[rows, chunk] = terms.sum(axis=-1) * dt
+                dflow_gap[:, chunk] = dflow.total * dt
 
         return reduce
 
@@ -405,9 +402,9 @@ def _run_sp_convergence(cfg: ExperimentConfig):
     model = parse_model(cfg.model)
     sup = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
 
-    def reducer(chunk, rows):
+    def reducer(chunk):
         def reduce(i0, pen, ref):
-            block = sup[rows, chunk]
+            block = sup[:, chunk]
             np.maximum(block, geo.chart_distance(model, pen["points"], ref["points"]).max(axis=-1), out=block)
 
         return reduce
@@ -423,23 +420,22 @@ def _run_sp_convergence(cfg: ExperimentConfig):
 
 def _run_local_time(cfg: ExperimentConfig):
     """local_time_tv of the coupled runs, reduced block by block: the sup gap
-    as a running max, and the variation from one (rows, N) buffer of its
-    terms, summed as local_time_tv sums them."""
+    as a running max, and the variation as a _RowSums of its terms, which
+    sums them as local_time_tv does."""
     model = parse_model(cfg.model)
     sup = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
     tv = np.empty(sup.shape)
     twice = np.empty(cfg.n_paths)
 
-    def reducer(chunk, rows):
-        terms = np.empty((rows.stop - rows.start, chunk.stop - chunk.start, cfg.steps))
+    def reducer(chunk):
+        variation = _RowSums((len(cfg.a_grid), chunk.stop - chunk.start), cfg.steps)
 
         def reduce(i0, pen, ref):
-            gap = sup[rows, chunk]
+            gap = sup[:, chunk]
             np.maximum(gap, np.abs(ref["L"] - pen["L"]).max(axis=-1), out=gap)
-            i1 = i0 + ref["L"].shape[-1] - 1
-            terms[..., i0:i1] = _tv_terms(ref["L"], pen["L"])
-            if i1 == cfg.steps:
-                tv[rows, chunk] = terms.sum(axis=-1)
+            variation.add(_tv_terms(ref["L"], pen["L"]))
+            if i0 + ref["L"].shape[-1] - 1 == cfg.steps:
+                tv[:, chunk] = variation.total
                 twice[chunk] = 2.0 * ref["L"][:, -1]
 
         return reduce
@@ -466,8 +462,8 @@ def _run_norm_bound(cfg: ExperimentConfig):
     dt = cfg.grid.dt
     worst = np.empty((len(cfg.a_grid), cfg.n_paths))
 
-    def reducer(chunk, rows):
-        angles = np.zeros((rows.stop - rows.start, chunk.stop - chunk.start))
+    def reducer(chunk):
+        angles = np.zeros((len(cfg.a_grid), chunk.stop - chunk.start))
         carries = [{} for _ in angles]
 
         def reduce(i0, pen, _):
@@ -475,7 +471,7 @@ def _run_norm_bound(cfg: ExperimentConfig):
             for j, (angle, carry) in enumerate(zip(angles, carries)):
                 run = {key: v[j] for key, v in pen.items()}
                 out = _damped_along(model, run, dt, angle)(collect="bound", carry=carry)
-                worst[rows.start + j, chunk] = out["bound"]
+                worst[j, chunk] = out["bound"]
 
         return reduce
 
@@ -498,7 +494,7 @@ def _run_eps_cauchy(cfg: ExperimentConfig):
     n_pairs = len(cfg.eps_grid) - 1
     gaps = np.empty((n_pairs, cfg.n_paths))
 
-    def reducer(chunk, _):
+    def reducer(chunk):
         last = np.full(chunk.stop - chunk.start, -1)
         angle = np.zeros(last.shape)
         carry = {}
@@ -533,7 +529,7 @@ def _run_f_normal(cfg: ExperimentConfig):
     """L^2(dt) gap between smooth and limit normal components, per a, reduced
     block by block: the reference and each row carry their transport angle
     and engine state, and the reference its last contact node, from one block
-    to the next; the terms go into one (rows, N) buffer."""
+    to the next; the terms go into a _RowSums."""
     model = parse_model(cfg.model)
     grid = cfg.grid
     times = grid.times
@@ -544,23 +540,25 @@ def _run_f_normal(cfg: ExperimentConfig):
         out = _damped_along(model, run, grid.dt, angle)(collect="normal", carry=carry, **kw)
         return np.einsum("pni,pni->pn", out["normal"], out["carrier"])
 
-    def reducer(chunk, rows):
+    def reducer(chunk):
         P = chunk.stop - chunk.start
         last = np.full(P, -1)
         # one angle and carry per row, the reference's last
-        angles = np.zeros((rows.stop - rows.start + 1, P))
+        angles = np.zeros((len(cfg.a_grid) + 1, P))
         carries = [{} for _ in angles]
-        terms = np.empty((rows.stop - rows.start, P, cfg.steps))
+        l2 = _RowSums((len(cfg.a_grid), P), cfg.steps)
 
         def reduce(i0, pen, ref):
             i1 = i0 + ref["R"].shape[-1] - 1
             closes, dur = close_events(ref["R"], times[: i1 + 1], eta, last)
             f_lim = normal(ref, angles[-1], carries[-1], jump_flags=closes & (dur >= 0.5 * grid.dt))
+            terms = np.empty((len(cfg.a_grid), P, i1 - i0))
             for j, term in enumerate(terms):
                 f_a = normal({key: v[j] for key, v in pen.items()}, angles[j], carries[j])
-                term[:, i0:i1] = (f_a - f_lim)[:, :-1] ** 2
+                term[:] = (f_a - f_lim)[:, :-1] ** 2
+            l2.add(terms)
             if i1 == cfg.steps:
-                vals[rows, chunk] = terms.sum(axis=-1) * grid.dt
+                vals[:, chunk] = l2.total * grid.dt
 
         return reduce
 
@@ -580,15 +578,15 @@ def _run_transport(cfg: ExperimentConfig):
     v[-1] = 1.0
     gaps = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
 
-    def reducer(chunk, rows):
+    def reducer(chunk):
         # one angle per row, the reference's last
-        angles = np.zeros((rows.stop - rows.start + 1, chunk.stop - chunk.start))
+        angles = np.zeros((len(cfg.a_grid) + 1, chunk.stop - chunk.start))
 
         def reduce(i0, pen, ref):
             ref_v = transport_batch(model, ref["points"], angles[-1]) @ v
             for j, angle in enumerate(angles[:-1]):
                 pen_v = transport_batch(model, pen["points"][j], angle) @ v
-                gap = gaps[rows.start + j, chunk]
+                gap = gaps[j, chunk]
                 np.maximum(gap, np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=-1), out=gap)
 
         return reduce
@@ -605,12 +603,12 @@ def _run_projection(cfg: ExperimentConfig):
     delta0 = model.tubular_radius
     sup = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)  # -inf: never in both collars
 
-    def reducer(chunk, rows):
+    def reducer(chunk):
         def reduce(i0, pen, ref):
             both = (ref["R"] < delta0) & (pen["R"] < delta0)
             ref_proj = geo.nearest_boundary_point(model, ref["points"])
             proj_gap = np.linalg.norm(geo.nearest_boundary_point(model, pen["points"]) - ref_proj, axis=-1)
-            block = sup[rows, chunk]
+            block = sup[:, chunk]
             np.maximum(block, np.where(both, proj_gap, -np.inf).max(axis=-1), out=block)
 
         return reduce

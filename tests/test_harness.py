@@ -80,6 +80,15 @@ def test_config_validation():
         ExperimentConfig(kind="eps-cauchy", eps_grid=(0.1,)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(kind="local-time", n_paths=1).validate()
+    # a level or a value of a at or below 0 used to run: eps_grid=(0.1, -0.1)
+    # wrote a row with eps_fine=-0.1, and a negative a raised only inside the
+    # stepper, after the first driver block was drawn
+    for fields, match in ((dict(kind="eps-cauchy", eps_grid=(0.1, -0.1)), "eps_grid levels must be positive"),
+                          (dict(kind="eps-cauchy", eps_grid=(0.1, 0.0)), "eps_grid levels must be positive"),
+                          (dict(kind="local-time", a_grid=(0.1, -0.05)), "a_grid values must be positive"),
+                          (dict(kind="sp-convergence", a_grid=(0.0,)), "a_grid values must be positive")):
+        with pytest.raises(ValueError, match=match):
+            harness.run_experiment(_tiny_config(model="half-line", n_paths=4, steps=20, **fields))
     # a start of the wrong length used to fail deep inside every kind with
     # numpy's "cannot reshape array" error
     for kind in harness.EXPERIMENT_KINDS:
@@ -587,8 +596,9 @@ def test_sweeps_make_only_the_runs_they_use(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    # the block generators make every stored and every streamed run
-    for module, name in ((harness, "_chunks"), (stepping, "_reflected_blocks"),
+    # the block generators make every stored and every streamed run, and
+    # every driver pass
+    for module, name in ((harness, "_chunks"), (harness, "driver_blocks"), (stepping, "_reflected_blocks"),
                          (stepping, "_penalized_blocks"), (sk1d, "_flow_blocks")):
         spy(module, name)
     monkeypatch.setattr(harness, "_CHUNK_PATHS", 7)
@@ -599,24 +609,34 @@ def test_sweeps_make_only_the_runs_they_use(monkeypatch):
         chunks = -(-cfg.n_paths // 7)
         penalized = calls["_penalized_blocks"] + calls["_flow_blocks"]
         assert calls["_chunks"] == 1, case
+        assert calls["driver_blocks"] == chunks, case
         assert calls["_reflected_blocks"] == (0 if cfg.kind == "norm-bound" else chunks), case
         assert penalized == (0 if cfg.kind == "eps-cauchy" else chunks), case
 
 
-@pytest.mark.parametrize("kind", sorted(_A_KIND_CASES))
-def test_a_grid_kinds_keep_their_bytes_however_the_grid_is_split(kind, monkeypatch):
-    fields, digest = _A_KIND_CASES[kind]
-    cfg = ExperimentConfig(kind=kind, master_seed=5, **fields)
-    one_call = cfg.n_paths * harness._row_nodes(cfg)
-    reflected_runs = []
-    real_blocks = stepping._reflected_blocks
-    monkeypatch.setattr(stepping, "_reflected_blocks", lambda *a: reflected_runs.append(1) or real_blocks(*a))
-    # the three values of a in one call, then two values a call, then one
-    for limit, calls in ((harness._MAX_ROW_NODES, 1), (2 * one_call, 2), (one_call, 3)):
-        monkeypatch.setattr(harness, "_MAX_ROW_NODES", limit)
-        assert len(harness._a_groups(cfg, cfg.n_paths)) == calls
-        reflected_runs.clear()
-        text = harness.render_csv(harness.run_experiment(cfg))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-        # one reflected run for the one chunk, however the grid is split
-        assert len(reflected_runs) == (0 if kind == "norm-bound" else 1)
+def _row_sum_blocks(n: int, irregular: bool):
+    """(i0, i1) of blocks of 64 steps, or of 64, 10, 64, 10, ... steps, that
+    cover n terms."""
+    i0, k = 0, 0
+    while i0 < n:
+        i1 = min(i0 + (10 if irregular and k % 2 else 64), n)
+        yield i0, i1
+        i0, k = i1, k + 1
+
+
+@pytest.mark.parametrize("irregular", [False, True])
+@pytest.mark.parametrize("n", [1, 7, 8, 64, 127, 128, 129, 200, 2000, 10_000, 160_000])
+def test_row_sums_are_numpy_sums_bit_for_bit(n, irregular):
+    rng = np.random.default_rng(n)
+    # terms of widely spread magnitudes, so that the order of the additions shows
+    terms = rng.random((3, 5, n)) * np.exp(3.0 * rng.standard_normal((3, 5, n)))
+    expected = terms.sum(axis=-1)
+    sums = harness._RowSums((3, 5), n)
+    for i0, i1 in _row_sum_blocks(n, irregular):
+        assert sums.total is None
+        sums.add(terms[..., i0:i1])
+    assert sums.total.tobytes() == expected.tobytes()
+    if n >= 2000:
+        # the terms resolve the order: a running sum of block sums misses
+        running = sum(terms[..., i0:i1].sum(axis=-1) for i0, i1 in _row_sum_blocks(n, irregular))
+        assert (running != expected).any()

@@ -2,20 +2,18 @@
 
 tracemalloc sees numpy's array buffers, so a traced peak counts every array
 a sweep holds at once.  A bound is set from the arrays the sweep cannot do
-without.  local-time and halfline-penalization keep one buffer of N terms
-per row; their bounds are in floats per path-node, u = P (N+1) 8 bytes, so a
-stack of one (paths, N+1) series per level or per row group costs u and
-shows.  norm-bound and eps-cauchy hold nothing that grows with N: their
-bounds are in floats per row-node of one node block, b = rows
-_REDUCE_BLOCK 8 bytes, and in running products, one d x d matrix per row
-and level, so that a whole driver, run, frame stack or flag array (P N
-floats or more) shows.  transport and f-normal step a reference row beside
-each path's penalized rows, and count it in b; transport keeps one angle
-per row, and f-normal adds its (rows, N) buffer of L2 terms to the block
-and product terms.  At their inputs a whole driver shows in both.  The
-estimators draw and step their paths in blocks: their bounds are in floats
-per path-step of one block, plus what they keep (the flat path record, or
-one value per path).
+without.  No sweep holds anything that grows with N: the bounds are in
+floats per row-node of one node block, b = rows _REDUCE_BLOCK 8 bytes, so
+that a whole driver, run, frame stack, flag array or buffer of N terms per
+row (P N floats or more) shows, at inputs of enough steps.  The damped
+engine's kinds (norm-bound, eps-cauchy, f-normal) add its running products,
+one d x d matrix per row and level.  local-time, halfline-penalization and
+f-normal sum their node terms as the blocks stream (harness._RowSums) and
+add its window of _PAIRWISE_LEAF terms per row.  transport, f-normal,
+local-time and halfline-penalization step a reference row beside each
+path's penalized rows, and count it in b.  The estimators draw and step
+their paths in blocks: their bounds are in floats per path-step of one
+block, plus what they keep (the flat path record, or one value per path).
 """
 from __future__ import annotations
 
@@ -77,17 +75,25 @@ def test_norm_bound_holds_no_series_of_the_penalized_runs():
     assert peak <= bound, (peak / b, bound / b)
 
 
+def _summed_kind_bound(cfg: ExperimentConfig) -> tuple:
+    """(b, bound) for a kind that sums node terms per row as they stream: the
+    blocks of its penalized and reference rows, and one window of the
+    pairwise sum per row."""
+    rows = len(cfg.a_grid) * cfg.n_paths
+    b = (rows + cfg.n_paths) * harness._REDUCE_BLOCK * 8
+    return b, _BLOCK_FLOATS * b + rows * harness._PAIRWISE_LEAF * 8
+
+
 def test_local_time_holds_only_the_driver_and_the_variation_terms():
-    # criterion 4's finest variation rung, on a tenth of its grid
+    # criterion 4's finest variation rung, on a tenth of its grid: a driver,
+    # a run or an N-term buffer of the variation (P N floats) shows
     cfg = ExperimentConfig(
         kind="local-time", model="half-line", horizon=0.025, steps=16_000, a_grid=(0.025,),
         n_paths=50, master_seed=44, x0=(0.1,),
     )
-    u = cfg.n_paths * (cfg.steps + 1) * 8
-    # the driver (u), the (rows, N) variation terms (u), and u of slack for
-    # the node blocks of the reflected rows and the per-row statistics
+    b, bound = _summed_kind_bound(cfg)
     peak = _traced_peak(lambda: harness.run_experiment(cfg))
-    assert peak <= 3 * u, peak / u
+    assert peak <= bound, (peak / b, bound / b)
 
 
 def test_halfline_penalization_holds_only_the_derivative_terms():
@@ -96,32 +102,29 @@ def test_halfline_penalization_holds_only_the_derivative_terms():
         kind="halfline-penalization", model="half-line", horizon=0.025, steps=16_000, a_grid=(0.025,),
         n_paths=50, master_seed=42, x0=(0.1,),
     )
-    u = cfg.n_paths * (cfg.steps + 1) * 8
-    # the (rows, N) derivative terms (u), and u of slack for the node blocks
-    # of the driver, the flow and the reflected rows and the per-row statistics
+    b, bound = _summed_kind_bound(cfg)
     peak = _traced_peak(lambda: harness.run_experiment(cfg))
-    assert peak <= 2 * u, peak / u
-
-
-_CAP_SWEEP = dict(model=f"cap:theta0={np.pi / 3}", horizon=1.0, steps=2000, a_grid=(0.05, 0.0125), n_paths=64,
-                  master_seed=47, x0=(np.pi / 3 - 0.15, 0.0))
+    assert peak <= bound, (peak / b, bound / b)
 
 
 def test_f_normal_holds_only_the_l2_terms_and_its_blocks():
-    # criterion 7's two ends of the a-grid on the cap, on 64 paths
-    cfg = ExperimentConfig(kind="f-normal", **_CAP_SWEEP)
-    rows, d = len(cfg.a_grid) * cfg.n_paths, 2
-    terms = rows * cfg.steps * 8  # the (rows, N) buffer of L2 terms
-    # blocks and running products of the penalized rows and the reference
-    b = (rows + cfg.n_paths) * harness._REDUCE_BLOCK * 8
-    running = (rows + cfg.n_paths) * d * d * 8
-    bound = terms + _BLOCK_FLOATS * b + _ENGINE_PRODUCTS * running
-    peak = _traced_peak(lambda: harness.run_experiment(cfg))
-    assert peak <= bound, (peak / terms, bound / terms)
+    # criterion 7's two ends of the a-grid: on the half-line, on 16 paths of
+    # 10,000 steps, where an N-term buffer of the L2 terms shows, and on the
+    # cap, on 64 paths of 2000 steps, where a frame stack shows
+    half_line = ExperimentConfig(kind="f-normal", model="half-line", horizon=1.0, steps=10_000,
+                                 a_grid=(0.05, 0.0125), n_paths=16, master_seed=47, x0=(0.5,))
+    cap = ExperimentConfig(kind="f-normal", model=f"cap:theta0={np.pi / 3}", horizon=1.0, steps=2000,
+                           a_grid=(0.05, 0.0125), n_paths=64, master_seed=47, x0=(np.pi / 3 - 0.15, 0.0))
+    for cfg, d in ((half_line, 1), (cap, 2)):
+        b, bound = _summed_kind_bound(cfg)
+        bound += _ENGINE_PRODUCTS * (len(cfg.a_grid) + 1) * cfg.n_paths * d * d * 8  # one product per row
+        peak = _traced_peak(lambda: harness.run_experiment(cfg))
+        assert peak <= bound, (cfg.model, peak / b, bound / b)
 
 
 def test_transport_holds_no_frame_stack():
-    cfg = ExperimentConfig(kind="transport", **_CAP_SWEEP)
+    cfg = ExperimentConfig(kind="transport", model=f"cap:theta0={np.pi / 3}", horizon=1.0, steps=2000,
+                           a_grid=(0.05, 0.0125), n_paths=64, master_seed=47, x0=(np.pi / 3 - 0.15, 0.0))
     rows = len(cfg.a_grid) * cfg.n_paths
     # blocks of the penalized rows and the reference; each carries one angle
     b = (rows + cfg.n_paths) * harness._REDUCE_BLOCK * 8

@@ -50,9 +50,9 @@ an older tree back to that change as well.
 Memory: the tracemalloc peak of one ``run_experiment`` call of each sweep of
 the ``sweeps`` benchmark (and of ``projection`` on its disk input), in MB of
 numpy buffers.  Acceptance runs: criterion 2 (``halfline-penalization``),
-criterion 3 on the disk, criterion 4's finest variation rung, criterion 7
-(``f-normal``) and criterion 8's seven estimator calls on one 100,000-path
-draw (tests/test_acceptance.py), each once in a fresh
+criterion 3 on the disk, criterion 4's sup gap and its finest variation
+rung, criterion 7 (``f-normal``) and criterion 8's seven estimator calls on
+one 100,000-path draw (tests/test_acceptance.py), each once in a fresh
 interpreter, with its wall time and the peak RSS of that interpreter (Linux:
 read from /proc).  Criterion 8's run also lists the scipy subpackages loaded
 after its calls, and times the image-kernel oracle it checks against
@@ -132,6 +132,8 @@ ACCEPTANCE = {
                                               master_seed=42, x0=(0.5,)),
     "criterion_3_disk": dict(kind="sp-convergence", model="disk", horizon=1.0, steps=10_000,
                              a_grid=(0.1, 0.05, 0.025, 0.0125), n_paths=1000, p=2.0, master_seed=43, x0=(0.5, 0.0)),
+    "criterion_4_sup_gap": dict(kind="local-time", model="half-line", horizon=1.0, steps=10_000,
+                                a_grid=(0.1, 0.05, 0.025, 0.0125), n_paths=1000, master_seed=44, x0=(0.5,)),
     "criterion_4_tv_finest": dict(kind="local-time", model="half-line", horizon=0.25, steps=160_000,
                                   a_grid=(0.025,), n_paths=50, master_seed=44, x0=(0.1,)),
     "criterion_7_f_normal": dict(kind="f-normal", model="half-space:d=1", horizon=1.0, steps=1000,
