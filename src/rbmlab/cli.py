@@ -1,10 +1,18 @@
 """Command line interface.
 
 Subcommands: simulate (one path dump), sweep (convergence tables), verify
-(representation-formula checks), report (re-render saved rows).  A config
-file of flat key=value lines can seed any subcommand; explicit flags win.
-Exit codes: 0 success, 2 argument error, 3 numeric/integration error,
-4 I/O error.
+(representation-formula checks), report (re-render saved rows).
+
+``--config`` names a file of flat key=value lines for simulate, sweep or
+verify.  Its keys are the subcommand's flag names, spelled out (``a_grid`` or
+``a-grid`` for ``--a-grid``), and each line is parsed as the flag
+``--key=value``, with that flag's type, choices and positivity check.  The
+file is read first and the command line's flags after it, so an explicit
+flag wins.
+
+Exit codes: 0 success; 2 argument error (an unknown flag or key, or a bad
+value, from the command line or the file); 3 numeric/integration error; 4 I/O
+error (a config file that cannot be read included).
 """
 from __future__ import annotations
 
@@ -36,8 +44,10 @@ def _parse_grid(text):
     return vals
 
 
-def _read_config_file(path: str) -> dict:
-    opts = {}
+def _read_config_file(path: str) -> list[str]:
+    """The flags a flat key=value file stands for: each line is the token
+    ``--key=value``, with ``_`` in the key written as ``-``."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -46,94 +56,61 @@ def _read_config_file(path: str) -> dict:
             key, sep, val = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-            opts[key.strip().replace("-", "_")] = val.strip()
-    return opts
+            tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return tokens
 
 
-_CONFIG_KEYS = {
-    "model": str,
-    "T": float,
-    "steps": int,
-    "a": float,
-    "a_grid": _parse_grid,
-    "eps_grid": _parse_grid,
-    "eta": float,
-    "paths": int,
-    "p": float,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "kind": str,
-    "x0": _parse_grid,
-    "n": int,
-    "dt": float,
-    "field": str,
-}
+def _positive(parse, key):
+    """A flag's type: ``parse``, then a check that the value is positive."""
+    def convert(text):
+        value = parse(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"{key} must be positive, got {value}")
+        return value
 
-
-def _apply_config_file(args):
-    if not getattr(args, "config", None):
-        return args
-    opts = _read_config_file(args.config)
-    for key, raw in opts.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, _CONFIG_KEYS[key](raw))
-    return args
-
-
-# Numeric options that must be positive, as flags or config-file keys.
-_POSITIVE_KEYS = ("T", "steps", "paths", "n", "dt", "p", "eta")
-
-
-def _check_positive(args):
-    for key in _POSITIVE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None and not value > 0:
-            raise ValueError(f"{key} must be positive, got {value}")
-    return args
-
-
-def _given(value, default):
-    """An explicit option, zero included, else its default."""
-    return default if value is None else value
+    convert.__name__ = parse.__name__  # argparse names it in "invalid <type> value"
+    return convert
 
 
 def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--model", default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--x0", type=_parse_grid, default=None)
+    p.add_argument("--config", help="flat key=value config file, read before the flags")
+    p.add_argument("--model")
+    p.add_argument("--T", type=_positive(float, "T"), default=1.0)
+    p.add_argument("--steps", type=_positive(int, "steps"), default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--x0", type=_parse_grid)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rbmlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # a flag, and so a config key, must be spelled out: no prefix stands for it
 
-    p = sub.add_parser("simulate", help="integrate one path and dump its nodes")
+    p = sub.add_parser("simulate", help="integrate one path and dump its nodes", allow_abbrev=False)
     _add_common(p)
-    p.add_argument("--a", type=float, default=None, help="smoothing parameter; omit for the reflected path")
-    p.add_argument("--eta", type=float, default=None)
+    p.set_defaults(model="half-line")
+    p.add_argument("--a", type=float, help="smoothing parameter; omit for the reflected path")
+    p.add_argument("--eta", type=_positive(float, "eta"))
 
-    p = sub.add_parser("sweep", help="run a convergence experiment")
+    C = harness.ExperimentConfig
+    p = sub.add_parser("sweep", help="run a convergence experiment", allow_abbrev=False)
     _add_common(p)
-    p.add_argument("--kind", default=None, choices=harness.EXPERIMENT_KINDS)
-    p.add_argument("--a-grid", dest="a_grid", type=_parse_grid, default=None)
-    p.add_argument("--eps-grid", dest="eps_grid", type=_parse_grid, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
+    p.set_defaults(model=C.model, T=C.horizon, steps=C.steps, seed=C.master_seed)
+    p.add_argument("--kind", choices=harness.EXPERIMENT_KINDS)
+    p.add_argument("--a-grid", dest="a_grid", type=_parse_grid, default=C.a_grid)
+    p.add_argument("--eps-grid", dest="eps_grid", type=_parse_grid, default=C.eps_grid)
+    p.add_argument("--eta", type=_positive(float, "eta"), default=C.eta)
+    p.add_argument("--paths", type=_positive(int, "paths"), default=C.n_paths)
+    p.add_argument("--p", type=_positive(float, "p"), default=C.p)
 
-    p = sub.add_parser("verify", help="representation-formula checks on the half line")
+    p = sub.add_parser("verify", help="representation-formula checks on the half line", allow_abbrev=False)
     _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--field", default=None, help="scalar field from the registry (default gauss)")
+    p.set_defaults(model="half-space:d=1")
+    p.add_argument("--n", type=_positive(int, "n"), default=10_000)
+    p.add_argument("--dt", type=_positive(float, "dt"), default=1e-3)
+    p.add_argument("--field", default="gauss", help="scalar field from the registry (default gauss)")
 
     p = sub.add_parser("report", help="re-render saved JSON rows")
     p.add_argument("--input", required=True)
@@ -143,11 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    model = parse_model(args.model or "half-line")
-    grid = TimeGrid(_given(args.T, 1.0), _given(args.steps, 1000))
-    seed = _given(args.seed, 0)
-    driver = DriverPath.generate(grid, model.frame_count, seed)
-    x0 = np.asarray(args.x0, dtype=float) if args.x0 else default_start(model)
+    model = parse_model(args.model)
+    grid = TimeGrid(args.T, args.steps)
+    driver = DriverPath.generate(grid, model.frame_count, args.seed)
+    x0 = default_start(model) if args.x0 is None else np.asarray(args.x0, dtype=float)
     if args.a is not None:
         path = integrate_penalized(model, args.a, x0, driver, grid)
         header = ["t"] + [f"x{i+1}" for i in range(model.dim)] + ["R", "L", "damping"]
@@ -157,9 +133,8 @@ def _cmd_simulate(args) -> int:
         header = ["t"] + [f"x{i+1}" for i in range(model.dim)] + ["R", "L", "contact"]
         cols = [grid.times, *path.points.T, path.boundary_dist, path.local_time,
                 path.boundary_flags.astype(float)]
-    fmt = args.format or "csv"
     lines = []
-    if fmt == "csv":
+    if args.format == "csv":
         lines.append(",".join(header))
         for i in range(len(grid.times)):
             lines.append(",".join(repr(float(c[i])) for c in cols))
@@ -175,42 +150,24 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.kind is None:
         raise ValueError("sweep requires --kind (or kind= in the config file)")
-    defaults = harness.ExperimentConfig(kind=args.kind)
     cfg = harness.ExperimentConfig(
-        kind=args.kind,
-        model=args.model or defaults.model,
-        horizon=_given(args.T, defaults.horizon),
-        steps=_given(args.steps, defaults.steps),
-        a_grid=tuple(args.a_grid) if args.a_grid else defaults.a_grid,
-        eps_grid=tuple(args.eps_grid) if args.eps_grid else defaults.eps_grid,
-        eta=args.eta,
-        n_paths=_given(args.paths, defaults.n_paths),
-        p=_given(args.p, defaults.p),
-        master_seed=_given(args.seed, 0),
-        x0=tuple(args.x0) if args.x0 else None,
-        out=args.out,
+        kind=args.kind, model=args.model, horizon=args.T, steps=args.steps, a_grid=args.a_grid,
+        eps_grid=args.eps_grid, eta=args.eta, n_paths=args.paths, p=args.p, master_seed=args.seed, x0=args.x0,
     )
     rows = harness.run_experiment(cfg)
-    fmt = args.format or "csv"
     if args.out:
-        harness.report(rows, fmt, args.out)
+        harness.report(rows, args.format, args.out)
         print(f"wrote {len(rows)} rows to {args.out} (digest {cfg.digest})")
     else:
-        text = harness.render_csv(rows) if fmt == "csv" else json.dumps(
-            harness.rows_to_dicts(rows), indent=2, sort_keys=True
-        )
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(harness.render(rows, args.format), end="")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    model = parse_model(args.model or "half-space:d=1")
-    n = _given(args.n, 10_000)
-    dt = _given(args.dt, 1e-3)
-    T = _given(args.T, 1.0)
-    seed = _given(args.seed, 0)
-    x = np.asarray(args.x0, dtype=float) if args.x0 else default_start(model)
-    f = est.scalar_field(args.field or "gauss")
+    model = parse_model(args.model)
+    n, dt, T, seed = args.n, args.dt, args.T, args.seed
+    x = default_start(model) if args.x0 is None else np.asarray(args.x0, dtype=float)
+    f = est.scalar_field(args.field)
     # the 1-form under test is the differential of the selected field, so its
     # evolution is the gradient of the function solution
     phi = est.OneForm(f"{f.name}-grad", components=f.gradient, closed=True)
@@ -267,13 +224,16 @@ def _write_or_print(text: str, out: str | None):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ARGUMENT if exc.code not in (0, None) else EXIT_OK
-    try:
-        args = _check_positive(_apply_config_file(args))
+        if getattr(args, "config", None):
+            # parse again with the file's flags between the subcommand and the
+            # command line's flags, so each file value gets its flag's checks
+            # and an explicit flag, seen last, wins
+            i = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:i], *_read_config_file(args.config), *argv[i:]])
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "sweep":
@@ -281,6 +241,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_report(args)
+    except SystemExit as exc:
+        return EXIT_ARGUMENT if exc.code not in (0, None) else EXIT_OK
     except (ValueError, TypeError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT

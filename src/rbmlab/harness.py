@@ -42,7 +42,7 @@ EXPERIMENT_KINDS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep configuration; the digest ignores the output location."""
+    """Sweep configuration."""
 
     kind: str
     model: str = "half-line"
@@ -55,7 +55,6 @@ class ExperimentConfig:
     p: float = 2.0
     master_seed: int = 0
     x0: tuple | None = None
-    out: str | None = None
 
     def validate(self) -> "ExperimentConfig":
         if self.kind not in EXPERIMENT_KINDS:
@@ -731,14 +730,18 @@ def rows_from_dicts(data: list[dict]) -> list[ResultRow]:
     return rows
 
 
+def render(rows: list[ResultRow], fmt: str) -> str:
+    """Rows as CSV (deterministic bytes) or JSON text."""
+    if fmt == "csv":
+        return render_csv(rows)
+    if fmt == "json":
+        return json.dumps(rows_to_dicts(rows), indent=2, sort_keys=True) + "\n"
+    raise ValueError("format must be 'csv' or 'json'")
+
+
 def report(rows: list[ResultRow], fmt: str, out_path: str) -> str:
     """Write rows as CSV (deterministic bytes) or JSON."""
-    if fmt == "csv":
-        text = render_csv(rows)
-    elif fmt == "json":
-        text = json.dumps(rows_to_dicts(rows), indent=2, sort_keys=True) + "\n"
-    else:
-        raise ValueError("format must be 'csv' or 'json'")
+    text = render(rows, fmt)
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import guard_stream  # noqa: F401  (bound for perfbench/spans.py, which wraps it by name)
-from .stepping import _grid_rows, implicit_step
+from .stepping import _grid_rows, _joined_blocks, implicit_step
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -223,17 +223,17 @@ def _flow_blocks(a_grid, x: float, blocks, dt: float, first_path: int = 0):
     """The runs of :func:`penalized_paths_1d_grid`, stepped on driver blocks.
 
     ``blocks`` yields driver blocks (i0, dW), dW (P, n) the increments of
-    steps i0..i0+n-1, in order, none longer than the first.  Yields (i0, X)
-    per block: X (G, P, n+1) holds nodes i0..i0+n of the stored run, bit for
-    bit, and is reused for the next block.  The paths are paths first_path..
-    of a sweep, and an ``IntegrationError`` names that index.
+    steps i0..i0+n-1, which must join (:func:`stepping._joined_blocks`).
+    Yields (i0, X) per block: X (G, P, n+1) holds nodes i0..i0+n of the
+    stored run, bit for bit, and is reused for the next block.  The paths
+    are paths first_path.. of a sweep, and an ``IntegrationError`` names that
+    index.
     """
     if x <= 0:
         raise ValueError("start point must be strictly positive")
     G = np.size(a_grid)
     out = None
-    for i0, dW in blocks:
-        dW = np.atleast_2d(np.asarray(dW, dtype=float))
+    for i0, dW in _joined_blocks(blocks):
         n_paths, n = dW.shape
         if out is None:
             a_rows, paths = _grid_rows(a_grid, n_paths, first_path)

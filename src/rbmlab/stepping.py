@@ -335,23 +335,34 @@ def _checked_start(model, x0):
     return x0, float(geo.boundary_distance(model, x0))
 
 
-def _checked_blocks(model, blocks, grid):
-    """Driver blocks (i0, dB), dB (P, n, m) the increments of steps
-    i0..i0+n-1, as float arrays, checked against the model and the grid: each
-    block starts where the one before ends, holds the first block's paths and
-    at most its steps, and together they cover the grid.  Yields (i0, dB,
-    bad): bad is None for a finite block, and else the step k in the block
-    and the batch row j of its first non-finite increment (earliest step,
-    then lowest row), at which the stepper raises (:func:`_nonfinite`)."""
+def _joined_blocks(blocks):
+    """Driver blocks (i0, dB), dB (P, n, ...) the increments of steps
+    i0..i0+n-1, as float arrays of at least two axes, checked to join: each
+    block starts where the one before ends and holds the first block's paths
+    and at most its steps."""
     done, first = 0, None
     for i0, dB in blocks:
-        dB = np.asarray(dB, dtype=float)
-        P, n, m = dB.shape
-        if m != model.frame_count:
-            raise ValueError("driver component count does not match model frame count")
+        dB = np.atleast_2d(np.asarray(dB, dtype=float))
+        P, n = dB.shape[:2]
         first = first or (P, n)
         if i0 != done or P != first[0] or n > first[1]:
             raise ValueError("driver blocks do not join")
+        done += n
+        yield i0, dB
+
+
+def _checked_blocks(model, blocks, grid):
+    """Driver blocks (i0, dB), dB (P, n, m), joined (:func:`_joined_blocks`)
+    and checked against the model and the grid: together they cover the
+    grid.  Yields (i0, dB, bad): bad is None for a finite block, and else the
+    step k in the block and the batch row j of its first non-finite increment
+    (earliest step, then lowest row), at which the stepper raises
+    (:func:`_nonfinite`)."""
+    done = 0
+    for i0, dB in _joined_blocks(blocks):
+        _, n, m = dB.shape
+        if m != model.frame_count:
+            raise ValueError("driver component count does not match model frame count")
         done += n
         if done > grid.steps:
             raise ValueError("driver length does not match grid")

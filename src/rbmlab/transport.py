@@ -26,7 +26,6 @@ import numpy as np
 
 from . import geometry as geo
 from .geometry import ManifoldModel
-from .grids import DriverPath, TimeGrid
 
 @dataclass
 class TransportFrame:
@@ -82,31 +81,6 @@ def parallel_transport(model: ManifoldModel, path_or_points) -> TransportFrame:
     """Transport frame along one nodal path."""
     pts = _path_points(path_or_points)
     return TransportFrame(matrices=transport_batch(model, pts[None])[0])
-
-
-def transport_convergence_check(
-    model: ManifoldModel,
-    a_list,
-    driver: DriverPath,
-    grid: TimeGrid,
-    v,
-    x0=None,
-):
-    """Sup-norm gap between transported vectors along coupled penalized and
-    reflected paths, one row per smoothing level a."""
-    from . import stepping  # local import to avoid a cycle at module load
-
-    v = np.asarray(getattr(v, "components", v), dtype=float)
-    if x0 is None:
-        x0 = default_start(model)
-    dB = driver.increments[None]
-    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-    ref_frames = transport_batch(model, ref["points"])
-    ref_v = ref_frames[0] @ v
-    pen = stepping.integrate_penalized_grid(model, a_list, x0, dB, grid)
-    pen_v = transport_batch(model, pen["points"][:, 0]) @ v
-    gaps = np.linalg.norm(pen_v - ref_v, axis=-1).max(axis=-1)
-    return [{"a": float(a), "sup_gap": float(gap)} for a, gap in zip(a_list, gaps)]
 
 
 def default_start(model: ManifoldModel) -> np.ndarray:

@@ -132,8 +132,6 @@ def test_halfline_penalization_rejects_other_models(model, capsys):
 
 def test_config_digest_behavior():
     a = ExperimentConfig(kind="local-time", model="half-line", n_paths=16)
-    b = ExperimentConfig(kind="local-time", model="half-line", n_paths=16, out="somewhere.csv")
-    assert a.digest == b.digest  # output path does not affect the science
     c = ExperimentConfig(kind="local-time", model="half-line", n_paths=16, master_seed=1)
     assert c.digest != a.digest
 
@@ -251,6 +249,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert r.returncode == 2
     r = _run_cli("report", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv"))
     assert r.returncode == 4
+    assert cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 4
+    assert "i/o error" in capsys.readouterr().err
     # a << sqrt(dt): the drift-implicit step keeps the path inside
     r = _run_cli("simulate", "--model", "half-line", "--a", "0.0015", "--steps", "1000", "--x0", "0.01")
     assert r.returncode == 0, r.stderr
@@ -296,11 +296,34 @@ def test_cli_simulate_and_config_file(tmp_path):
     # flags override the file
     r = _run_cli("simulate", "--config", str(cfgfile), "--steps", "20", "--out", str(out))
     assert len(out.read_text().splitlines()) == 22
+    # a value that starts with "-" is not taken for a flag
+    cfgfile.write_text("model=half-space:d=2\nx0=-0.5,0.5\nsteps=3\n")
+    r = _run_cli("simulate", "--config", str(cfgfile), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert out.read_text().splitlines()[1].split(",")[1:3] == ["-0.5", "0.5"]
     # unknown key is an argument error
     bad = tmp_path / "bad.cfg"
     bad.write_text("banana=1\n")
     r = _run_cli("simulate", "--config", str(bad))
     assert r.returncode == 2
+
+
+_SMALL_SWEEP = "kind=local-time\nT=0.1\nsteps=20\npaths=4\n"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("simulate", "format=xml\n"),
+    ("sweep", _SMALL_SWEEP + "format=xml\n"),
+    ("simulate", "paths=8\n"),  # sweep's flag
+    ("sweep", _SMALL_SWEEP + "a=0.1\n"),  # simulate's flag, and a prefix of --a-grid
+], ids=["simulate-format", "sweep-format", "simulate-paths", "sweep-a"])
+def test_cli_config_keys_are_the_subcommands_own_flags(command, text, tmp_path, capsys):
+    # a file value is parsed by its flag's action, so a bad choice or another
+    # subcommand's key is an argument error, not a value stored and ignored
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert cli.main([command, "--config", str(cfgfile)]) == cli.EXIT_ARGUMENT
+    assert "error: " in capsys.readouterr().err
 
 
 def test_cli_config_file_selects_the_field(tmp_path, monkeypatch):
@@ -335,6 +358,7 @@ def test_cli_rejects_non_positive_flags(command, flag, rest, tmp_path, capsys):
     cfgfile = tmp_path / "zero.cfg"
     cfgfile.write_text(f"{flag[2:]}=0\n")
     assert cli.main([command, *rest, "--config", str(cfgfile)]) == cli.EXIT_ARGUMENT
+    assert f"{flag[2:]} must be positive" in capsys.readouterr().err
 
 
 def test_cli_explicit_flags_are_used(capsys):

@@ -712,11 +712,15 @@ def test_node_blocks_no_longer_than_the_first():
     model = geo.flat_disk()
     grid = TimeGrid(1.0, 30)
     dB = driver_block(grid, model.frame_count, seed=31, first_path=0, n_paths=3)
-    blocks = [(0, dB[:, :10]), (10, dB[:, 10:30])]
-    with pytest.raises(ValueError, match="do not join"):
-        list(stepping._reflected_blocks(model, (0.2, 0.1), blocks, grid))
-    with pytest.raises(ValueError, match="do not join"):
-        list(stepping._penalized_blocks(model, (0.1,), (0.2, 0.1), blocks, grid))
+    # a longer block, a gap of three steps, a block with fewer paths
+    for blocks in ([(0, dB[:, :10]), (10, dB[:, 10:30])], [(0, dB[:, :4]), (7, dB[:, 7:11])],
+                   [(0, dB[:, :10]), (10, dB[:2, 10:20])]):
+        with pytest.raises(ValueError, match="do not join"):
+            list(stepping._reflected_blocks(model, (0.2, 0.1), blocks, grid))
+        with pytest.raises(ValueError, match="do not join"):
+            list(stepping._penalized_blocks(model, (0.1,), (0.2, 0.1), blocks, grid))
+        with pytest.raises(ValueError, match="do not join"):
+            list(sk._flow_blocks((0.1,), 0.2, ((i0, b[:, :, 0]) for i0, b in blocks), grid.dt))
 
 
 @pytest.mark.parametrize(

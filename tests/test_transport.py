@@ -4,10 +4,19 @@ from __future__ import annotations
 import numpy as np
 
 from rbmlab import geometry as geo
+from rbmlab import harness
 from rbmlab.grids import DriverPath, TimeGrid
 from rbmlab.penalized import integrate_penalized
 from rbmlab.reflected import integrate_reflected
-from rbmlab.transport import parallel_transport, transport_convergence_check
+from rbmlab.transport import parallel_transport
+
+_CAP_PI_3 = f"cap:theta0={np.pi / 3}"
+
+
+def _transport_rows(model, horizon, steps, a_grid, n_paths, seed):
+    cfg = harness.ExperimentConfig(kind="transport", model=model, horizon=horizon, steps=steps,
+                                   a_grid=a_grid, n_paths=n_paths, master_seed=seed)
+    return {r.params["a"]: r for r in harness.run_experiment(cfg)}
 
 
 def test_flat_models_transport_is_identity():
@@ -61,11 +70,8 @@ def test_composition_property():
 
 
 def test_transport_convergence_flat_gaps_zero():
-    model = geo.half_space(2)
-    grid = TimeGrid(0.25, 100)
-    driver = DriverPath.generate(grid, 2, seed=4)
-    rows = transport_convergence_check(model, [0.1, 0.05], driver, grid, np.array([1.0, 0.0]))
-    assert all(r["sup_gap"] == 0.0 for r in rows)
+    rows = _transport_rows("half-space:d=2", 0.25, 100, (0.1, 0.05), 2, 4)
+    assert all(r.value == 0.0 and r.q75 == 0.0 for r in rows.values())
 
 
 def test_transport_convergence_single_node():
@@ -78,16 +84,8 @@ def test_transport_convergence_single_node():
 
 def test_transport_gap_decreases_on_cap_smoke():
     """Coupled transports converge as the smoothing parameter shrinks."""
-    cap = geo.spherical_cap(np.pi / 3)
-    grid = TimeGrid(1.0, 1500)
-    gaps = {0.2: [], 0.02: []}
-    v = np.array([0.0, 1.0])
-    for k in range(12):
-        driver = DriverPath.generate(grid, 5, seed=60, path_index=k)
-        rows = transport_convergence_check(cap, list(gaps), driver, grid, v)
-        for r in rows:
-            gaps[r["a"]].append(r["sup_gap"])
-    assert np.median(gaps[0.02]) < np.median(gaps[0.2])
+    rows = _transport_rows(_CAP_PI_3, 1.0, 1500, (0.2, 0.02), 12, 60)
+    assert rows[0.02].q50 < rows[0.2].q50
 
 
 def test_frames_along_penalized_path_orthonormal():
@@ -208,7 +206,8 @@ def test_transport_blocks_carry_the_cumulative_angle():
 
 
 def test_convergence_check_rows_equal_one_call_per_a():
-    """One grid call gives the rows the per-a loop gave, bit for bit."""
+    """The transport sweep's rows are the statistics of the per-a loop over
+    one path at a time, bit for bit."""
     from rbmlab import stepping
     from rbmlab.transport import default_start, transport_batch
 
@@ -216,14 +215,18 @@ def test_convergence_check_rows_equal_one_call_per_a():
     grid = TimeGrid(0.5, 400)
     a_list = [0.2, 0.05, 0.0125]
     v = np.array([0.0, 1.0])
+    gaps = {a: [] for a in a_list}
     for k in range(3):
         driver = DriverPath.generate(grid, 5, seed=61, path_index=k)
         dB = driver.increments[None]
         x0 = default_start(cap)
         ref_v = transport_batch(cap, stepping.integrate_reflected_batch(cap, x0, dB, grid)["points"])[0] @ v
-        loop = []
         for a in a_list:
             pen = stepping.integrate_penalized_batch(cap, a, x0, dB, grid)
             pen_v = transport_batch(cap, pen["points"])[0] @ v
-            loop.append({"a": float(a), "sup_gap": float(np.linalg.norm(pen_v - ref_v, axis=-1).max())})
-        assert transport_convergence_check(cap, a_list, driver, grid, v) == loop
+            gaps[a].append(np.linalg.norm(pen_v - ref_v, axis=-1).max())
+    rows = _transport_rows(_CAP_PI_3, 0.5, 400, tuple(a_list), 3, 61)
+    for a, g in gaps.items():
+        r = rows[a]
+        assert (r.value, r.stderr, r.q25, r.q50, r.q75) == (*harness._mean_stderr(np.array(g)),
+                                                             *harness._quantiles(np.array(g)))

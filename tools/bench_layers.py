@@ -30,22 +30,16 @@ Flat exact-law sampler: the input of the ``exact-law`` benchmark
 per path-step (paths x steps).  ``exact_law.record`` draws the path record
 with its cache cleared before each call; ``exact_law.reduction`` reduces the
 cached record for one start point, which is what each further estimator call
-on the same draw costs.  A tree without the record (``estimators._path_record``
-absent) draws on every call: its one-start ``_exact_law`` call is timed as
-``exact_law.record``, and ``exact_law.reduction`` is left out.
+on the same draw costs.
 
 Eps levels: the engine stage of one ``eps-cauchy`` chunk on the same input,
 from the four levels' jump flags to the inter-level gaps, in ns per path-step
-per level.  A tree whose engine runs every level in one pass (collect
-"cauchy") makes one call; an older tree makes the four "series" calls and
-the three pairwise differences that its harness made.
+per level: one engine call that runs every level in one pass (collect
+"cauchy").
 
 Each layer is called once to warm up and then nine times; the record keeps
 the median and the quartiles over the repeats, with numpy, scipy and Python
 versions and ``nproc``.  BLAS and OpenMP pools are pinned to one thread.
-The calls use only names and arguments that the integrators have had since
-their ``aux_seed`` argument was removed, so one copy of this script measures
-an older tree back to that change as well.
 
 Memory: the tracemalloc peak of one ``run_experiment`` call of each sweep of
 the ``sweeps`` benchmark (and of ``projection`` on its disk input), in MB of
@@ -306,7 +300,6 @@ def measure() -> dict:
     import numpy as np
     import scipy
 
-    from rbmlab import damped
     from rbmlab import estimators as est
     from rbmlab import geometry as geo
     from rbmlab import harness, stepping
@@ -332,16 +325,7 @@ def measure() -> dict:
 
     def eps_levels():
         levels = [closes & (dur >= eps) for eps in EPS_GRID]
-        if "cauchy" in getattr(damped, "_COLLECTS", ()):
-            return _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=levels, collect="cauchy")["cauchy"]
-        prev, gaps = None, []
-        for flags in levels:
-            series = _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=flags, collect="series")["series"]
-            if prev is not None:
-                diff = prev - series
-                gaps.append(np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1))
-            prev = series
-        return np.stack(gaps, axis=1)
+        return _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=levels, collect="cauchy")["cauchy"]
 
     transport_s = _time(lambda: transport_batch(cap, points))
     engine_s = [t / len(EPS_GRID) for t in _time(engine_levels)]
@@ -385,11 +369,8 @@ def measure() -> dict:
         est._path_record.cache_clear()
         est._path_record(flat.frame_count, EL_HORIZON, EL_STEPS, EL_PATHS, EL_SEED)
 
-    if hasattr(est, "_path_record"):
-        exact_law = {"exact_law.record": _time(record), "exact_law.reduction": _time(one_start)}
-        est._path_record.cache_clear()
-    else:
-        exact_law = {"exact_law.record": _time(one_start)}
+    exact_law = {"exact_law.record": _time(record), "exact_law.reduction": _time(one_start)}
+    est._path_record.cache_clear()
     traced = {name: _traced_peak_mb(lambda f=fields: harness.run_experiment(harness.ExperimentConfig(**f)))
               for name, fields in SWEEPS.items()}
     runs = {name: {**_acceptance(fields), "config": fields} for name, fields in ACCEPTANCE.items()}
