@@ -4,11 +4,11 @@ Subcommands: simulate (one path dump), sweep (convergence tables), verify
 (representation-formula checks), report (re-render saved rows).
 
 ``--config`` names a file of flat key=value lines for simulate, sweep or
-verify.  Its keys are the subcommand's flag names, spelled out (``a_grid`` or
-``a-grid`` for ``--a-grid``), and each line is parsed as the flag
-``--key=value``, with that flag's type, choices and positivity check.  The
-file is read first and the command line's flags after it, so an explicit
-flag wins.
+verify.  Its keys are the subcommand's flag names but ``config``, spelled
+out (``a_grid`` or ``a-grid`` for ``--a-grid``), and each line is parsed as
+the flag ``--key=value``, with that flag's type, choices and positivity
+check; an error in a line names the file and the line.  The file is read
+first and the command line's flags after it, so an explicit flag wins.
 
 Exit codes: 0 success; 2 argument error (an unknown flag or key, or a bad
 value, from the command line or the file); 3 numeric/integration error; 4 I/O
@@ -44,9 +44,11 @@ def _parse_grid(text):
     return vals
 
 
-def _read_config_file(path: str) -> list[str]:
+def _read_config_file(path: str, command: argparse.ArgumentParser) -> list[str]:
     """The flags a flat key=value file stands for: each line is the token
-    ``--key=value``, with ``_`` in the key written as ``-``."""
+    ``--key=value``, with ``_`` in the key written as ``-``, checked on its
+    own by the subcommand's parser ``command``, so that a bad line raises a
+    ValueError that names the file and the line."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
@@ -56,7 +58,18 @@ def _read_config_file(path: str) -> list[str]:
             key, sep, val = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-            tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+            flag = key.strip().replace("_", "-")
+            token = f"--{flag}={val.strip()}"
+            command.exit_on_error = False  # raise the error, not exit with it
+            try:
+                unknown = command.parse_known_args([token])[1]
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            finally:
+                command.exit_on_error = True
+            if unknown or flag == "config":
+                raise ValueError(f"{path}:{line_no}: unknown key {key.strip()!r}")
+            tokens.append(token)
     return tokens
 
 
@@ -84,8 +97,11 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; ``commands`` holds each subcommand's parser by
+    name."""
     ap = argparse.ArgumentParser(prog="rbmlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices
     # a flag, and so a config key, must be spelled out: no prefix stands for it
 
     p = sub.add_parser("simulate", help="integrate one path and dump its nodes", allow_abbrev=False)
@@ -233,7 +249,8 @@ def main(argv=None) -> int:
             # command line's flags, so each file value gets its flag's checks
             # and an explicit flag, seen last, wins
             i = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:i], *_read_config_file(args.config), *argv[i:]])
+            tokens = _read_config_file(args.config, parser.commands[args.command])
+            args = parser.parse_args([*argv[:i], *tokens, *argv[i:]])
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "sweep":

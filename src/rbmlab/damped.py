@@ -19,14 +19,14 @@ The system is linear, so one step is a matrix: w_{i+1} = M_i w_i with
 
 coefficients frozen at the left node, s_i = 1 - exp(-int c) the damping
 factor and j_i = 1 where the step enters an excursion right end.  The engine
-builds M for every path in blocks of nodes, applying each rank-one factor
-only where its coefficient is nonzero, and runs the node loop as one stacked
-matrix product per node.  Jump levels that differ only in j_i (the eps
-levels of one path set) share one pass: the other factors are built once
-and each level's product runs in the same stacked call.  A run may also be
-fed to the engine in node blocks: a ``carry`` dict takes each level's running
-product and the running reductions from one call to the next, so a streamed
-sweep never holds a whole path.
+builds M for every path and node, applying each rank-one factor only where
+its coefficient is nonzero, and runs the node loop as one stacked matrix
+product per node.  Jump levels that differ only in j_i (the eps levels of one
+path set) share one pass: the other factors are built once and each level's
+product runs in the same stacked call.  The engine returns the running
+products; a sweep feeds it node blocks, each call starting from the last
+product of the one before, and reduces the products of each block itself, so
+it never holds a whole path.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from . import geometry as geo
 from .geometry import ManifoldModel
 from .grids import DriverPath
 from .penalized import PenalizedPath
-from .reflected import ReflectedPath, excursions
+from .reflected import ReflectedPath, excursion_flags
 from .transport import TransportFrame
 
 VARIANT_PENALIZED = "penalized"
@@ -127,25 +127,7 @@ def _rank_one(M, fac, vecs):
     M[i, p] = m - fac[i, p][:, None, None] * (v[:, :, None] * _vec_mat(v, m)[:, None, :])
 
 
-# Step matrices are built, and the running products reduced, this many nodes
-# at a time, so that no call holds an (N, P, d, d) stack but "series".
-_NODE_BLOCK = 32
-
-_COLLECTS = ("series", "normal", "cauchy", "bound")
-
-
-def _damped_engine(
-    model,
-    points,
-    frames,
-    dt,
-    dL,
-    *,
-    c_increments=None,
-    jump_flags=None,
-    collect="series",
-    carry=None,
-):
+def _damped_engine(model, points, frames, dt, dL, *, c_increments=None, jump_flags=None, start=None):
     """Shared integrator; see module docstring for the system and the step
     matrices.
 
@@ -156,97 +138,31 @@ def _damped_engine(
     flagged node (jump variants), None, or a list of such arrays: one
     level each, all run in one pass over the nodes, which builds the shared
     factors once and applies each level's erasure to its own copy.
-    collect, per node for one level: "series" (the matrices, (P, N+1, d, d))
-    or "normal" (their normal rows n^T w, (P, N+1, d)).  Reduced over the
-    nodes: "cauchy" (the sup over nodes of the Frobenius gap between
-    consecutive levels, (P, levels - 1)) or "bound" (the sup over nodes 1..N of
-    |w|^2 - 2 exp(-t - 2 int kappa dL), one level).  The transported normals
-    come back as "carrier".  Any other collect raises ValueError.
-    carry: None for a run from node 0, or a dict that carries the state from
-    one node block of a run to the next: the running product W of each level
-    and the reduction ("cauchy": the gaps; "bound": the log-bound and the
-    worst value).  A call starts from the state it holds (W = I where it is
-    empty) and leaves in it the state at its last node, at which the next
-    block starts.  Fed node blocks, the calls give the whole run's rows of
-    "series" and "normal" block by block, and the last call its "cauchy"
-    and "bound", bit for bit: every node takes the same products and
-    running sums in the same order.
+    start: the products at node 0, (levels, P, d, d) or broadcast to it, or
+    None for the identity.  A run fed in node blocks, each call starting from
+    the last node of the call before, gives the whole run's products block by
+    block, bit for bit: every node takes the same products in the same order.
+
+    Returns (W, nu): the running products W (N+1, levels, P, d, d), W[0] the
+    start, and the transported normals nu (P, N+1, d).
     """
-    if collect not in _COLLECTS:
-        raise ValueError(f"unknown collect {collect!r}")
     levels = list(jump_flags) if isinstance(jump_flags, (list, tuple)) else [jump_flags]
-    if collect == "cauchy" and len(levels) < 2:
-        raise ValueError("collect 'cauchy' needs at least two levels")
-    if collect != "cauchy" and len(levels) > 1:
-        raise ValueError(f"collect {collect!r} takes one level")
     P, n, d = points.shape
-    N = n - 1
     nu, q, kappa = _node_geometry(model, points, frames)
-    step = (1.0 - 0.5 * geo.ricci_factor(model) * dt) * np.eye(d)
-
-    # W per node block, blk[0] the last node of the previous block; "series"
-    # writes the blocks straight into its output
-    series = np.empty((n, 1, P, d, d)) if collect == "series" else None
-    blk = np.empty((_NODE_BLOCK + 1, len(levels), P, d, d)) if series is None else series
-    blk[0] = carry["W"] if carry else np.eye(d)
-    out = {"carrier": nu}
-    if collect == "normal":
-        out["normal"] = np.empty((P, n, d))
-        out["normal"][:, 0] = _vec_mat(nu[:, 0], blk[0, 0])
-    elif collect == "cauchy":
-        gaps = carry["gaps"].copy() if carry else np.zeros((len(levels) - 1, P))
-    elif collect == "bound":
-        log_bound = carry["log_bound"] if carry else np.zeros(P)
-        # node 0, where |W|^2 = d, does not count
-        worst = carry["worst"].copy() if carry else np.full(P, -np.inf)
-
-    for i0 in range(0, N, _NODE_BLOCK):
-        i1 = min(i0 + _NODE_BLOCK, N)
-        s, s1 = slice(i0, i1), slice(i0 + 1, i1 + 1)
-        M = np.empty((i1 - i0, P, d, d))
-        M[...] = step
-        _rank_one(M, np.where(dL[:, s] > 0, kappa[:, s] * dL[:, s], 0.0), q[:, s])
-        if c_increments is not None:
-            _rank_one(M, np.maximum(-np.expm1(-c_increments[:, s]), 0.0), nu[:, s])  # 1 - exp(-int c), exact
-        M = np.repeat(M[:, None], len(levels), axis=1) if len(levels) > 1 else M[:, None]
-        for k, flags in enumerate(levels):
-            if flags is not None:
-                _rank_one(M[:, k], flags[:, s1].astype(float), nu[:, s1])
-
-        W = series[i0:] if series is not None else blk
-        for k in range(i1 - i0):
-            np.matmul(M[k], W[k], out=W[k + 1])
-        W = W[1 : i1 - i0 + 1]
-        if collect == "normal":
-            out["normal"][:, s1] = _vec_mat(nu[:, s1], W[:, 0].swapaxes(0, 1))
-        elif collect == "cauchy":
-            diff = W[:, :-1] - W[:, 1:]
-            np.maximum(gaps, np.sqrt(np.sum(diff * diff, axis=(3, 4))).max(axis=0), out=gaps)
-        elif collect == "bound":
-            steps = np.empty((P, i1 - i0 + 1))
-            steps[:, 0] = log_bound
-            steps[:, 1:] = -1.0 * dt - 2.0 * kappa[:, s] * dL[:, s]
-            np.cumsum(steps, axis=1, out=steps)
-            log_bound = steps[:, -1].copy()
-            norm2 = np.sum(W[:, 0] * W[:, 0], axis=(2, 3)).T
-            np.maximum(worst, (norm2 - 2.0 * np.exp(steps[:, 1:])).max(axis=1), out=worst)
-        if series is None:
-            blk[0] = W[-1]
-
-    if collect == "series":
-        out["series"] = series[:, 0].swapaxes(0, 1)
-    elif collect == "cauchy":
-        out["cauchy"] = gaps.T
-    elif collect == "bound":
-        out["bound"] = worst
-    if carry is not None:
-        carry["W"] = (blk[0] if series is None else series[N]).copy()
-        # the next call copies the reductions before it updates them
-        if collect == "cauchy":
-            carry["gaps"] = gaps
-        elif collect == "bound":
-            carry.update(log_bound=log_bound, worst=worst)
-    return out
+    M = np.empty((n - 1, P, d, d))
+    M[...] = (1.0 - 0.5 * geo.ricci_factor(model) * dt) * np.eye(d)
+    _rank_one(M, np.where(dL > 0, kappa[:, :-1] * dL, 0.0), q[:, :-1])
+    if c_increments is not None:
+        _rank_one(M, np.maximum(-np.expm1(-c_increments), 0.0), nu[:, :-1])  # 1 - exp(-int c), exact
+    M = np.repeat(M[:, None], len(levels), axis=1) if len(levels) > 1 else M[:, None]
+    for k, flags in enumerate(levels):
+        if flags is not None:
+            _rank_one(M[:, k], flags[:, 1:].astype(float), nu[:, 1:])
+    W = np.empty((n, len(levels), P, d, d))
+    W[0] = np.eye(d) if start is None else start
+    for i in range(n - 1):
+        np.matmul(M[i], W[i], out=W[i + 1])
+    return W, nu
 
 
 def _frames_matrices(frame: TransportFrame | None, n: int, d: int):
@@ -258,9 +174,7 @@ def _frames_matrices(frame: TransportFrame | None, n: int, d: int):
     return mats[None]
 
 
-def _state_from(engine_out, variant, param, times):
-    series = engine_out["series"][0]
-    nu = engine_out["carrier"][0]
+def _state_from(series, nu, variant, param, times):
     normal = _vec_mat(nu, series)
     tangential = series - nu[:, :, None] * normal[:, None, :]
     return DampedState(
@@ -284,16 +198,15 @@ def damped_penalized(
     """
     pts = path.points[None]
     frames = None if model.is_flat_chart else _require_frames(model, path, frame)
-    out = _damped_engine(
+    W, nu = _damped_engine(
         model,
         pts,
         frames,
         path.grid.dt,
         np.diff(path.local_time)[None],
         c_increments=np.diff(path.damping_integral)[None],
-        collect="series",
     )
-    return _state_from(out, VARIANT_PENALIZED, a, path.grid.times)
+    return _state_from(W[:, 0, 0], nu[0], VARIANT_PENALIZED, a, path.grid.times)
 
 
 def _require_frames(model, path, frame):
@@ -302,13 +215,6 @@ def _require_frames(model, path, frame):
 
         frame = parallel_transport(model, path.points)
     return _frames_matrices(frame, path.points.shape[0], model.dim)
-
-
-def _jump_flag_array(path: ReflectedPath, eps: float, eta: float | None):
-    flags = np.zeros(path.points.shape[0], dtype=bool)
-    exc = excursions(path, eps, eta)
-    flags[exc.right_ends] = True
-    return flags
 
 
 def damped_eps(
@@ -321,17 +227,19 @@ def damped_eps(
     """Jump damped transport: the normal row is erased exactly at the right
     end of every interior excursion of duration >= eps, after the continuous
     update into that node."""
+    eta = path.eta if eta is None else eta
+    if not eta > 0:
+        raise ValueError("contact threshold must be positive")
     frames = None if model.is_flat_chart else _require_frames(model, path, frame)
-    out = _damped_engine(
+    W, nu = _damped_engine(
         model,
         path.points[None],
         frames,
         path.grid.dt,
         np.diff(path.local_time)[None],
-        jump_flags=_jump_flag_array(path, eps, eta)[None],
-        collect="series",
+        jump_flags=excursion_flags(path.boundary_dist, path.grid.times, eps, eta)[0][None],
     )
-    return _state_from(out, VARIANT_EPS, eps, path.grid.times)
+    return _state_from(W[:, 0, 0], nu[0], VARIANT_EPS, eps, path.grid.times)
 
 
 def damped_limit(

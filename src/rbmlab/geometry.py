@@ -84,8 +84,20 @@ def spherical_cap(theta0: float) -> ManifoldModel:
 _MODEL_RE = re.compile(r"^(half-line|half-space|disk|cap)(?::(.*))?$")
 
 
+def _angle(text: str) -> float:
+    """A float, or ``pi/<number>`` for pi over that number."""
+    num, sep, den = text.partition("/")
+    if not sep or num.strip() != "pi":
+        return float(text)
+    den = float(den)
+    if den == 0.0:
+        raise ValueError(f"angle {text!r} divides by zero")
+    return math.pi / den
+
+
 def parse_model(text: str) -> ManifoldModel:
-    """Build a model from a CLI/config string such as ``half-space:d=3``."""
+    """Build a model from a CLI/config string such as ``half-space:d=3`` or
+    ``cap:theta0=pi/3``."""
     m = _MODEL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"unknown model string {text!r}")
@@ -103,7 +115,7 @@ def parse_model(text: str) -> ManifoldModel:
         return half_space(int(params.pop("d", "2")))
     if kind == FLAT_DISK:
         return flat_disk()
-    theta0 = float(params.pop("theta0", str(math.pi / 3)))
+    theta0 = _angle(params.pop("theta0", str(math.pi / 3)))
     if params:
         raise ValueError(f"unused model arguments {sorted(params)} in {text!r}")
     return spherical_cap(theta0)

@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry as geo
 from . import skorohod1d as sk1d
 from . import stepping
-from .damped import _damped_engine
+from .damped import _damped_engine, _vec_mat
 from .estimators import MCEstimate
 from .geometry import ManifoldModel, parse_model
 from .grids import TimeGrid, driver_block, driver_blocks  # noqa: F401  (driver_block: bound for perfbench/spans.py)
@@ -302,14 +302,14 @@ def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer, penalized=Non
     (P, n, d), R and L (P, n)), equal bit for bit to those nodes of the
     stored runs; the next call starts at node i1, and the arrays may be
     reused once it returns, so a reducer carries what its statistic needs
-    from block to block: running maxima, transport angles, the engine's
-    carry, or a _RowSums of its node terms.  Nothing a chunk holds grows with
-    N.  The penalized rows are stepped by ``penalized(a_grid, x0, blocks,
-    first)``, a block stepper such as stepping._penalized_blocks, the
-    default; halfline-penalization passes the 1-d flow, whose ``pen`` is its
-    node values (G, P, n).  Only the runs a kind reads are stepped:
-    norm-bound gets None for ``ref``, and eps-cauchy, which has no a-grid,
-    None for ``pen``.
+    from block to block: running maxima, transport angles, the damped
+    engine's last products, or a _RowSums of its node terms.  Nothing a
+    chunk holds grows with N.  The penalized rows are stepped by
+    ``penalized(a_grid, x0, blocks, first)``, a block stepper such as
+    stepping._penalized_blocks, the default; halfline-penalization passes
+    the 1-d flow, whose ``pen`` is its node values (G, P, n).  Only the runs
+    a kind reads are stepped: norm-bound gets None for ``ref``, and
+    eps-cauchy, which has no a-grid, None for ``pen``.
     """
     x0 = _start_point(cfg, model)
     grid = cfg.grid
@@ -335,16 +335,23 @@ def _streams(cfg: ExperimentConfig, model: ManifoldModel, reducer, penalized=Non
             reduce(i0, pen, ref)
 
 
-def _damped_along(model: ManifoldModel, run: dict, dt: float, angle=None):
-    """The damped engine along one run, or one node block of a run, its
-    transport frames computed once: call it with the engine's keyword
-    options.  ``angle`` carries the cumulative transport angle from block to
-    block (see transport_batch).  A penalized run (one with a damping series
-    C) brings its damping increments."""
+def _damped_along(model: ManifoldModel, run: dict, dt: float, angle, **kw):
+    """The damped engine's products and transported normals along one node
+    block of a run, ``kw`` its keyword options.  ``angle`` carries the
+    cumulative transport angle from block to block (see transport_batch).  A
+    penalized run (one with a damping series C) brings its damping
+    increments."""
     frames = None if model.is_flat_chart else transport_batch(model, run["points"], angle)
-    dL = np.diff(run["L"], axis=1)
     dC = np.diff(run["C"], axis=1) if "C" in run else None
-    return lambda **kw: _damped_engine(model, run["points"], frames, dt, dL, c_increments=dC, **kw)
+    return _damped_engine(model, run["points"], frames, dt, np.diff(run["L"], axis=1), c_increments=dC, **kw)
+
+
+def _level_gaps(W, gaps):
+    """Running max into gaps (levels - 1, P) of the Frobenius gaps between
+    consecutive levels of the products W (n, levels, P, d, d) at nodes
+    1..n-1."""
+    diff = W[1:, :-1] - W[1:, 1:]
+    np.maximum(gaps, np.sqrt(np.sum(diff * diff, axis=(3, 4))).max(axis=0), out=gaps)
 
 
 def _run_halfline_penalization(cfg: ExperimentConfig):
@@ -455,22 +462,32 @@ def _run_local_time(cfg: ExperimentConfig):
 
 def _run_norm_bound(cfg: ExperimentConfig):
     """Node-wise decay bound of the smooth damped transport on the cap,
-    reduced block by block: each row carries its transport angle and its
-    engine state from one block to the next."""
+    max_i |W_i|^2 - 2 exp(-t_i - 2 int kappa dL) over nodes 1..N, reduced
+    block by block: each row carries its transport angle, its last product
+    and its log-bound from one block to the next."""
     model = parse_model(cfg.model)
     dt = cfg.grid.dt
-    worst = np.empty((len(cfg.a_grid), cfg.n_paths))
+    worst = np.full((len(cfg.a_grid), cfg.n_paths), -np.inf)
 
     def reducer(chunk):
         angles = np.zeros((len(cfg.a_grid), chunk.stop - chunk.start))
-        carries = [{} for _ in angles]
+        starts = [None for _ in angles]
+        log_bound = np.zeros(angles.shape)
 
         def reduce(i0, pen, _):
-            # the last block's running worst is the whole run's
-            for j, (angle, carry) in enumerate(zip(angles, carries)):
+            for j, angle in enumerate(angles):
                 run = {key: v[j] for key, v in pen.items()}
-                out = _damped_along(model, run, dt, angle)(collect="bound", carry=carry)
-                worst[j, chunk] = out["bound"]
+                W = _damped_along(model, run, dt, angle, start=starts[j])[0]
+                starts[j] = W[-1]
+                w = W[1:, 0]
+                steps = np.empty((angle.size, len(w) + 1))
+                steps[:, 0] = log_bound[j]
+                kappa = geo._level_curvature(model, run["points"][:, :-1])
+                steps[:, 1:] = -1.0 * dt - 2.0 * kappa * np.diff(run["L"])
+                np.cumsum(steps, axis=1, out=steps)
+                log_bound[j] = steps[:, -1]
+                row = worst[j, chunk]
+                np.maximum(row, (np.sum(w * w, axis=(2, 3)).T - 2.0 * np.exp(steps[:, 1:])).max(axis=1), out=row)
 
         return reduce
 
@@ -485,25 +502,26 @@ def _run_norm_bound(cfg: ExperimentConfig):
 def _run_eps_cauchy(cfg: ExperimentConfig):
     """Inter-level sup gaps of the excursion-jump transport, reduced block by
     block: each path carries its last contact node, its transport angle and
-    the engine's products and gaps from one block to the next."""
+    its last products from one block to the next."""
     model = parse_model(cfg.model)
     grid = cfg.grid
     times = grid.times
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
     n_pairs = len(cfg.eps_grid) - 1
-    gaps = np.empty((n_pairs, cfg.n_paths))
+    gaps = np.zeros((n_pairs, cfg.n_paths))
 
     def reducer(chunk):
         last = np.full(chunk.stop - chunk.start, -1)
         angle = np.zeros(last.shape)
-        carry = {}
+        start = None
 
         def reduce(i0, _, ref):
+            nonlocal start
             closes, dur = close_events(ref["R"], times[: i0 + ref["R"].shape[-1]], eta, last)
             levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
-            # the last block's running gaps are the whole run's
-            gaps[:, chunk] = _damped_along(model, ref, grid.dt, angle)(
-                jump_flags=levels, collect="cauchy", carry=carry)["cauchy"].T
+            W = _damped_along(model, ref, grid.dt, angle, jump_flags=levels, start=start)[0]
+            start = W[-1]
+            _level_gaps(W, gaps[:, chunk])
 
         return reduce
 
@@ -527,7 +545,7 @@ def _run_eps_cauchy(cfg: ExperimentConfig):
 def _run_f_normal(cfg: ExperimentConfig):
     """L^2(dt) gap between smooth and limit normal components, per a, reduced
     block by block: the reference and each row carry their transport angle
-    and engine state, and the reference its last contact node, from one block
+    and last product, and the reference its last contact node, from one block
     to the next; the terms go into a _RowSums."""
     model = parse_model(cfg.model)
     grid = cfg.grid
@@ -535,25 +553,28 @@ def _run_f_normal(cfg: ExperimentConfig):
     eta = cfg.eta if cfg.eta is not None else default_contact_threshold(grid)
     vals = np.empty((len(cfg.a_grid), cfg.n_paths))
 
-    def normal(run, angle, carry, **kw):
-        out = _damped_along(model, run, grid.dt, angle)(collect="normal", carry=carry, **kw)
-        return np.einsum("pni,pni->pn", out["normal"], out["carrier"])
-
     def reducer(chunk):
         P = chunk.stop - chunk.start
         last = np.full(P, -1)
-        # one angle and carry per row, the reference's last
+        # one angle and last product per row, the reference's last
         angles = np.zeros((len(cfg.a_grid) + 1, P))
-        carries = [{} for _ in angles]
+        starts = [None for _ in angles]
+
+        def normal(run, j, **kw):
+            """The normal component n^T W n of row j's products."""
+            W, nu = _damped_along(model, run, grid.dt, angles[j], start=starts[j], **kw)
+            starts[j] = W[-1]
+            return np.einsum("pni,pni->pn", _vec_mat(nu, W[:, 0].swapaxes(0, 1)), nu)
+
         l2 = _RowSums((len(cfg.a_grid), P), cfg.steps)
 
         def reduce(i0, pen, ref):
             i1 = i0 + ref["R"].shape[-1] - 1
             closes, dur = close_events(ref["R"], times[: i1 + 1], eta, last)
-            f_lim = normal(ref, angles[-1], carries[-1], jump_flags=closes & (dur >= 0.5 * grid.dt))
+            f_lim = normal(ref, -1, jump_flags=closes & (dur >= 0.5 * grid.dt))
             terms = np.empty((len(cfg.a_grid), P, i1 - i0))
             for j, term in enumerate(terms):
-                f_a = normal({key: v[j] for key, v in pen.items()}, angles[j], carries[j])
+                f_a = normal({key: v[j] for key, v in pen.items()}, j)
                 term[:] = (f_a - f_lim)[:, :-1] ** 2
             l2.add(terms)
             if i1 == cfg.steps:

@@ -92,6 +92,13 @@ def test_eps_variant_matches_exact_derivative_flow():
     assert np.mean(w != exact) < 0.005
 
 
+def test_eps_variant_rejects_a_non_positive_contact_threshold():
+    hl, grid, driver, pen, ref = _halfline_run(seed=9, steps=50)
+    for eta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="contact threshold must be positive"):
+            damped_eps(hl, ref, None, 0.05, eta=eta)
+
+
 def test_eps_larger_than_every_excursion_no_jumps():
     hl, grid, driver, pen, ref = _halfline_run(seed=9)
     state = damped_eps(hl, ref, None, eps=10.0)
@@ -304,20 +311,20 @@ def _frozen_node_geometry(model, points, frames):
     return nu, q, kappa
 
 
-def _frozen_engine(model, points, frames, dt, dL, *, c_increments=None, jump_flags=None, collect="series"):
+def _frozen_engine(model, points, frames, dt, dL, *, c_increments=None, jump_flags=None):
     """The engine as it was before step matrices: one update of every path
-    per node, Ricci, then local time, then damping, then jumps."""
+    per node, Ricci, then local time, then damping, then jumps.  Returns the
+    series of the matrices (P, N+1, d, d), their normal rows n^T w and the
+    transported normals."""
     P, n, d = points.shape
     N = n - 1
     rho = geo.ricci_factor(model)
     nu, q, kappa = _frozen_node_geometry(model, points, frames)
     w = np.broadcast_to(np.eye(d), (P, d, d)).copy()
-    series = np.empty((P, n, d, d)) if collect == "series" else None
-    normal_rows = np.empty((P, n, d)) if collect in ("series", "normal") else None
-    if series is not None:
-        series[:, 0] = w
-    if normal_rows is not None:
-        normal_rows[:, 0] = np.einsum("pi,pij->pj", nu[:, 0], w)
+    series = np.empty((P, n, d, d))
+    normal_rows = np.empty((P, n, d))
+    series[:, 0] = w
+    normal_rows[:, 0] = np.einsum("pi,pij->pj", nu[:, 0], w)
     for i in range(N):
         if rho != 0.0:
             w = w - 0.5 * rho * dt * w
@@ -341,16 +348,9 @@ def _frozen_engine(model, points, frames, dt, dL, *, c_increments=None, jump_fla
                 ni = nu[:, i + 1]
                 fw = np.einsum("pi,pij->pj", ni, w)
                 w = w - flagged[:, None, None] * (ni[:, :, None] * fw[:, None, :])
-        if series is not None:
-            series[:, i + 1] = w
-        if normal_rows is not None:
-            normal_rows[:, i + 1] = np.einsum("pi,pij->pj", nu[:, i + 1], w)
-    out = {"carrier": nu}
-    if series is not None:
-        out["series"] = series
-    if normal_rows is not None:
-        out["normal"] = normal_rows
-    return out
+        series[:, i + 1] = w
+        normal_rows[:, i + 1] = np.einsum("pi,pij->pj", nu[:, i + 1], w)
+    return series, normal_rows, nu
 
 
 _ENGINE_MODELS = [
@@ -360,146 +360,108 @@ _ENGINE_MODELS = [
     (geo.half_line(), (0.1,), 0.5),
     (geo.half_space(2), (0.0, 0.1), 0.5),
 ]
+_ENGINE_IDS = ["hemisphere", "cap-pi3", "disk", "half-line", "half-space-d2"]
 
 
-@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=["hemisphere", "cap-pi3", "disk", "half-line", "half-space-d2"])
-def test_engine_matches_node_by_node_engine(model, x0, horizon):
+def _engine_runs(model, x0, horizon, steps, paths, seed):
+    """Reflected and penalized (a = 0.05) runs on one driver, and the
+    reflected runs' right-end flags at the thresholds 0.05, 0.02, 0.01, 0."""
     from rbmlab import stepping
-    from rbmlab.damped import _damped_engine
     from rbmlab.grids import driver_block
     from rbmlab.reflected import close_events
-    from rbmlab.transport import transport_batch
 
-    grid = TimeGrid(horizon, 400)
-    dB = driver_block(grid, model.frame_count, 21, 0, 12)
+    grid = TimeGrid(horizon, steps)
+    dB = driver_block(grid, model.frame_count, seed, 0, paths)
     x0 = np.array(x0)
     ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
     pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid)
     closes, dur = close_events(ref["R"], grid.times, 0.01)
-    flags = closes & (dur >= 0.01)
-    assert flags.any() and np.any(np.diff(ref["L"], axis=1) > 0)
+    levels = [closes & (dur >= eps) for eps in (0.05, 0.02, 0.01, 0.0)]
+    assert levels[-1].any() and np.any(np.diff(ref["L"], axis=1) > 0)
+    return grid, ref, pen, levels
+
+
+def _engine_args(model, run, dt):
+    from rbmlab.transport import transport_batch
+
+    frames = None if model.is_flat_chart else transport_batch(model, run["points"])
+    return model, run["points"], frames, dt, np.diff(run["L"], axis=1)
+
+
+@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=_ENGINE_IDS)
+def test_engine_matches_node_by_node_engine(model, x0, horizon):
+    from rbmlab.damped import _damped_engine, _vec_mat
+
+    grid, ref, pen, levels = _engine_runs(model, x0, horizon, 400, 12, 21)
+    flags = levels[2]
     runs = [
         (ref, dict(jump_flags=flags)),
         (pen, dict(c_increments=np.diff(pen["C"], axis=1))),
         (ref, dict(jump_flags=flags, c_increments=np.diff(pen["C"], axis=1))),
     ]
     for run, extra in runs:
-        frames = None if model.is_flat_chart else transport_batch(model, run["points"])
-        args = (model, run["points"], frames, grid.dt, np.diff(run["L"], axis=1))
-        for collect in ("series", "normal"):
-            new = _damped_engine(*args, collect=collect, **extra)
-            old = _frozen_engine(*args, collect=collect, **extra)
-            if collect == "series":  # the normal rows a DampedState reads off the series
-                new["normal"] = np.einsum("pni,pnij->pnj", new["carrier"], new["series"])
-            assert sorted(new) == sorted(old)
-            for key in old:
-                assert new[key].shape == old[key].shape
-                assert np.max(np.abs(new[key] - old[key])) <= 1e-12, (collect, key)
+        args = _engine_args(model, run, grid.dt)
+        W, nu = _damped_engine(*args, **extra)
+        assert W.shape == (grid.steps + 1, 1) + args[1].shape[:1] + (model.dim, model.dim)
+        series = W[:, 0].swapaxes(0, 1)
+        new = (series, _vec_mat(nu, series), nu)  # the normal rows a DampedState reads off the products
+        for name, got, old in zip(("series", "normal", "carrier"), new, _frozen_engine(*args, **extra)):
+            assert got.shape == old.shape
+            assert np.max(np.abs(got - old)) <= 1e-12, name
 
 
-def test_engine_rejects_unknown_collect():
-    from rbmlab.damped import _damped_engine
-
-    model = geo.half_line()
-    points = np.full((2, 4, 1), 0.5)
-    with pytest.raises(ValueError, match="unknown collect 'norm'"):
-        _damped_engine(model, points, None, 0.1, np.zeros((2, 3)), collect="norm")
-
-
-@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=["hemisphere", "cap-pi3", "disk", "half-line", "half-space-d2"])
+@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=_ENGINE_IDS)
 def test_engine_reductions_match_the_series_bit_for_bit(model, x0, horizon):
-    """The reduced collect modes, one pass over every level, give the bits
-    that the harness used to compute from each level's stored series."""
-    from rbmlab import damped, stepping
+    """The sweeps reduce one pass over every level: its products of each
+    level are that level's own pass, bit for bit, and the level gaps the
+    harness takes of them block by block are the gaps of those series."""
+    from rbmlab import harness
     from rbmlab.damped import _damped_engine
-    from rbmlab.grids import driver_block
-    from rbmlab.reflected import close_events
-    from rbmlab.transport import transport_batch
 
-    grid = TimeGrid(horizon, 3 * damped._NODE_BLOCK + 5)  # blocks, and a short last one
-    dB = driver_block(grid, model.frame_count, 23, 0, 10)
-    x0 = np.array(x0)
-    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-    closes, dur = close_events(ref["R"], grid.times, 0.01)
-    levels = [closes & (dur >= eps) for eps in (0.05, 0.02, 0.01, 0.0)]
-    assert levels[-1].any()
-    frames = None if model.is_flat_chart else transport_batch(model, ref["points"])
-    args = (model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1))
-    series = [_damped_engine(*args, jump_flags=flags, collect="series")["series"] for flags in levels]
+    grid, ref, _, levels = _engine_runs(model, x0, horizon, 3 * harness._REDUCE_BLOCK + 5, 10, 23)
+    args = _engine_args(model, ref, grid.dt)
+    W, nu = _damped_engine(*args, jump_flags=levels)
+    assert W.shape[:2] == (grid.steps + 1, len(levels))
+    series = []
+    for k, flags in enumerate(levels):
+        W_k, nu_k = _damped_engine(*args, jump_flags=flags)
+        assert np.array_equal(W[:, k], W_k[:, 0]) and np.array_equal(nu, nu_k), k
+        series.append(W_k[:, 0])
 
-    cauchy = _damped_engine(*args, jump_flags=levels, collect="cauchy")["cauchy"]
+    gaps = np.zeros((len(levels) - 1, W.shape[2]))
+    for i0 in range(0, grid.steps, harness._REDUCE_BLOCK):  # blocks, and a short last one
+        harness._level_gaps(W[i0 : i0 + harness._REDUCE_BLOCK + 1], gaps)
     for k in range(len(levels) - 1):
         diff = series[k] - series[k + 1]
-        assert np.array_equal(cauchy[:, k], np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=1))
-
-    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid)
-    frames = None if model.is_flat_chart else transport_batch(model, pen["points"])
-    dL = np.diff(pen["L"], axis=1)
-    args = (model, pen["points"], frames, grid.dt, dL)
-    kw = dict(c_increments=np.diff(pen["C"], axis=1))
-    series = _damped_engine(*args, collect="series", **kw)["series"]
-    norm2 = np.sum(series * series, axis=(2, 3))
-    log_bound = np.zeros_like(pen["L"])
-    kappa = geo._level_curvature(model, pen["points"][:, :-1])
-    np.cumsum(-1.0 * grid.dt - 2.0 * kappa * dL, axis=1, out=log_bound[:, 1:])
-    bound = _damped_engine(*args, collect="bound", **kw)["bound"]
-    # node 0, where |w|^2 = 2 exp(0) on the surfaces, does not count
-    assert np.array_equal(bound, (norm2 - 2.0 * np.exp(log_bound))[:, 1:].max(axis=1))
+        assert np.array_equal(gaps[k], np.sqrt(np.sum(diff * diff, axis=(2, 3))).max(axis=0))
 
 
-@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=["hemisphere", "cap-pi3", "disk", "half-line", "half-space-d2"])
+@pytest.mark.parametrize("model, x0, horizon", _ENGINE_MODELS, ids=_ENGINE_IDS)
 def test_engine_continued_over_node_blocks_is_one_call(model, x0, horizon):
-    """Calls fed node blocks, each continuing from the state the one before
-    left, give one whole-run call's bits: its reductions at the last call,
-    and its series and normal rows block by block."""
-    from rbmlab import damped, stepping
+    """Calls fed node blocks, each starting from the last products of the one
+    before, give one whole-run call's products and normals block by block,
+    bit for bit."""
     from rbmlab.damped import _damped_engine
-    from rbmlab.grids import driver_block
-    from rbmlab.reflected import close_events
-    from rbmlab.transport import transport_batch
 
-    N = 3 * damped._NODE_BLOCK + 5
-    grid = TimeGrid(horizon, N)
-    dB = driver_block(grid, model.frame_count, 23, 0, 10)
-    x0 = np.array(x0)
-    ref = stepping.integrate_reflected_batch(model, x0, dB, grid)
-    pen = stepping.integrate_penalized_batch(model, 0.05, x0, dB, grid)
-    closes, dur = close_events(ref["R"], grid.times, 0.01)
-    levels = [closes & (dur >= eps) for eps in (0.05, 0.02, 0.01, 0.0)]
-    assert levels[-1].any()
+    N = 101
+    grid, ref, pen, levels = _engine_runs(model, x0, horizon, N, 10, 23)
     cases = [
-        (ref, dict(jump_flags=levels), "cauchy"),
-        (pen, dict(c_increments=np.diff(pen["C"], axis=1)), "bound"),
-        (pen, dict(c_increments=np.diff(pen["C"], axis=1)), "series"),
-        (ref, dict(jump_flags=levels[1]), "normal"),
+        (ref, dict(jump_flags=levels)),
+        (pen, dict(c_increments=np.diff(pen["C"], axis=1))),
+        (ref, dict(jump_flags=levels[1])),
+        (ref, dict(jump_flags=levels[1], c_increments=np.diff(pen["C"], axis=1))),
     ]
-    for run, extra, collect in cases:
-        frames = None if model.is_flat_chart else transport_batch(model, run["points"])
-        whole = _damped_engine(model, run["points"], frames, grid.dt, np.diff(run["L"], axis=1), collect=collect,
-                               **extra)
-        # edges off the multiples of _NODE_BLOCK, and a block of one step
-        edges = (0, 7, 8, damped._NODE_BLOCK + 9, 2 * damped._NODE_BLOCK + 20, N)
-        carry = {}
+    for run, extra in cases:
+        model, points, frames, dt, dL = _engine_args(model, run, grid.dt)
+        whole = _damped_engine(model, points, frames, dt, dL, **extra)
+        # uneven edges, and a block of one step
+        edges = (0, 7, 8, 41, 84, N)
+        start = None
         for i0, i1 in zip(edges, edges[1:]):
             s = slice(i0, i1 + 1)
-            kw = {key: [f[:, s] for f in v] if key == "jump_flags" and isinstance(v, list)
-                  else v[:, s] if key == "jump_flags" else v[:, i0:i1] for key, v in extra.items()}
-            part = _damped_engine(model, run["points"][:, s], None if frames is None else frames[:, s], grid.dt,
-                                  np.diff(run["L"][:, s], axis=1), collect=collect, carry=carry, **kw)
-            assert np.array_equal(part["carrier"], whole["carrier"][:, s])
-            if collect in ("series", "normal"):
-                assert np.array_equal(part[collect], whole[collect][:, s]), (collect, i0)
-        if collect in ("cauchy", "bound"):
-            assert np.array_equal(part[collect], whole[collect]), collect
-
-
-def test_engine_rejects_a_level_count_its_collect_cannot_take():
-    from rbmlab.damped import _damped_engine
-
-    model = geo.half_line()
-    points = np.full((2, 4, 1), 0.5)
-    flags = np.zeros((2, 4), dtype=bool)
-    with pytest.raises(ValueError, match="at least two levels"):
-        _damped_engine(model, points, None, 0.1, np.zeros((2, 3)), jump_flags=[flags], collect="cauchy")
-    with pytest.raises(ValueError, match="takes one level"):
-        _damped_engine(model, points, None, 0.1, np.zeros((2, 3)), jump_flags=[flags, flags], collect="series")
+            kw = {key: [f[:, s] for f in v] if isinstance(v, list) else v[:, s] if key == "jump_flags"
+                  else v[:, i0:i1] for key, v in extra.items()}
+            W, nu = _damped_engine(model, points[:, s], None if frames is None else frames[:, s], dt, dL[:, i0:i1],
+                                   start=start, **kw)
+            assert np.array_equal(W, whole[0][s]) and np.array_equal(nu, whole[1][:, s]), (sorted(extra), i0)
+            start = W[-1]

@@ -1,6 +1,8 @@
 """Geometry models: closed forms, frame identities, curvature operators."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,11 @@ def test_parse_model_strings():
         geo.parse_model("torus")
     with pytest.raises(ValueError):
         geo.parse_model("cap:theta0")
+    assert geo.parse_model("cap:theta0=pi/3").theta0 == math.pi / 3
+    assert geo.parse_model("cap:theta0=pi/2.5").theta0 == math.pi / 2.5
+    for bad in ("pi/0", "pi/x", "pi/", "2pi/3"):
+        with pytest.raises(ValueError):
+            geo.parse_model(f"cap:theta0={bad}")
 
 
 def test_normal_hessian_consistency():

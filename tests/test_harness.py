@@ -16,7 +16,7 @@ from rbmlab import cli
 from rbmlab import geometry as geo
 from rbmlab import harness, stepping
 from rbmlab import skorohod1d as sk1d
-from rbmlab.damped import _damped_engine
+from rbmlab.damped import _damped_engine, _vec_mat
 from rbmlab.errors import IntegrationError
 from rbmlab.grids import driver_block
 from rbmlab.harness import ExperimentConfig, ResultRow, local_time_tv, sp_distance
@@ -316,7 +316,8 @@ _SMALL_SWEEP = "kind=local-time\nT=0.1\nsteps=20\npaths=4\n"
     ("sweep", _SMALL_SWEEP + "format=xml\n"),
     ("simulate", "paths=8\n"),  # sweep's flag
     ("sweep", _SMALL_SWEEP + "a=0.1\n"),  # simulate's flag, and a prefix of --a-grid
-], ids=["simulate-format", "sweep-format", "simulate-paths", "sweep-a"])
+    ("simulate", "steps=3\nconfig=nope.cfg\n"),  # a file names no further file
+], ids=["simulate-format", "sweep-format", "simulate-paths", "sweep-a", "simulate-config"])
 def test_cli_config_keys_are_the_subcommands_own_flags(command, text, tmp_path, capsys):
     # a file value is parsed by its flag's action, so a bad choice or another
     # subcommand's key is an argument error, not a value stored and ignored
@@ -324,6 +325,23 @@ def test_cli_config_keys_are_the_subcommands_own_flags(command, text, tmp_path, 
     cfgfile.write_text(text)
     assert cli.main([command, "--config", str(cfgfile)]) == cli.EXIT_ARGUMENT
     assert "error: " in capsys.readouterr().err
+
+
+def test_cli_config_errors_name_the_file_and_line(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    for text, message in (("steps=3\npaths=8\n", "unknown key 'paths'"),
+                          ("# a comment\nsteps=3\nformat=xml\n", "argument --format: invalid choice: 'xml'")):
+        cfgfile.write_text(text)
+        assert cli.main(["simulate", "--config", str(cfgfile)]) == cli.EXIT_ARGUMENT
+        err = capsys.readouterr().err
+        line = len(text.splitlines())
+        assert f"argument error: {cfgfile}:{line}: {message}" in err and "usage:" not in err, err
+    # the command line's errors are argparse's, with their usage line
+    assert cli.main(["simulate", "--paths", "8"]) == cli.EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert "rbmlab: error: unrecognized arguments: --paths 8" in err and "usage:" in err, err
+    assert cli.main(["simulate", "--format", "xml"]) == cli.EXIT_ARGUMENT
+    assert "rbmlab simulate: error: argument --format: invalid choice: 'xml'" in capsys.readouterr().err
 
 
 def test_cli_config_file_selects_the_field(tmp_path, monkeypatch):
@@ -458,14 +476,15 @@ _KIND_CASES = {
 def test_sweep_bytes_do_not_depend_on_the_chunk_width(case, monkeypatch):
     fields, digest = _KIND_CASES[case]
     cfg = ExperimentConfig(master_seed=5, **fields)
-    # the damped engine's per-path outputs too, reduced over the nodes
-    # (norm-bound's bound, eps-cauchy's level gaps) as the sweeps read them
+    # the damped engine's outputs too, per path: the products of each block
+    # and the transported normals
     engine_calls = []
     real_engine = harness._damped_engine
 
     def engine(*args, **kwargs):
-        engine_calls.append(real_engine(*args, **kwargs))
-        return engine_calls[-1]
+        W, nu = real_engine(*args, **kwargs)
+        engine_calls.append((np.moveaxis(W, 2, 0), nu))  # paths first
+        return W, nu
 
     monkeypatch.setattr(harness, "_damped_engine", engine)
     engine_bytes = {}
@@ -502,14 +521,15 @@ def test_sweep_errors_name_the_path_in_the_sweep(case, monkeypatch):
 
 
 def _per_path_bytes(calls, chunks):
-    """Bytes of every output of the calls, each call of a chunk joined along
-    the paths across the chunks (every chunk makes the same calls in turn)."""
+    """Bytes of every output of the calls, paths first, each call of a chunk
+    joined along the paths across the chunks (every chunk makes the same
+    calls in turn)."""
     per_chunk = len(calls) // chunks
     assert per_chunk * chunks == len(calls)
     return [
-        np.concatenate([out[key] for out in calls[j::per_chunk]]).tobytes()
+        np.concatenate([out[k] for out in calls[j::per_chunk]]).tobytes()
         for j in range(per_chunk)
-        for key in sorted(calls[j])
+        for k in range(len(calls[j]))
     ]
 
 
@@ -523,6 +543,11 @@ _ORACLE_CASES = {
 }
 
 
+def _normal_component(W, nu):
+    """n^T W n along each path of one level's products."""
+    return np.einsum("pni,pni->pn", _vec_mat(nu, W[:, 0].swapaxes(0, 1)), nu)
+
+
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_streamed_kinds_read_their_statistics_off_the_stored_runs(case):
     """The rows of every kind, which reduces node block by node block, are
@@ -530,9 +555,9 @@ def test_streamed_kinds_read_their_statistics_off_the_stored_runs(case):
     local-time, the sup chart distance for sp-convergence, the masked sup
     projection gap for projection, the path and derivative-flow gaps of the
     whole 1-d flow for halfline-penalization, the sup gap of the whole runs'
-    transported vectors for transport, and the engine's whole-run outputs on
-    the whole run's transport frames and close events for norm-bound,
-    eps-cauchy and f-normal."""
+    transported vectors for transport, and the reductions of the engine's
+    whole-run products, on the whole run's transport frames and close events,
+    for norm-bound, eps-cauchy and f-normal."""
     fields = _ORACLE_CASES[case]
     cfg = ExperimentConfig(master_seed=8, **fields)
     kind = cfg.kind
@@ -546,15 +571,15 @@ def test_streamed_kinds_read_their_statistics_off_the_stored_runs(case):
     if kind == "eps-cauchy":
         levels = [closes & (dur >= eps) for eps in cfg.eps_grid]
         assert levels[-1].any()
-        gaps = _damped_engine(model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1), jump_flags=levels,
-                              collect="cauchy")["cauchy"]
+        W, _ = _damped_engine(model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1), jump_flags=levels)
+        diff = W[:, :-1] - W[:, 1:]
+        gaps = np.sqrt(np.sum(diff * diff, axis=(3, 4))).max(axis=0)
         for k, eps in enumerate(cfg.eps_grid[1:]):
-            expected[(eps, "sup_level_gap")] = gaps[:, k]
+            expected[(eps, "sup_level_gap")] = gaps[k]
     elif kind == "f-normal":
         assert closes.any()
-        lim = _damped_engine(model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1),
-                             jump_flags=closes & (dur >= 0.5 * grid.dt), collect="normal")
-        f_lim = np.einsum("pni,pni->pn", lim["normal"], lim["carrier"])
+        f_lim = _normal_component(*_damped_engine(model, ref["points"], frames, grid.dt, np.diff(ref["L"], axis=1),
+                                                  jump_flags=closes & (dur >= 0.5 * grid.dt)))
     elif kind == "halfline-penalization":
         alive = np.minimum.accumulate(ref["R"] - ref["L"], axis=1) > 0.0
         assert not alive[:, -1].all()
@@ -572,9 +597,15 @@ def test_streamed_kinds_read_their_statistics_off_the_stored_runs(case):
         elif kind == "sp-convergence":
             expected[(a, "sup_distance_p")] = geo.chart_distance(model, pen["points"][k], ref["points"]).max(axis=1) ** cfg.p
         elif kind == "norm-bound":
-            expected[(a, "max_bound_violation")] = _damped_engine(
-                model, pen["points"][k], transport_batch(model, pen["points"][k]), grid.dt,
-                np.diff(pen["L"][k], axis=1), c_increments=np.diff(pen["C"][k], axis=1), collect="bound")["bound"]
+            dL = np.diff(pen["L"][k], axis=1)
+            W, _ = _damped_engine(model, pen["points"][k], transport_batch(model, pen["points"][k]), grid.dt, dL,
+                                  c_increments=np.diff(pen["C"][k], axis=1))
+            norm2 = np.sum(W[:, 0] * W[:, 0], axis=(2, 3)).T
+            log_bound = np.zeros_like(pen["L"][k])
+            kappa = geo._level_curvature(model, pen["points"][k][:, :-1])
+            np.cumsum(-1.0 * grid.dt - 2.0 * kappa * dL, axis=1, out=log_bound[:, 1:])
+            # node 0, where |W|^2 = 2 exp(0) on the surfaces, does not count
+            expected[(a, "max_bound_violation")] = (norm2 - 2.0 * np.exp(log_bound))[:, 1:].max(axis=1)
         elif kind == "halfline-penalization":
             X = flow[k]
             expected[(a, "sup_path_gap")] = np.abs(X - ref["R"]).max(axis=1)
@@ -583,10 +614,9 @@ def test_streamed_kinds_read_their_statistics_off_the_stored_runs(case):
             expected[(a, "derivative_flow_l1")] = np.abs(np.exp(expo[:, :-1]) - alive[:, :-1]).sum(axis=1) * grid.dt
         elif kind == "f-normal":
             pts = pen["points"][k]
-            sm = _damped_engine(model, pts, None if model.is_flat_chart else transport_batch(model, pts), grid.dt,
-                                np.diff(pen["L"][k], axis=1), c_increments=np.diff(pen["C"][k], axis=1),
-                                collect="normal")
-            f_a = np.einsum("pni,pni->pn", sm["normal"], sm["carrier"])
+            f_a = _normal_component(*_damped_engine(
+                model, pts, None if model.is_flat_chart else transport_batch(model, pts), grid.dt,
+                np.diff(pen["L"][k], axis=1), c_increments=np.diff(pen["C"][k], axis=1)))
             expected[(a, "normal_component_l2")] = np.sum((f_a - f_lim)[:, :-1] ** 2, axis=1) * grid.dt
         elif kind == "transport":
             gap = transport_batch(model, pen["points"][k]) @ v - transport_batch(model, ref["points"]) @ v

@@ -42,8 +42,9 @@ def _traced_peak(fn):
 # 5 penalized per row), close events and level flags, the block's transport
 # frames (4) and their temporaries, the engine's per-node factors, and slack.
 _BLOCK_FLOATS = 48
-# Running products the engine holds per row and level: its node blocks of
-# step matrices, products and level differences.
+# Running products the engine and the reductions of its products hold per
+# row and level: a node block's step matrices and products, and eps-cauchy's
+# level differences of them.
 _ENGINE_PRODUCTS = 256
 
 

@@ -23,7 +23,9 @@ Transport and engine: ``transport.transport_batch`` and
 ``damped._damped_engine`` on the input of the ``eps-cauchy`` sweep of the
 ``sweeps`` benchmark: reflected paths on ``cap:theta0=pi/2``, T=4, dt=2e-3
 (2000 steps), one 200-path chunk at master seed 46, and the engine at each of
-the four excursion thresholds 0.2, 0.1, 0.05, 0.025.
+the four excursion thresholds 0.2, 0.1, 0.05, 0.025.  The engine runs on the
+sweeps' node blocks of ``harness._REDUCE_BLOCK`` (64) steps, each block
+starting from the last products of the one before.
 
 Flat exact-law sampler: the input of the ``exact-law`` benchmark
 (half-space:d=1, 5000 paths, T=1, dt=1e-3, master seed 48, start 0.5), in ns
@@ -34,8 +36,9 @@ on the same draw costs.
 
 Eps levels: the engine stage of one ``eps-cauchy`` chunk on the same input,
 from the four levels' jump flags to the inter-level gaps, in ns per path-step
-per level: one engine call that runs every level in one pass (collect
-"cauchy").
+per level: on each node block, one engine call that runs every level in one
+pass, and the sweep's reduction of its products to the running gaps
+(``harness._level_gaps``).
 
 Each layer is called once to warm up and then nine times; the record keeps
 the median and the quartiles over the repeats, with numpy, scipy and Python
@@ -319,13 +322,27 @@ def measure() -> dict:
     dL = np.diff(ref["L"], axis=1)
     path_steps = PATHS * STEPS
 
+    def engine_blocks(flags):
+        """The engine's products on each node block of the sweeps, each block
+        starting from the last products of the one before."""
+        W = None
+        for i0 in range(0, STEPS, harness._REDUCE_BLOCK):
+            i1 = min(i0 + harness._REDUCE_BLOCK, STEPS)
+            s = slice(i0, i1 + 1)
+            W, _ = _damped_engine(cap, points[:, s], frames[:, s], grid.dt, dL[:, i0:i1],
+                                  jump_flags=[f[:, s] for f in flags], start=None if W is None else W[-1])
+            yield W
+
     def engine_levels():
         for eps in EPS_GRID:
-            _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=closes & (dur >= eps), collect="series")
+            for _ in engine_blocks([closes & (dur >= eps)]):
+                pass
 
     def eps_levels():
-        levels = [closes & (dur >= eps) for eps in EPS_GRID]
-        return _damped_engine(cap, points, frames, grid.dt, dL, jump_flags=levels, collect="cauchy")["cauchy"]
+        gaps = np.zeros((len(EPS_GRID) - 1, PATHS))
+        for W in engine_blocks([closes & (dur >= eps) for eps in EPS_GRID]):
+            harness._level_gaps(W, gaps)
+        return gaps
 
     transport_s = _time(lambda: transport_batch(cap, points))
     engine_s = [t / len(EPS_GRID) for t in _time(engine_levels)]
